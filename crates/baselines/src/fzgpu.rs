@@ -109,7 +109,9 @@ impl Compressor for FzGpu {
         let mut shuffled = vec![0u8; words.len() * 4];
         shuffle::encode(&words, &mut shuffled);
         planes.clear();
-        zeroelim::encode(&shuffled, &mut planes);
+        let mut ze = zeroelim::Scratch::default();
+        zeroelim::encode_to_scratch(&shuffled, &mut ze);
+        zeroelim::append_encoded(&ze, &mut planes);
         w.u64(words.len() as u64);
         w.block(&planes);
         Ok(w.into_vec())
@@ -125,9 +127,8 @@ impl Compressor for FzGpu {
             return Err(BaselineError::Corrupt("word count mismatch".into()));
         }
         let payload = r.block()?;
-        // decode_into, not the allocating `decode`: the scratch and output
-        // buffers are the only per-call allocations and would be reusable
-        // if this comparator ever ran per-chunk.
+        // The scratch and output buffers are the only per-call allocations
+        // and would be reusable if this comparator ever ran per-chunk.
         let mut ze = zeroelim::Scratch::default();
         let mut shuffled = Vec::new();
         let used = zeroelim::decode_into(payload, nwords * 4, &mut ze, &mut shuffled)

@@ -59,10 +59,13 @@ fn bench_stages(c: &mut Criterion) {
 
     let mut shuffled = vec![0u8; deltas.len() * 4];
     shuffle::encode(&deltas, &mut shuffled);
+    let mut ze = zeroelim::Scratch::default();
+    let mut out = Vec::with_capacity(16 * 1024);
     g.bench_function("zero-elimination", |b| {
         b.iter(|| {
-            let mut out = Vec::with_capacity(16 * 1024);
-            zeroelim::encode(&shuffled, &mut out);
+            out.clear();
+            zeroelim::encode_to_scratch(&shuffled, &mut ze);
+            zeroelim::append_encoded(&ze, &mut out);
             out.len()
         })
     });

@@ -35,6 +35,7 @@ impl Variant {
 fn compressed_size(data: &[f32], eb: f32, variant: Variant) -> usize {
     let q = AbsQuantizer::<f32>::new(eb).expect("bound");
     let mut total = 0usize;
+    let mut ze = zeroelim::Scratch::default();
     for chunk in data.chunks(4096) {
         let mut words: Vec<u32> = chunk.iter().map(|&v| q.encode(v)).collect();
         match variant {
@@ -60,9 +61,7 @@ fn compressed_size(data: &[f32], eb: f32, variant: Variant) -> usize {
         if variant == Variant::NoZeroElim {
             total += bytes.len(); // nothing else shrinks the data
         } else {
-            let mut out = Vec::new();
-            zeroelim::encode(&bytes, &mut out);
-            total += out.len().min(bytes.len());
+            total += zeroelim::encode_to_scratch(&bytes, &mut ze).min(bytes.len());
         }
     }
     total

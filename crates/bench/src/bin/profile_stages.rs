@@ -97,7 +97,8 @@ fn main() {
         .chunks(CHUNK_BYTES)
         .map(|cb| {
             let mut v = Vec::new();
-            zeroelim::encode(cb, &mut v);
+            zeroelim::encode_to_scratch(cb, &mut ze);
+            zeroelim::append_encoded(&ze, &mut v);
             v
         })
         .collect();

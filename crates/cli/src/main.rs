@@ -15,6 +15,7 @@
 //! archive reported by `verify` or `salvage` (so scripts can gate on it).
 
 use pfpl::container::{Header, Toc};
+use pfpl::float::{PfplFloat, Word};
 use pfpl::types::{BoundKind, ErrorBound, Mode, Precision};
 use std::process::ExitCode;
 
@@ -98,40 +99,25 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), CliError> {
     std::fs::write(path, bytes).map_err(|e| CliError::runtime(format!("{path}: {e}")))
 }
 
-fn read_values_f32(path: &str) -> Result<Vec<f32>, CliError> {
+fn read_values<F: PfplFloat>(path: &str) -> Result<Vec<F>, CliError> {
     let bytes = read_file(path)?;
-    if bytes.len() % 4 != 0 {
+    let word = F::Bits::BITS as usize / 8;
+    if bytes.len() % word != 0 {
         return Err(CliError::runtime(format!(
-            "{path}: size {} is not a multiple of 4",
+            "{path}: size {} is not a multiple of {word}",
             bytes.len()
         )));
     }
     Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .chunks_exact(word)
+        .map(|c| F::from_bits(F::Bits::read_le(c)))
         .collect())
 }
 
-fn read_values_f64(path: &str) -> Result<Vec<f64>, CliError> {
-    let bytes = read_file(path)?;
-    if bytes.len() % 8 != 0 {
-        return Err(CliError::runtime(format!(
-            "{path}: size {} is not a multiple of 8",
-            bytes.len()
-        )));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-        .collect())
-}
-
-fn to_le_bytes_f32(vals: &[f32]) -> Vec<u8> {
-    vals.iter().flat_map(|v| v.to_le_bytes()).collect()
-}
-
-fn to_le_bytes_f64(vals: &[f64]) -> Vec<u8> {
-    vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+fn to_le_bytes<F: PfplFloat>(vals: &[F]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(vals.len() * (F::Bits::BITS as usize / 8));
+    vals.iter().for_each(|v| v.to_bits().push_le(&mut out));
+    out
 }
 
 fn compress(o: &Opts) -> Result<String, CliError> {
@@ -142,12 +128,11 @@ fn compress(o: &Opts) -> Result<String, CliError> {
     let mode = o.mode();
     let start = std::time::Instant::now();
     let (archive, stats) = if is_double {
-        let data = read_values_f64(input)?;
-        pfpl::compress_with_stats(&data, bound, mode).map_err(|e| CliError::runtime(e.to_string()))?
+        pfpl::compress_with_stats(&read_values::<f64>(input)?, bound, mode)
     } else {
-        let data = read_values_f32(input)?;
-        pfpl::compress_with_stats(&data, bound, mode).map_err(|e| CliError::runtime(e.to_string()))?
-    };
+        pfpl::compress_with_stats(&read_values::<f32>(input)?, bound, mode)
+    }
+    .map_err(|e| CliError::runtime(e.to_string()))?;
     let secs = start.elapsed().as_secs_f64();
     let word = if is_double { 8 } else { 4 };
     write_file(output, &archive)?;
@@ -166,22 +151,16 @@ fn decompress(o: &Opts) -> Result<String, CliError> {
     let input = o.require("-i").map_err(CliError::usage)?;
     let output = o.require("-o").map_err(CliError::usage)?;
     let archive = read_file(input)?;
-    let (header, _, _) =
-        Header::read(&archive).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
+    let header = Toc::read(&archive)
+        .map_err(|e| CliError::runtime(format!("{input}: {e}")))?
+        .header;
     let mode = o.mode();
     let start = std::time::Instant::now();
-    let bytes: Vec<u8> = match header.precision {
-        Precision::Single => {
-            let vals: Vec<f32> = pfpl::decompress(&archive, mode)
-                .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-            to_le_bytes_f32(&vals)
-        }
-        Precision::Double => {
-            let vals: Vec<f64> = pfpl::decompress(&archive, mode)
-                .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-            to_le_bytes_f64(&vals)
-        }
-    };
+    let bytes = match header.precision {
+        Precision::Single => pfpl::decompress::<f32>(&archive, mode).map(|v| to_le_bytes(&v)),
+        Precision::Double => pfpl::decompress::<f64>(&archive, mode).map(|v| to_le_bytes(&v)),
+    }
+    .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
     let secs = start.elapsed().as_secs_f64();
     write_file(output, &bytes)?;
     Ok(format!(
@@ -206,10 +185,7 @@ fn info(o: &Opts) -> Result<String, CliError> {
         .iter()
         .filter(|&&s| s & pfpl::container::RAW_FLAG != 0)
         .count();
-    let word = match h.precision {
-        Precision::Single => 4,
-        Precision::Double => 8,
-    };
+    let word = h.precision.word_bytes() as u64;
     Ok(format!(
         "archive:      {input}\n\
          format:       v{}{}\n\
@@ -266,34 +242,10 @@ fn verify(o: &Opts) -> Result<String, CliError> {
 /// maximum error against the original values.
 fn bound_check(input: &str, arch_path: &str, archive: &[u8], h: Header) -> Result<String, CliError> {
     let eb = h.user_bound;
-    let decode_err = |e: pfpl::Error| CliError::runtime(format!("{arch_path}: {e}"));
-    let (max_err, metric, n) = match h.precision {
-        Precision::Single => {
-            let orig = read_values_f32(input)?;
-            let recon: Vec<f32> = pfpl::decompress(archive, Mode::Parallel).map_err(decode_err)?;
-            if orig.len() != recon.len() {
-                return Err(CliError::runtime(format!(
-                    "length mismatch: input {} vs archive {}",
-                    orig.len(),
-                    recon.len()
-                )));
-            }
-            let orig64: Vec<f64> = orig.iter().map(|&v| v as f64).collect();
-            let rec64: Vec<f64> = recon.iter().map(|&v| v as f64).collect();
-            (measure(&orig64, &rec64, h.kind), h.kind.name(), orig.len())
-        }
-        Precision::Double => {
-            let orig = read_values_f64(input)?;
-            let recon: Vec<f64> = pfpl::decompress(archive, Mode::Parallel).map_err(decode_err)?;
-            if orig.len() != recon.len() {
-                return Err(CliError::runtime(format!(
-                    "length mismatch: input {} vs archive {}",
-                    orig.len(),
-                    recon.len()
-                )));
-            }
-            (measure(&orig, &recon, h.kind), h.kind.name(), orig.len())
-        }
+    let metric = h.kind.name();
+    let (max_err, n) = match h.precision {
+        Precision::Single => max_error::<f32>(input, arch_path, archive, h.kind)?,
+        Precision::Double => max_error::<f64>(input, arch_path, archive, h.kind)?,
     };
     if max_err <= eb {
         Ok(format!(
@@ -304,6 +256,28 @@ fn bound_check(input: &str, arch_path: &str, archive: &[u8], h: Header) -> Resul
             "BOUND VIOLATED: max {metric} error {max_err:.6e} > bound {eb:.6e}"
         )))
     }
+}
+
+/// Decode `archive` as `F` and return its maximum `kind` error against
+/// the raw values in `input`, and the value count.
+fn max_error<F: PfplFloat>(
+    input: &str,
+    arch_path: &str,
+    archive: &[u8],
+    kind: BoundKind,
+) -> Result<(f64, usize), CliError> {
+    let orig = read_values::<F>(input)?;
+    let recon: Vec<F> = pfpl::decompress(archive, Mode::Parallel)
+        .map_err(|e| CliError::runtime(format!("{arch_path}: {e}")))?;
+    if orig.len() != recon.len() {
+        return Err(CliError::runtime(format!(
+            "length mismatch: input {} vs archive {}",
+            orig.len(),
+            recon.len()
+        )));
+    }
+    let wide = |v: &[F]| v.iter().map(|x| x.to_f64()).collect::<Vec<f64>>();
+    Ok((measure(&wide(&orig), &wide(&recon), kind), orig.len()))
 }
 
 /// `salvage -i <archive> -o <raw floats>`: decode everything that still
@@ -317,19 +291,13 @@ fn salvage(o: &Opts) -> Result<String, CliError> {
     let mode = o.mode();
     let archive = read_file(input)?;
     let toc = Toc::read(&archive).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-    let salvage_err = |e: pfpl::Error| CliError::runtime(format!("{input}: unsalvageable: {e}"));
     let (bytes, report) = match toc.header.precision {
-        Precision::Single => {
-            let (vals, report) = pfpl::decompress_salvage::<f32>(&archive, mode, fill as f32)
-                .map_err(salvage_err)?;
-            (to_le_bytes_f32(&vals), report)
-        }
-        Precision::Double => {
-            let (vals, report) =
-                pfpl::decompress_salvage::<f64>(&archive, mode, fill).map_err(salvage_err)?;
-            (to_le_bytes_f64(&vals), report)
-        }
-    };
+        Precision::Single => pfpl::decompress_salvage::<f32>(&archive, mode, fill as f32)
+            .map(|(vals, report)| (to_le_bytes(&vals), report)),
+        Precision::Double => pfpl::decompress_salvage::<f64>(&archive, mode, fill)
+            .map(|(vals, report)| (to_le_bytes(&vals), report)),
+    }
+    .map_err(|e| CliError::runtime(format!("{input}: unsalvageable: {e}")))?;
     write_file(output, &bytes)?;
     if report.is_clean() {
         Ok(format!(

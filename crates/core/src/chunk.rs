@@ -128,8 +128,11 @@ fn encode_stages_fused<F: PfplFloat, Q: Quantizer<F>>(
     let mut carry = F::Bits::ZERO;
     let mut lossless = 0u64;
     for tv in vals.chunks_exact(shuffle::TILE_WORDS) {
-        // Stage 0: quantize the tile (stays in L1).
-        lossless += q.encode_tile(tv, &mut tile);
+        // Stage 0: quantize the tile (stays in L1). A tile is a multiple
+        // of 8 values, so group-of-8 batch kernels see the same groups a
+        // whole-chunk call would, keeping the words identical to the
+        // staged path.
+        lossless += q.encode_slice(tv, &mut tile);
         // Stage 1: delta + negabinary, predecessor carried across tiles so
         // the codes equal a whole-chunk pass.
         carry = delta::encode_carry(&mut tile, carry);
@@ -280,7 +283,7 @@ pub fn compress_chunk_into<F: PfplFloat, Q: Quantizer<F>>(
 }
 
 /// Decompress one chunk payload into `vals`.
-pub fn decompress_chunk<F: PfplFloat, Q: Quantizer<F>>(
+pub fn decompress_chunk<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     q: &Q,
     payload: &[u8],
     raw: bool,
@@ -293,7 +296,7 @@ pub fn decompress_chunk<F: PfplFloat, Q: Quantizer<F>>(
 /// [`decompress_chunk`], but forcing the staged four-pass reference
 /// pipeline even for whole-tile chunks (the fused kernel's equivalence
 /// oracle; both decode any valid chunk payload to identical values).
-pub fn decompress_chunk_staged<F: PfplFloat, Q: Quantizer<F>>(
+pub fn decompress_chunk_staged<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     q: &Q,
     payload: &[u8],
     raw: bool,
@@ -303,7 +306,7 @@ pub fn decompress_chunk_staged<F: PfplFloat, Q: Quantizer<F>>(
     decompress_chunk_dispatch(q, payload, raw, vals, scratch, true)
 }
 
-fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F>>(
+fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     q: &Q,
     payload: &[u8],
     raw: bool,
@@ -355,7 +358,7 @@ fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F>>(
 /// the carried predecessor, and dequantized straight into `vals`. Neither
 /// the 16 KiB expanded byte buffer nor the chunk-wide word buffer of the
 /// staged path is touched.
-fn decompress_fused<F: PfplFloat, Q: Quantizer<F>>(
+fn decompress_fused<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     q: &Q,
     payload: &[u8],
     vals: &mut [F],

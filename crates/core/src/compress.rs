@@ -12,23 +12,21 @@
 //! and compacts the slots with one exclusive-prefix-sum pass. Neither mode
 //! allocates or copies per-chunk intermediates.
 //!
-//! Per-chunk work routes through [`chunk::compress_chunk`] /
-//! [`chunk::compress_chunk_into`], so every full chunk runs the fused
-//! four-stage tile kernel (§III-E) in both modes; only the final partial
-//! chunk can take the staged fallback. Decompression inherits the fused
-//! decode the same way via [`chunk::decompress_chunk`].
+//! Every per-chunk decision — codec, verify-and-decode step, tables —
+//! comes from the chunk engine ([`crate::engine`]), whose codec runs the
+//! fused four-stage tile kernel (§III-E) on every full chunk in both
+//! directions; only the final partial chunk can take the staged fallback.
 
 use crate::chunk::{self, Scratch, CHUNK_BYTES};
-use crate::container::{
-    chunk_offsets, patch_tables, payload_checksum, Header, Toc, RAW_FLAG, V2_HEADER_LEN,
+use crate::container::V2_HEADER_LEN;
+use crate::engine::{
+    compress_stats, map_chunks, patch_archive, start_archive, ArchiveReader, ChunkDecoder,
+    ChunkEntry,
 };
-use crate::error::{Error, Result};
-use crate::float::{bound_toward_zero, PfplFloat, Word};
-use crate::quantize::{
-    derive_noa_bound, AbsQuantizer, NoaBound, PassthroughQuantizer, Quantizer, RelQuantizer,
-};
+use crate::error::Result;
+use crate::float::{PfplFloat, Word};
 use crate::stats::CompressStats;
-use crate::types::{BoundKind, ErrorBound, Mode};
+use crate::types::{ErrorBound, Mode};
 use rayon::prelude::*;
 
 /// Compress a slice of values under the given error bound.
@@ -47,63 +45,12 @@ pub fn compress_with_stats<F: PfplFloat>(
     bound: ErrorBound,
     mode: Mode,
 ) -> Result<(Vec<u8>, CompressStats)> {
-    let eb = bound.value();
-    if !(eb > 0.0) || !eb.is_finite() {
-        return Err(Error::InvalidErrorBound(format!(
-            "bound must be finite and > 0; got {eb}"
-        )));
-    }
-    let eb_f: F = bound_toward_zero(eb);
-    match bound {
-        ErrorBound::Abs(_) => {
-            let q = AbsQuantizer::new(eb_f)?;
-            run_compress(data, &q, bound, q.bound().to_f64(), false, mode)
-        }
-        ErrorBound::Rel(_) => {
-            let q = RelQuantizer::new(eb_f)?;
-            run_compress(data, &q, bound, q.bound().to_f64(), false, mode)
-        }
-        ErrorBound::Noa(_) => match derive_noa_bound(data, eb_f) {
-            NoaBound::Abs(abs_eb) => {
-                let q = AbsQuantizer::new(abs_eb)?;
-                run_compress(data, &q, bound, abs_eb.to_f64(), false, mode)
-            }
-            NoaBound::Passthrough => {
-                run_compress(data, &PassthroughQuantizer, bound, 0.0, true, mode)
-            }
-        },
-    }
-}
-
-fn run_compress<F: PfplFloat, Q: Quantizer<F>>(
-    data: &[F],
-    q: &Q,
-    bound: ErrorBound,
-    derived: f64,
-    passthrough: bool,
-    mode: Mode,
-) -> Result<(Vec<u8>, CompressStats)> {
+    let codec = ChunkDecoder::from_bound(bound, data)?;
+    let header = codec.header(bound, data.len() as u64)?;
     let vpc = chunk::values_per_chunk::<F>();
-    let nchunks = data.len().div_ceil(vpc);
-    if nchunks > (RAW_FLAG - 1) as usize {
-        return Err(Error::Corrupt(format!(
-            "input too large: {nchunks} chunks exceed the 31-bit chunk counter"
-        )));
-    }
+    let nchunks = header.chunk_count as usize;
 
-    let header = Header {
-        precision: F::PRECISION,
-        kind: bound.kind(),
-        passthrough,
-        user_bound: bound.value(),
-        derived_bound: derived,
-        count: data.len() as u64,
-        chunk_count: nchunks as u32,
-    };
-
-    let mut lossless = 0u64;
-    let mut raw_chunks = 0u64;
-    let archive = match mode {
+    let (archive, entries) = match mode {
         Mode::Serial => {
             // Single-pass assembly: reserve header + size table up front
             // (worst-case payload capacity so the Vec never reallocates),
@@ -114,124 +61,41 @@ fn run_compress<F: PfplFloat, Q: Quantizer<F>>(
             let raw_total = data.len() * (F::Bits::BITS as usize / 8);
             let mut archive = Vec::with_capacity(V2_HEADER_LEN + 8 * nchunks + raw_total);
             header.write_placeholder(&mut archive);
-            let mut sizes = vec![0u32; nchunks];
-            let mut checksums = vec![0u32; nchunks];
+            let mut entries = Vec::with_capacity(nchunks);
             let mut scratch = Scratch::default();
             for (i, c) in data.chunks(vpc).enumerate() {
                 let start = archive.len();
-                let info = chunk::compress_chunk(q, c, &mut scratch, &mut archive);
-                let mut s = (archive.len() - start) as u32;
-                if info.raw {
-                    s |= RAW_FLAG;
-                    raw_chunks += 1;
-                }
-                sizes[i] = s;
-                checksums[i] = payload_checksum(i, &archive[start..]);
-                lossless += info.lossless_values;
+                let info = codec.compress_chunk(c, &mut scratch, &mut archive);
+                entries.push(ChunkEntry::new(i, &archive[start..], info));
             }
-            patch_tables(&mut archive, &sizes, &checksums);
-            archive
+            patch_archive(&mut archive, &entries);
+            (archive, entries)
         }
         Mode::Parallel => {
             // Slab assembly: one CHUNK_BYTES slot per chunk (payloads never
-            // exceed the raw size, so every payload fits its slot). Workers
-            // compress into disjoint slots via par_chunks_mut — no per-chunk
-            // buffers — then a sequential exclusive-prefix-sum pass compacts
-            // the slots into the final archive.
+            // exceed the raw size). Workers compress into disjoint slots and
+            // digest each payload while it is hot in cache; a sequential
+            // pass then compacts the slots into the final archive.
             let mut slab = vec![0u8; nchunks * CHUNK_BYTES];
-            // Each worker also digests its own payload while it is still
-            // hot in cache — the checksum rides along with the compression
-            // pass instead of costing a second sweep over the slab.
-            let metas: Vec<(usize, chunk::ChunkInfo, u32)> = slab
+            let entries: Vec<ChunkEntry> = slab
                 .par_chunks_mut(CHUNK_BYTES)
                 .enumerate()
                 .map_init(Scratch::default, |scratch, (i, slot)| {
                     let lo = i * vpc;
                     let hi = data.len().min(lo + vpc);
-                    let (len, info) = chunk::compress_chunk_into(q, &data[lo..hi], scratch, slot);
-                    let digest = payload_checksum(i, &slot[..len]);
-                    (len, info, digest)
+                    let (len, info) = codec.compress_chunk_into(&data[lo..hi], scratch, slot);
+                    ChunkEntry::new(i, &slot[..len], info)
                 })
                 .collect();
-            let mut sizes = Vec::with_capacity(nchunks);
-            let mut checksums = Vec::with_capacity(nchunks);
-            let mut payload_len = 0usize;
-            for (len, info, digest) in &metas {
-                let mut s = *len as u32;
-                if info.raw {
-                    s |= RAW_FLAG;
-                    raw_chunks += 1;
-                }
-                sizes.push(s);
-                checksums.push(*digest);
-                lossless += info.lossless_values;
-                payload_len += len;
+            let mut archive = start_archive(&header, &entries);
+            for (slot, e) in slab.chunks_exact(CHUNK_BYTES).zip(&entries) {
+                archive.extend_from_slice(&slot[..e.payload_len()]);
             }
-            let mut archive = Vec::with_capacity(V2_HEADER_LEN + 8 * nchunks + payload_len);
-            header.write(&sizes, &checksums, &mut archive);
-            for (i, (len, _, _)) in metas.iter().enumerate() {
-                archive.extend_from_slice(&slab[i * CHUNK_BYTES..i * CHUNK_BYTES + len]);
-            }
-            archive
+            (archive, entries)
         }
     };
-
-    let stats = CompressStats {
-        total_values: data.len() as u64,
-        lossless_values: lossless,
-        chunks: nchunks as u64,
-        raw_chunks,
-        input_bytes: (data.len() * (F::Bits::BITS as usize / 8)) as u64,
-        output_bytes: archive.len() as u64,
-    };
+    let stats = compress_stats(&header, &entries, archive.len());
     Ok((archive, stats))
-}
-
-/// The decode-side quantizer dispatch, reconstructed from an archive
-/// header. Shared by every decompression driver — strict serial/parallel,
-/// streaming, salvage, the device simulator, and the fuzz harness — so a
-/// chunk decodes to identical bits no matter which driver asked.
-pub enum ChunkDecoder<F: PfplFloat> {
-    /// ABS/NOA archives decode through the absolute quantizer.
-    Abs(AbsQuantizer<F>),
-    /// REL archives decode through the relative quantizer.
-    Rel(RelQuantizer<F>),
-    /// NOA-degenerate (zero-range) archives are lossless passthrough.
-    Pass(PassthroughQuantizer),
-}
-
-impl<F: PfplFloat> ChunkDecoder<F> {
-    /// Build the quantizer the encoder used; `derived_bound` is exactly
-    /// representable in `F` by construction. The caller must already have
-    /// checked `header.precision == F::PRECISION`.
-    pub fn from_header(header: &Header) -> Result<Self> {
-        let derived = F::from_f64(header.derived_bound);
-        Ok(if header.passthrough {
-            ChunkDecoder::Pass(PassthroughQuantizer)
-        } else {
-            match header.kind {
-                BoundKind::Abs | BoundKind::Noa => ChunkDecoder::Abs(AbsQuantizer::new(derived)?),
-                BoundKind::Rel => ChunkDecoder::Rel(RelQuantizer::new(derived)?),
-            }
-        })
-    }
-
-    /// Decode one chunk payload into `vals` (fused kernel on full chunks,
-    /// staged fallback on partials). Errors are payload-relative; rebase
-    /// with [`Error::in_chunk`].
-    pub fn decode_chunk(
-        &self,
-        payload: &[u8],
-        raw: bool,
-        vals: &mut [F],
-        scratch: &mut Scratch<F>,
-    ) -> Result<()> {
-        match self {
-            ChunkDecoder::Abs(q) => chunk::decompress_chunk(q, payload, raw, vals, scratch),
-            ChunkDecoder::Rel(q) => chunk::decompress_chunk(q, payload, raw, vals, scratch),
-            ChunkDecoder::Pass(q) => chunk::decompress_chunk(q, payload, raw, vals, scratch),
-        }
-    }
 }
 
 /// Decompress an archive produced by [`compress`] (any implementation).
@@ -242,6 +106,8 @@ impl<F: PfplFloat> ChunkDecoder<F> {
 /// chunk — not as a structural error in whatever stage the damaged bits
 /// happened to confuse. v1 archives carry no checksums; for them this is
 /// identical to [`decompress_unverified`].
+///
+/// [`Error::ChecksumMismatch`]: crate::Error::ChecksumMismatch
 pub fn decompress<F: PfplFloat>(archive: &[u8], mode: Mode) -> Result<Vec<F>> {
     run_decompress(archive, mode, true)
 }
@@ -257,62 +123,15 @@ pub fn decompress_unverified<F: PfplFloat>(archive: &[u8], mode: Mode) -> Result
 }
 
 fn run_decompress<F: PfplFloat>(archive: &[u8], mode: Mode, verify: bool) -> Result<Vec<F>> {
-    let toc = Toc::read(archive)?;
-    let (header, sizes, payload_start) = (toc.header, &toc.sizes, toc.payload_start);
-    if header.precision != F::PRECISION {
-        return Err(Error::PrecisionMismatch {
-            archive: header.precision,
-            requested: F::PRECISION,
-        });
-    }
-    let payload = &archive[payload_start..];
-    let offsets = chunk_offsets(sizes, payload.len(), payload_start)?;
-    let vpc = chunk::values_per_chunk::<F>();
-    // `Toc::read` validated count against chunk_count and the tables'
-    // physical presence, so this allocation is capped by what the
-    // archive's real length supports (≤ len * vpc expansion, the format's
-    // legitimate maximum).
-    let count = header.count as usize;
-
-    let dec = ChunkDecoder::<F>::from_header(&header)?;
-
-    let mut out = vec![F::ZERO; count];
-    let work = |(i, vals): (usize, &mut [F]), scratch: &mut Scratch<F>| -> Result<()> {
-        let p = &payload[offsets[i]..offsets[i + 1]];
-        if verify {
-            if let Some(stored) = toc.chunk_checksum(i) {
-                let computed = payload_checksum(i, p);
-                if computed != stored {
-                    return Err(Error::ChecksumMismatch {
-                        chunk: i,
-                        offset: payload_start + offsets[i],
-                        stored,
-                        computed,
-                    });
-                }
-            }
-        }
-        let raw = sizes[i] & RAW_FLAG != 0;
-        dec.decode_chunk(p, raw, vals, scratch)
-            .map_err(|e| e.in_chunk(i, payload_start + offsets[i]))
+    let reader = ArchiveReader::<F>::open(archive)?;
+    let offsets = reader.offsets()?;
+    let mut out = vec![F::ZERO; reader.count()];
+    let work = |(i, vals): (usize, &mut [F]), scratch: &mut Scratch<F>| {
+        reader.decode_chunk(i, offsets[i]..offsets[i + 1], verify, |p, raw| {
+            reader.codec.decode_chunk(p, raw, vals, scratch)
+        })
     };
-
-    match mode {
-        Mode::Serial => {
-            let mut scratch = Scratch::default();
-            for item in out.chunks_mut(vpc).enumerate() {
-                work(item, &mut scratch)?;
-            }
-        }
-        Mode::Parallel => {
-            out.par_chunks_mut(vpc)
-                .enumerate()
-                .map_init(Scratch::default, |scratch, (i, vals)| {
-                    work((i, vals), scratch)
-                })
-                .collect::<Result<Vec<()>>>()?;
-        }
-    }
+    map_chunks::<_, _, Result<Vec<()>>>(&mut out, mode, work)?;
     Ok(out)
 }
 
@@ -339,6 +158,7 @@ pub fn decompress_f64(archive: &[u8], mode: Mode) -> Result<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
 
     fn smooth_f32(n: usize) -> Vec<f32> {
         (0..n)

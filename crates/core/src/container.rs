@@ -43,7 +43,7 @@
 
 use crate::checksum::{checksum32, chunk_seed, HEADER_SEED};
 use crate::error::{Error, Result};
-use crate::types::{BoundKind, Precision};
+use crate::types::{BoundKind, ErrorBound, Precision};
 
 /// Magic number ("PFPL" as little-endian bytes).
 pub const MAGIC: u32 = u32::from_le_bytes(*b"PFPL");
@@ -259,6 +259,34 @@ impl Toc {
 }
 
 impl Header {
+    /// The header of `count` values of `precision` compressed under
+    /// `bound` by a quantizer enforcing `derived_bound`. Fails when the
+    /// chunk count exceeds what the size table's 31 length bits index.
+    pub fn new(
+        precision: Precision,
+        bound: ErrorBound,
+        derived_bound: f64,
+        passthrough: bool,
+        count: u64,
+    ) -> Result<Header> {
+        let vpc = (crate::chunk::CHUNK_BYTES / precision.word_bytes()) as u64;
+        let chunks = count.div_ceil(vpc);
+        if chunks > (RAW_FLAG - 1) as u64 {
+            return Err(Error::Corrupt(format!(
+                "input too large: {chunks} chunks exceed the 31-bit chunk counter"
+            )));
+        }
+        Ok(Header {
+            precision,
+            kind: bound.kind(),
+            passthrough,
+            user_bound: bound.value(),
+            derived_bound,
+            count,
+            chunk_count: chunks as u32,
+        })
+    }
+
     /// Values per 16 KiB chunk at this header's precision (4096 for f32,
     /// 2048 for f64).
     pub fn values_per_chunk(&self) -> usize {
@@ -325,14 +353,6 @@ impl Header {
         self.write_fixed(out);
         let tables = self.chunk_count as usize * 8;
         out.resize(out.len() + tables, 0);
-    }
-
-    /// Parse a header; returns the header, the size table, and the offset
-    /// at which chunk payloads begin. Convenience wrapper over
-    /// [`Toc::read`] for callers that don't need the checksum table.
-    pub fn read(buf: &[u8]) -> Result<(Header, Vec<u32>, usize)> {
-        let toc = Toc::read(buf)?;
-        Ok((toc.header, toc.sizes, toc.payload_start))
     }
 }
 
@@ -447,9 +467,17 @@ mod tests {
         assert_eq!(toc.checksums_offset(), Some(V2_HEADER_LEN + 12));
         assert_eq!(toc.chunk_checksum(1), Some(0xBBBB_0002));
         assert_eq!(toc.chunk_checksum(3), None);
-        // The thin wrapper agrees.
-        let (h2, sizes2, off) = Header::read(&buf).unwrap();
-        assert_eq!((h2, sizes2, off), (toc.header, toc.sizes, toc.payload_start));
+    }
+
+    #[test]
+    fn new_derives_the_chunk_count_and_caps_it_at_31_bits() {
+        let new = |count| Header::new(Precision::Single, ErrorBound::Rel(1e-3), 1e-3, false, count);
+        let h = new(12_000).unwrap();
+        assert_eq!((h.kind, h.count, h.chunk_count), (BoundKind::Rel, 12_000, 3));
+        assert_eq!((h.user_bound, h.derived_bound), (1e-3, 1e-3));
+        let max = (RAW_FLAG - 1) as u64 * 4096;
+        assert_eq!(new(max).unwrap().chunk_count, RAW_FLAG - 1);
+        assert!(matches!(new(max + 1), Err(Error::Corrupt(_))));
     }
 
     #[test]

@@ -62,6 +62,7 @@ pub mod checksum;
 pub mod chunk;
 pub mod compress;
 pub mod container;
+pub mod engine;
 pub mod error;
 pub mod exact;
 pub mod float;
@@ -74,8 +75,9 @@ pub mod types;
 
 pub use compress::{
     compress, compress_f32, compress_f64, compress_with_stats, decompress, decompress_f32,
-    decompress_f64, decompress_unverified, ChunkDecoder,
+    decompress_f64, decompress_unverified,
 };
+pub use engine::ChunkDecoder;
 pub use error::{Error, Result};
 pub use float::PfplFloat;
 pub use salvage::{

@@ -79,36 +79,17 @@ impl_transpose!(
 pub const TILE_WORDS: usize = 512;
 
 /// Fused-pipeline forward transpose of one [`TILE_WORDS`] tile, in place
-/// (the tile's contents are destroyed). Hands each bit plane's 64-byte
-/// line to `emit(plane, line)`, MSB plane (`p == 0`) first — the same
-/// bytes [`encode`] would store at plane offsets
+/// (the tile's contents are destroyed). All `BITS` plane lines of the
+/// tile are written contiguously into `out` (line `p` at
+/// `out[p * 64..][..64]`, `out.len() == BITS * 64`), MSB plane (`p == 0`)
+/// first — the same bytes [`encode`] would store at plane offsets
 /// `[tile_index * 64, tile_index * 64 + 64)`, so streaming consecutive
 /// tiles reproduces each plane of the staged layout in order.
-#[inline]
-pub fn encode_tile<W: Transpose>(tile: &mut [W; TILE_WORDS], mut emit: impl FnMut(usize, &[u8; 64])) {
-    let bits = W::BITS as usize;
-    let batch = TILE_WORDS / bits;
-    for b in 0..batch {
-        W::transpose_block(&mut tile[b * bits..(b + 1) * bits]);
-    }
-    let mut lane = [W::ZERO; 16];
-    let mut line = [0u8; 64];
-    for p in 0..bits {
-        for b in 0..batch {
-            lane[b] = tile[b * bits + bits - 1 - p];
-        }
-        W::write_slice_le(&lane[..batch], &mut line);
-        emit(p, &line);
-    }
-}
-
-/// [`encode_tile`] without the per-line callback: all `BITS` plane lines
-/// of the tile are written contiguously into `out` (line `p` at
-/// `out[p * 64..][..64]`, `out.len() == BITS * 64`). The fused chunk
-/// kernel stages one tile's lines here — a 2–4 KiB L1-resident buffer —
-/// and hands them to the zero-elimination sink whole, which keeps the
-/// line stores and the sink's 64-byte vector loads out of each other's
-/// store-forwarding window.
+///
+/// The fused chunk kernel stages one tile's lines here — a 2–4 KiB
+/// L1-resident buffer — and hands them to the zero-elimination sink whole,
+/// which keeps the line stores and the sink's 64-byte vector loads out of
+/// each other's store-forwarding window.
 #[inline]
 pub fn encode_tile_into<W: Transpose>(tile: &mut [W; TILE_WORDS], out: &mut [u8]) {
     let bits = W::BITS as usize;
@@ -126,9 +107,9 @@ pub fn encode_tile_into<W: Transpose>(tile: &mut [W; TILE_WORDS], out: &mut [u8]
     }
 }
 
-/// Inverse of [`encode_tile`]: `fetch(plane, line)` must fill each plane's
-/// next 64-byte line; the 512 original words are reconstructed into
-/// `tile`.
+/// Inverse of [`encode_tile_into`]: `fetch(plane, line)` must fill each
+/// plane's next 64-byte line; the 512 original words are reconstructed
+/// into `tile`.
 #[inline]
 pub fn decode_tile<W: Transpose>(tile: &mut [W; TILE_WORDS], mut fetch: impl FnMut(usize, &mut [u8; 64])) {
     let bits = W::BITS as usize;
@@ -408,12 +389,14 @@ mod tests {
 
                     let mut streamed = vec![0u8; staged.len()];
                     let mut tile = [0 as $w; TILE_WORDS];
+                    let mut lines = vec![0u8; bits * 64];
                     for (t, tw) in words.chunks_exact(TILE_WORDS).enumerate() {
                         tile.copy_from_slice(tw);
-                        encode_tile(&mut tile, |p, line| {
+                        encode_tile_into(&mut tile, &mut lines);
+                        for (p, line) in lines.chunks_exact(64).enumerate() {
                             let off = p * plane_bytes + t * 64;
                             streamed[off..off + 64].copy_from_slice(line);
-                        });
+                        }
                     }
                     prop_assert_eq!(&streamed, &staged);
 

@@ -269,16 +269,6 @@ pub fn write_encoded(s: &Scratch, dst: &mut [u8]) {
     debug_assert_eq!(off, dst.len());
 }
 
-/// Compress `input` and append the serialized form to `out`.
-///
-/// Convenience wrapper over [`encode_to_scratch`] + [`append_encoded`] that
-/// allocates a fresh [`Scratch`]; hot paths should hold their own.
-pub fn encode(input: &[u8], out: &mut Vec<u8>) {
-    let mut s = Scratch::default();
-    encode_to_scratch(input, &mut s);
-    append_encoded(&s, out);
-}
-
 /// Streaming zero-elimination over bit planes, for the fused chunk kernel
 /// (paper §III-E).
 ///
@@ -789,7 +779,7 @@ fn expand_into(
     Ok(())
 }
 
-/// Decompress a payload produced by [`encode`] for an input of
+/// Decompress a payload staged by [`encode_to_scratch`] for an input of
 /// `uncompressed_len` bytes, writing the reconstructed bytes into `out`
 /// (cleared and resized). Returns the number of payload bytes consumed.
 /// Level bitmaps live in `s`; nothing is allocated once the scratch and
@@ -824,23 +814,23 @@ pub fn decode_into(
     Ok(cursor)
 }
 
-/// Decompress a payload produced by [`encode`] for an input of
-/// `uncompressed_len` bytes. Returns the reconstructed bytes and the number
-/// of payload bytes consumed.
-///
-/// Convenience wrapper over [`decode_into`] that allocates fresh buffers;
-/// hot paths should hold their own [`Scratch`].
-pub fn decode(payload: &[u8], uncompressed_len: usize) -> Result<(Vec<u8>, usize)> {
-    let mut s = Scratch::default();
-    let mut out = Vec::new();
-    let used = decode_into(payload, uncompressed_len, &mut s, &mut out)?;
-    Ok((out, used))
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn encode(input: &[u8], out: &mut Vec<u8>) {
+        let mut s = Scratch::default();
+        encode_to_scratch(input, &mut s);
+        append_encoded(&s, out);
+    }
+
+    fn decode(payload: &[u8], uncompressed_len: usize) -> Result<(Vec<u8>, usize)> {
+        let mut out = Vec::new();
+        let used = decode_into(payload, uncompressed_len, &mut Scratch::default(), &mut out)?;
+        Ok((out, used))
+    }
 
     fn roundtrip(input: &[u8]) -> usize {
         let mut enc = Vec::new();

@@ -53,20 +53,6 @@ pub trait Quantizer<F: PfplFloat>: Send + Sync {
         }
         lossless
     }
-
-    /// Encode one fused-pipeline tile: a register/L1-resident sub-slice of
-    /// a chunk (`crate::lossless::shuffle::TILE_WORDS` values, always a
-    /// multiple of 8 so group-of-8 batch kernels see the same groups they
-    /// would in a whole-chunk `encode_slice` call — which keeps the output
-    /// bit-identical to the staged path). Delegates to [`encode_slice`];
-    /// a separate entry point so tile-granular implementations can
-    /// specialize without affecting whole-slice callers.
-    ///
-    /// [`encode_slice`]: Quantizer::encode_slice
-    #[inline]
-    fn encode_tile(&self, vals: &[F], out: &mut [F::Bits]) -> u64 {
-        self.encode_slice(vals, out)
-    }
 }
 
 /// Identity codec used when NOA derives an unusably small absolute bound

@@ -26,32 +26,21 @@
 //! pre-pass (§III-E).
 
 use crate::chunk::{self, Scratch};
-use crate::compress::ChunkDecoder;
-use crate::container::{payload_checksum, Header, Toc, RAW_FLAG, V2_HEADER_LEN};
+use crate::engine::{compress_stats, start_archive, ArchiveReader, ChunkDecoder, ChunkEntry};
 use crate::error::{Error, Result};
-use crate::float::{bound_toward_zero, PfplFloat, Word};
-use crate::quantize::{AbsQuantizer, RelQuantizer};
+use crate::float::PfplFloat;
 use crate::stats::CompressStats;
-use crate::types::{BoundKind, ErrorBound};
-
-enum StreamQuantizer<F: PfplFloat> {
-    Abs(AbsQuantizer<F>),
-    Rel(RelQuantizer<F>),
-}
+use crate::types::ErrorBound;
 
 /// Incremental PFPL encoder: feed values in pushes of any size, collect a
 /// standard archive at the end.
 pub struct StreamCompressor<F: PfplFloat> {
-    q: StreamQuantizer<F>,
+    codec: ChunkDecoder<F>,
     bound: ErrorBound,
-    derived: f64,
     pending: Vec<F>,
-    sizes: Vec<u32>,
-    checksums: Vec<u32>,
+    entries: Vec<ChunkEntry>,
     payloads: Vec<u8>,
     scratch: Scratch<F>,
-    lossless: u64,
-    raw_chunks: u64,
     total: u64,
 }
 
@@ -61,43 +50,20 @@ impl<F: PfplFloat> StreamCompressor<F> {
     /// Returns [`Error::InvalidErrorBound`] for NOA (needs the global
     /// range) or for an unusable bound value.
     pub fn new(bound: ErrorBound) -> Result<Self> {
-        let eb = bound.value();
-        if !(eb > 0.0) || !eb.is_finite() {
-            return Err(Error::InvalidErrorBound(format!(
-                "bound must be finite and > 0; got {eb}"
-            )));
+        if let ErrorBound::Noa(_) = bound {
+            return Err(Error::InvalidErrorBound(
+                "NOA requires the global value range and cannot be streamed; \
+                 use pfpl::compress, or derive an ABS bound yourself"
+                    .into(),
+            ));
         }
-        let eb_f: F = bound_toward_zero(eb);
-        let (q, derived) = match bound.kind() {
-            BoundKind::Abs => {
-                let q = AbsQuantizer::new(eb_f)?;
-                let d = q.bound().to_f64();
-                (StreamQuantizer::Abs(q), d)
-            }
-            BoundKind::Rel => {
-                let q = RelQuantizer::new(eb_f)?;
-                let d = q.bound().to_f64();
-                (StreamQuantizer::Rel(q), d)
-            }
-            BoundKind::Noa => {
-                return Err(Error::InvalidErrorBound(
-                    "NOA requires the global value range and cannot be streamed; \
-                     use pfpl::compress, or derive an ABS bound yourself"
-                        .into(),
-                ))
-            }
-        };
         Ok(Self {
-            q,
+            codec: ChunkDecoder::from_bound(bound, &[])?,
             bound,
-            derived,
             pending: Vec::with_capacity(chunk::values_per_chunk::<F>()),
-            sizes: Vec::new(),
-            checksums: Vec::new(),
+            entries: Vec::new(),
             payloads: Vec::new(),
             scratch: Scratch::default(),
-            lossless: 0,
-            raw_chunks: 0,
             total: 0,
         })
     }
@@ -105,23 +71,13 @@ impl<F: PfplFloat> StreamCompressor<F> {
     /// Compress one chunk's worth of values straight onto `payloads`.
     fn compress_vals(&mut self, vals: &[F]) {
         let start = self.payloads.len();
-        let info = match &self.q {
-            StreamQuantizer::Abs(q) => {
-                chunk::compress_chunk(q, vals, &mut self.scratch, &mut self.payloads)
-            }
-            StreamQuantizer::Rel(q) => {
-                chunk::compress_chunk(q, vals, &mut self.scratch, &mut self.payloads)
-            }
-        };
-        let len = (self.payloads.len() - start) as u32;
+        let info = self
+            .codec
+            .compress_chunk(vals, &mut self.scratch, &mut self.payloads);
         // Digest the payload while it is still cache-hot; the chunk index
         // (= the table position being appended) seeds the checksum.
-        self.checksums
-            .push(payload_checksum(self.sizes.len(), &self.payloads[start..]));
-        self.sizes
-            .push(len | if info.raw { RAW_FLAG } else { 0 });
-        self.lossless += info.lossless_values;
-        self.raw_chunks += info.raw as u64;
+        let entry = ChunkEntry::new(self.entries.len(), &self.payloads[start..], info);
+        self.entries.push(entry);
     }
 
     fn flush_chunk(&mut self) {
@@ -170,31 +126,23 @@ impl<F: PfplFloat> StreamCompressor<F> {
 
     /// Finalize: emit the archive (byte-identical to [`crate::compress()`]
     /// over the same input) and the compression statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more chunks were pushed than the 31-bit size table can
+    /// index (2^31 − 1 chunks, about 32 TiB of input) — an archive with a
+    /// wrapped chunk count would be corrupt.
     pub fn finish(mut self) -> (Vec<u8>, CompressStats) {
         if !self.pending.is_empty() {
             self.flush_chunk();
         }
-        let header = Header {
-            precision: F::PRECISION,
-            kind: self.bound.kind(),
-            passthrough: false,
-            user_bound: self.bound.value(),
-            derived_bound: self.derived,
-            count: self.total,
-            chunk_count: self.sizes.len() as u32,
-        };
-        let mut archive =
-            Vec::with_capacity(V2_HEADER_LEN + 8 * self.sizes.len() + self.payloads.len());
-        header.write(&self.sizes, &self.checksums, &mut archive);
+        let header = self
+            .codec
+            .header(self.bound, self.total)
+            .expect("stream exceeds the 31-bit chunk counter");
+        let mut archive = start_archive(&header, &self.entries);
         archive.extend_from_slice(&self.payloads);
-        let stats = CompressStats {
-            total_values: self.total,
-            lossless_values: self.lossless,
-            chunks: self.sizes.len() as u64,
-            raw_chunks: self.raw_chunks,
-            input_bytes: self.total * (F::Bits::BITS as u64 / 8),
-            output_bytes: archive.len() as u64,
-        };
+        let stats = compress_stats(&header, &self.entries, archive.len());
         (archive, stats)
     }
 }
@@ -213,52 +161,22 @@ impl<F: PfplFloat> StreamCompressor<F> {
 pub fn decompress_chunks<F: PfplFloat>(
     archive: &[u8],
 ) -> Result<impl Iterator<Item = Result<Vec<F>>> + '_> {
-    let toc = Toc::read(archive)?;
-    let (header, payload_start) = (toc.header, toc.payload_start);
-    if header.precision != F::PRECISION {
-        return Err(Error::PrecisionMismatch {
-            archive: header.precision,
-            requested: F::PRECISION,
-        });
-    }
-    let payload = &archive[payload_start..];
-    let offsets = crate::container::chunk_offsets(&toc.sizes, payload.len(), payload_start)?;
-    let vpc = chunk::values_per_chunk::<F>();
-    // `Toc::read` validated count against chunk_count, so
-    // `count - i * vpc` below cannot underflow for any chunk index.
-    let count = header.count as usize;
-    let dec = ChunkDecoder::<F>::from_header(&header)?;
+    let reader = ArchiveReader::<F>::open(archive)?;
+    let offsets = reader.offsets()?;
     let mut scratch = Scratch::default();
-    let mut i = 0usize;
-    Ok(std::iter::from_fn(move || {
-        if i >= toc.sizes.len() {
-            return None;
-        }
-        let nvals = vpc.min(count - i * vpc);
-        let p = &payload[offsets[i]..offsets[i + 1]];
-        let raw = toc.sizes[i] & RAW_FLAG != 0;
-        let res = match toc.chunk_checksum(i) {
-            Some(stored) if payload_checksum(i, p) != stored => Err(Error::ChecksumMismatch {
-                chunk: i,
-                offset: payload_start + offsets[i],
-                stored,
-                computed: payload_checksum(i, p),
-            }),
-            _ => {
-                let mut vals = vec![F::ZERO; nvals];
-                dec.decode_chunk(p, raw, &mut vals, &mut scratch)
-                    .map(|()| vals)
-                    .map_err(|e| e.in_chunk(i, payload_start + offsets[i]))
-            }
-        };
-        i += 1;
-        Some(res)
+    Ok((0..reader.toc.sizes.len()).map(move |i| {
+        let mut vals = vec![F::ZERO; reader.chunk_values(i)];
+        reader.decode_chunk(i, offsets[i]..offsets[i + 1], true, |p, raw| {
+            reader.codec.decode_chunk(p, raw, &mut vals, &mut scratch)
+        })?;
+        Ok(vals)
     }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::{Toc, RAW_FLAG};
     use crate::types::Mode;
 
     fn signal(n: usize) -> Vec<f32> {

@@ -167,7 +167,7 @@ mod tests {
     fn noise_specs_produce_raw_chunks() {
         for spec in golden_specs().iter().filter(|s| s.noise) {
             let archive = golden_archive(spec);
-            let (_, sizes, _) = pfpl::container::Header::read(&archive).unwrap();
+            let sizes = pfpl::container::Toc::read(&archive).unwrap().sizes;
             assert!(
                 sizes.iter().any(|&s| s & RAW_FLAG != 0),
                 "{} produced no raw chunks",

@@ -37,16 +37,14 @@ use crate::grid;
 use crate::lookback::Lookback;
 use crate::shared::{DeviceBuffer, DeviceSlice};
 use crate::warp::{self, WARP_SIZE};
-use pfpl::container::{chunk_offsets, payload_checksum, Header, Toc, RAW_FLAG, V2_HEADER_LEN};
+use pfpl::chunk::ChunkInfo;
+use pfpl::engine::{start_archive, ArchiveReader, ChunkDecoder, ChunkEntry};
 use pfpl::error::{Error, Result};
-use pfpl::float::{bound_toward_zero, negabinary, PfplFloat, Word};
+use pfpl::float::{negabinary, PfplFloat, Word};
 use pfpl::lossless::shuffle;
-use pfpl::quantize::{
-    derive_noa_bound, AbsQuantizer, NoaBound, PassthroughQuantizer, Quantizer, RelQuantizer,
-};
-use pfpl::salvage::{salvage_extents, ChunkReport, ChunkStatus, SalvageReport};
-use pfpl::types::{BoundKind, ErrorBound};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use pfpl::quantize::Quantizer;
+use pfpl::salvage::SalvageReport;
+use pfpl::types::ErrorBound;
 use std::sync::Mutex;
 
 /// A simulated GPU that compresses and decompresses PFPL archives.
@@ -71,60 +69,15 @@ impl GpuDevice {
     where
         F::Bits: WarpTranspose,
     {
-        let eb = bound.value();
-        if !(eb > 0.0) || !eb.is_finite() {
-            return Err(Error::InvalidErrorBound(format!(
-                "bound must be finite and > 0; got {eb}"
-            )));
-        }
-        let eb_f: F = bound_toward_zero(eb);
-        match bound {
-            ErrorBound::Abs(_) => {
-                let q = AbsQuantizer::new(eb_f)?;
-                self.run_compress(data, &q, bound, q.bound().to_f64(), false)
-            }
-            ErrorBound::Rel(_) => {
-                let q = RelQuantizer::new(eb_f)?;
-                self.run_compress(data, &q, bound, q.bound().to_f64(), false)
-            }
-            ErrorBound::Noa(_) => match derive_noa_bound(data, eb_f) {
-                NoaBound::Abs(abs_eb) => {
-                    let q = AbsQuantizer::new(abs_eb)?;
-                    self.run_compress(data, &q, bound, abs_eb.to_f64(), false)
-                }
-                NoaBound::Passthrough => {
-                    self.run_compress(data, &PassthroughQuantizer, bound, 0.0, true)
-                }
-            },
-        }
-    }
-
-    fn run_compress<F: PfplFloat, Q: Quantizer<F>>(
-        &self,
-        data: &[F],
-        q: &Q,
-        bound: ErrorBound,
-        derived: f64,
-        passthrough: bool,
-    ) -> Result<Vec<u8>>
-    where
-        F::Bits: WarpTranspose,
-    {
+        let codec = ChunkDecoder::from_bound(bound, data)?;
+        let header = codec.header(bound, data.len() as u64)?;
         let vpc = pfpl::chunk::values_per_chunk::<F>();
-        let word_bytes = F::Bits::BITS as usize / 8;
-        let nchunks = data.len().div_ceil(vpc);
-        if nchunks > (RAW_FLAG - 1) as usize {
-            return Err(Error::Corrupt(format!(
-                "input too large: {nchunks} chunks exceed the 31-bit chunk counter"
-            )));
-        }
+        let nchunks = header.chunk_count as usize;
         // Raw fallback caps each chunk at its uncompressed size, so the
         // worst-case payload is the input size.
-        let arena = DeviceBuffer::new(data.len() * word_bytes);
+        let arena = DeviceBuffer::new(data.len() * (F::Bits::BITS as usize / 8));
         let lookback = Lookback::new(nchunks);
-        let sizes: Vec<AtomicU32> = (0..nchunks).map(|_| AtomicU32::new(0)).collect();
-        let checksums: Vec<AtomicU32> = (0..nchunks).map(|_| AtomicU32::new(0)).collect();
-        let lossless: AtomicU64 = AtomicU64::new(0);
+        let entries = DeviceSlice::new_with(nchunks, ChunkEntry::default());
 
         grid::launch_init(
             nchunks,
@@ -133,131 +86,55 @@ impl GpuDevice {
             |scratch, b| {
                 let lo = b * vpc;
                 let hi = (lo + vpc).min(data.len());
-                let (raw, ll) = encode_chunk_block(q, &data[lo..hi], scratch);
-                lossless.fetch_add(ll, Ordering::Relaxed);
-                let len = scratch.payload.len();
+                let info = encode_chunk_block(codec.quantizer(), &data[lo..hi], scratch);
                 // Each block digests its own payload while it is still in
                 // "shared memory" — the v2 checksum table entry rides the
-                // same per-block stores as the size entry.
-                checksums[b].store(payload_checksum(b, &scratch.payload), Ordering::Release);
-                let off = lookback.run_block(b, len as u64) as usize;
+                // same per-block store as the size entry.
+                let entry = ChunkEntry::new(b, &scratch.payload, info);
+                let off = lookback.run_block(b, entry.payload_len() as u64) as usize;
                 // SAFETY: look-back offsets are an exclusive prefix sum of
                 // the payload lengths, so every block's range is disjoint
-                // and the total is bounded by the arena size.
-                unsafe { arena.write_at(off, &scratch.payload) };
-                let flag = if raw { RAW_FLAG } else { 0 };
-                sizes[b].store(len as u32 | flag, Ordering::Release);
+                // and the total is bounded by the arena size; block b owns
+                // entries[b] exclusively.
+                unsafe {
+                    arena.write_at(off, &scratch.payload);
+                    entries.write_at(b, &[entry]);
+                }
             },
         );
 
-        let sizes: Vec<u32> = sizes.into_iter().map(|s| s.into_inner()).collect();
-        let checksums: Vec<u32> = checksums.into_iter().map(|c| c.into_inner()).collect();
-        let payload_len: usize = sizes.iter().map(|&s| (s & !RAW_FLAG) as usize).sum();
-        let header = Header {
-            precision: F::PRECISION,
-            kind: bound.kind(),
-            passthrough,
-            user_bound: bound.value(),
-            derived_bound: derived,
-            count: data.len() as u64,
-            chunk_count: nchunks as u32,
-        };
-        let mut archive = Vec::with_capacity(V2_HEADER_LEN + 8 * nchunks + payload_len);
-        header.write(&sizes, &checksums, &mut archive);
+        let entries = entries.into_vec();
+        let mut archive = start_archive(&header, &entries);
+        let payload_len = entries.iter().map(ChunkEntry::payload_len).sum();
         archive.extend_from_slice(&arena.into_vec(payload_len));
         Ok(archive)
     }
 
     /// Decompress an archive; bit-identical to [`pfpl::decompress`].
     ///
-    /// Like the CPU paths, v2 chunk checksums are verified per block
-    /// *before* the block decodes, so corruption is reported as
-    /// [`Error::ChecksumMismatch`] naming the damaged chunk.
+    /// Blocks run the shared verify-and-decode step
+    /// ([`ArchiveReader::decode_chunk`]), so v2 chunk checksums are
+    /// verified per block *before* the block decodes and corruption is
+    /// reported as [`Error::ChecksumMismatch`] naming the damaged chunk.
+    /// The lowest failing chunk's error is returned, whatever order the
+    /// blocks ran in.
     pub fn decompress<F: PfplFloat>(&self, archive: &[u8]) -> Result<Vec<F>>
     where
         F::Bits: WarpTranspose,
     {
-        let toc = Toc::read(archive)?;
-        let (header, sizes, payload_start) = (toc.header, &toc.sizes, toc.payload_start);
-        if header.precision != F::PRECISION {
-            return Err(Error::PrecisionMismatch {
-                archive: header.precision,
-                requested: F::PRECISION,
-            });
-        }
-        let payload = &archive[payload_start..];
+        let reader = ArchiveReader::<F>::open(archive)?;
         // The paper's decoder computes a prefix sum over the stored sizes.
-        let offsets = chunk_offsets(sizes, payload.len(), payload_start)?;
-        let vpc = pfpl::chunk::values_per_chunk::<F>();
-        // `Toc::read` validated count against chunk_count and the tables'
-        // presence, so this allocation is archive-length-bounded
-        // and `count - lo` below cannot underflow.
-        let count = header.count as usize;
-        let derived = F::from_f64(header.derived_bound);
-        let out: DeviceSlice<F::Bits> = DeviceSlice::new_with(count, F::Bits::ZERO);
-        // Lowest failing chunk index + its structured error (blocks run in
-        // any order; keeping the lowest index makes the report
-        // deterministic across schedules).
-        let failed: Mutex<Option<(usize, Error)>> = Mutex::new(None);
-        let record = |b: usize, e: Error| {
-            let mut slot = failed.lock().unwrap();
-            if slot.as_ref().is_none_or(|(prev, _)| b < *prev) {
-                *slot = Some((b, e));
-            }
-        };
-
-        let run = |q: &(dyn Quantizer<F> + Sync)| {
-            grid::launch_init(
-                header.chunk_count as usize,
-                self.config.resident_blocks(),
-                DecodeScratch::<F>::default,
-                |scratch, b| {
-                    let lo = b * vpc;
-                    let nvals = vpc.min(count - lo);
-                    let p = &payload[offsets[b]..offsets[b + 1]];
-                    if let Some(stored) = toc.chunk_checksum(b) {
-                        let computed = payload_checksum(b, p);
-                        if computed != stored {
-                            record(
-                                b,
-                                Error::ChecksumMismatch {
-                                    chunk: b,
-                                    offset: payload_start + offsets[b],
-                                    stored,
-                                    computed,
-                                },
-                            );
-                            return;
-                        }
-                    }
-                    let raw = sizes[b] & RAW_FLAG != 0;
-                    match decode_chunk_block(q, p, raw, nvals, scratch) {
-                        Ok(()) => {
-                            // SAFETY: chunk b owns out[lo..lo+nvals]
-                            // exclusively.
-                            unsafe { out.write_at(lo, &scratch.words) };
-                        }
-                        Err(e) => record(b, e.in_chunk(b, payload_start + offsets[b])),
-                    }
-                },
-            );
-        };
-        if header.passthrough {
-            run(&PassthroughQuantizer);
-        } else {
-            match header.kind {
-                BoundKind::Abs | BoundKind::Noa => run(&AbsQuantizer::<F>::new(derived)?),
-                BoundKind::Rel => run(&RelQuantizer::<F>::new(derived)?),
-            }
-        }
-        if let Some((_, e)) = failed.into_inner().unwrap() {
-            return Err(e);
-        }
-        Ok(out.into_vec().into_iter().map(F::from_bits).collect())
+        let offsets = reader.offsets()?;
+        let (vals, results) = self.launch_decode(&reader, F::ZERO, |b, decode| {
+            reader.decode_chunk(b, offsets[b]..offsets[b + 1], true, decode)
+        });
+        results.into_iter().collect::<Result<Vec<()>>>()?;
+        Ok(vals)
     }
 
     /// Salvage-decode a possibly damaged archive on the device: every
-    /// block verifies and decodes its chunk independently, damaged chunks
+    /// block runs the shared salvage step
+    /// ([`ArchiveReader::salvage_chunk`]) on its chunk, damaged chunks
     /// come back as `fill`, and the per-chunk report matches
     /// [`pfpl::decompress_salvage`]'s (intact chunks bit-identical to the
     /// strict decode, same statuses, same offsets). Errors only when the
@@ -270,96 +147,55 @@ impl GpuDevice {
     where
         F::Bits: WarpTranspose,
     {
-        let toc = Toc::read(archive)?;
-        let header = toc.header;
-        if header.precision != F::PRECISION {
-            return Err(Error::PrecisionMismatch {
-                archive: header.precision,
-                requested: F::PRECISION,
-            });
-        }
-        let payload = &archive[toc.payload_start.min(archive.len())..];
+        let reader = ArchiveReader::<F>::open(archive)?;
         // Lenient extents (shared with the CPU salvage path): a truncated
         // payload shortens per-chunk extents instead of failing globally.
-        let extents = salvage_extents(&toc.sizes, payload.len());
-        let vpc = pfpl::chunk::values_per_chunk::<F>();
-        let count = header.count as usize;
-        let derived = F::from_f64(header.derived_bound);
-        let nchunks = header.chunk_count as usize;
-        // Prefill the device output with the fill pattern; only blocks
-        // whose chunk verifies and decodes overwrite their slice.
-        let out: DeviceSlice<F::Bits> = DeviceSlice::new_with(count, fill.to_bits());
-        let reports: Mutex<Vec<Option<ChunkReport>>> = Mutex::new(vec![None; nchunks]);
+        let extents = reader.extents();
+        let (vals, chunks) = self.launch_decode(&reader, fill, |b, decode| {
+            reader.salvage_chunk(b, extents[b], reader.chunk_values(b), decode)
+        });
+        let version = reader.toc.version;
+        Ok((vals, SalvageReport { version, chunks }))
+    }
 
-        let run = |q: &(dyn Quantizer<F> + Sync)| {
-            grid::launch_init(
-                nchunks,
-                self.config.resident_blocks(),
-                DecodeScratch::<F>::default,
-                |scratch, b| {
-                    let lo = b * vpc;
-                    let nvals = vpc.min(count - lo);
-                    let (start, claimed) = extents[b];
-                    let offset = toc.payload_start + start;
-                    let have = payload.len().saturating_sub(start).min(claimed);
-                    let status = if have < claimed {
-                        ChunkStatus::Truncated { claimed, have }
-                    } else {
-                        let p = &payload[start..start + claimed];
-                        let stored = toc.chunk_checksum(b);
-                        let computed = stored.map(|_| payload_checksum(b, p));
-                        match (stored, computed) {
-                            (Some(s), Some(c)) if s != c => ChunkStatus::ChecksumMismatch {
-                                stored: s,
-                                computed: c,
-                            },
-                            _ => {
-                                let raw = toc.sizes[b] & RAW_FLAG != 0;
-                                match decode_chunk_block(q, p, raw, nvals, scratch) {
-                                    Ok(()) => {
-                                        // SAFETY: chunk b owns
-                                        // out[lo..lo+nvals] exclusively.
-                                        unsafe { out.write_at(lo, &scratch.words) };
-                                        ChunkStatus::Ok
-                                    }
-                                    Err(e) => ChunkStatus::PayloadError {
-                                        detail: e.in_chunk(b, offset).to_string(),
-                                    },
-                                }
-                            }
-                        }
-                    };
-                    reports.lock().unwrap()[b] = Some(ChunkReport {
-                        chunk: b,
-                        offset,
-                        len: claimed,
-                        values: nvals,
-                        status,
-                    });
-                },
-            );
-        };
-        if header.passthrough {
-            run(&PassthroughQuantizer);
-        } else {
-            match header.kind {
-                BoundKind::Abs | BoundKind::Noa => run(&AbsQuantizer::<F>::new(derived)?),
-                BoundKind::Rel => run(&RelQuantizer::<F>::new(derived)?),
-            }
-        }
-        let chunks: Vec<ChunkReport> = reports
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|r| r.expect("every launched block files a report"))
-            .collect();
-        Ok((
-            out.into_vec().into_iter().map(F::from_bits).collect(),
-            SalvageReport {
-                version: toc.version,
-                chunks,
+    /// Launch one decode block per chunk of `reader`. Block `b` runs
+    /// `step(b, kernel)`, where `kernel(payload, raw)` is the block decode
+    /// kernel writing chunk `b` into the output, which starts out as
+    /// `init`. Returns the output and every block's result in chunk order.
+    fn launch_decode<F: PfplFloat, R: Send>(
+        &self,
+        reader: &ArchiveReader<'_, F>,
+        init: F,
+        step: impl Fn(usize, &mut dyn FnMut(&[u8], bool) -> Result<()>) -> R + Sync,
+    ) -> (Vec<F>, Vec<R>)
+    where
+        F::Bits: WarpTranspose,
+    {
+        let q = reader.codec.quantizer();
+        let vpc = pfpl::chunk::values_per_chunk::<F>();
+        let nchunks = reader.toc.sizes.len();
+        let out = DeviceSlice::new_with(reader.count(), init.to_bits());
+        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..nchunks).map(|_| None).collect());
+        grid::launch_init(
+            nchunks,
+            self.config.resident_blocks(),
+            DecodeScratch::<F>::default,
+            |scratch, b| {
+                let r = step(b, &mut |p, raw| {
+                    decode_chunk_block(q, p, raw, reader.chunk_values(b), scratch)?;
+                    // SAFETY: the kernel leaves exactly chunk_values(b)
+                    // words, and chunk b owns that range of `out` from
+                    // b * vpc exclusively.
+                    unsafe { out.write_at(b * vpc, &scratch.words) };
+                    Ok(())
+                });
+                results.lock().expect("no block panics holding the lock")[b] = Some(r);
             },
-        ))
+        );
+        let results = results.into_inner().expect("no block panicked holding the lock");
+        let results = results.into_iter().map(|r| r.expect("every launched block files a result"));
+        let vals = out.into_vec().into_iter().map(F::from_bits).collect();
+        (vals, results.collect())
     }
 }
 
@@ -396,13 +232,13 @@ impl<F: PfplFloat> Default for EncodeScratch<F> {
 }
 
 /// One block's encode kernel: the fused quantize → delta → bit-shuffle →
-/// zero-eliminate pipeline, all in "shared memory" buffers. Returns
-/// (raw, lossless_value_count); the payload is left in `s.payload`.
-fn encode_chunk_block<F: PfplFloat, Q: Quantizer<F>>(
-    q: &Q,
+/// zero-eliminate pipeline, all in "shared memory" buffers. The payload is
+/// left in `s.payload`.
+fn encode_chunk_block<F: PfplFloat>(
+    q: &dyn Quantizer<F>,
     vals: &[F],
     s: &mut EncodeScratch<F>,
-) -> (bool, u64)
+) -> ChunkInfo
 where
     F::Bits: WarpTranspose,
 {
@@ -473,9 +309,15 @@ where
         for (d, &v) in s.payload.chunks_exact_mut(word_bytes).zip(vals) {
             v.to_bits().write_le(d);
         }
-        (true, 0)
+        ChunkInfo {
+            raw: true,
+            lossless_values: 0,
+        }
     } else {
-        (false, lossless)
+        ChunkInfo {
+            raw: false,
+            lossless_values: lossless,
+        }
     }
 }
 
@@ -674,7 +516,7 @@ impl<F: PfplFloat> Default for DecodeScratch<F> {
 /// block-scan delta decode, quantizer decode. Leaves the chunk's words
 /// (already quantizer-decoded to value bit patterns) in `s.words`.
 fn decode_chunk_block<F: PfplFloat>(
-    q: &(dyn Quantizer<F> + Sync),
+    q: &dyn Quantizer<F>,
     payload: &[u8],
     raw: bool,
     nvals: usize,

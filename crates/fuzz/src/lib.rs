@@ -18,11 +18,11 @@ pub mod mutate;
 pub mod rng;
 
 use gen::{gen_case, Case};
-use pfpl::container::{chunk_offsets, payload_checksum, Header, Toc, RAW_FLAG};
+use pfpl::container::{payload_checksum, Toc};
+use pfpl::engine::ArchiveReader;
 use pfpl::float::PfplFloat;
-use pfpl::quantize::{AbsQuantizer, PassthroughQuantizer, RelQuantizer};
 use pfpl::salvage::{ChunkStatus, SalvageReport};
-use pfpl::types::{BoundKind, ErrorBound, Mode};
+use pfpl::types::{ErrorBound, Mode};
 use pfpl::Error;
 use pfpl_device_sim::pfpl_gpu::{GpuDevice, WarpTranspose};
 use rng::Rng;
@@ -114,66 +114,26 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Chunk-level decode driver mirroring `pfpl::decompress`'s dispatch but
-/// routing through [`pfpl::chunk::decompress_chunk_staged`] when `staged`
-/// — so the fuzzer exercises the staged reference kernel and the fused
-/// kernel as two separately-callable paths.
+/// Chunk-level decode driver: the strict serial loop over the shared
+/// verify-and-decode step, with the chunk kernel called directly —
+/// [`pfpl::chunk::decompress_chunk_staged`] when `staged`, the codec's
+/// production dispatch otherwise — so the fuzzer exercises the staged
+/// reference kernel and the fused kernel as two separately-callable paths.
 fn chunk_level_decode<F: PfplFloat>(archive: &[u8], staged: bool) -> pfpl::Result<Vec<F>> {
-    let toc = Toc::read(archive)?;
-    let (header, sizes, payload_start) = (toc.header, &toc.sizes, toc.payload_start);
-    if header.precision != F::PRECISION {
-        return Err(Error::PrecisionMismatch {
-            archive: header.precision,
-            requested: F::PRECISION,
-        });
-    }
-    let payload = &archive[payload_start..];
-    let offsets = chunk_offsets(sizes, payload.len(), payload_start)?;
+    let reader = ArchiveReader::<F>::open(archive)?;
+    let offsets = reader.offsets()?;
     let vpc = pfpl::chunk::values_per_chunk::<F>();
-    let derived = F::from_f64(header.derived_bound);
-    enum Q<F: PfplFloat> {
-        Abs(AbsQuantizer<F>),
-        Rel(RelQuantizer<F>),
-        Pass(PassthroughQuantizer),
-    }
-    let q: Q<F> = if header.passthrough {
-        Q::Pass(PassthroughQuantizer)
-    } else {
-        match header.kind {
-            BoundKind::Abs | BoundKind::Noa => Q::Abs(AbsQuantizer::new(derived)?),
-            BoundKind::Rel => Q::Rel(RelQuantizer::new(derived)?),
-        }
-    };
-    let mut out = vec![F::ZERO; header.count as usize];
+    let mut out = vec![F::ZERO; reader.count()];
     let mut scratch = pfpl::chunk::Scratch::default();
     for (i, vals) in out.chunks_mut(vpc).enumerate() {
-        let p = &payload[offsets[i]..offsets[i + 1]];
-        // Same verify-before-decode contract as the strict drivers — the
-        // chunk-level paths must reject exactly what `pfpl::decompress`
-        // rejects or the cross-path consistency check would misfire.
-        if let Some(stored) = toc.chunk_checksum(i) {
-            let computed = payload_checksum(i, p);
-            if stored != computed {
-                return Err(Error::ChecksumMismatch {
-                    chunk: i,
-                    offset: payload_start + offsets[i],
-                    stored,
-                    computed,
-                });
-            }
-        }
-        let raw = sizes[i] & RAW_FLAG != 0;
-        let res = match (&q, staged) {
-            (Q::Abs(q), false) => pfpl::chunk::decompress_chunk(q, p, raw, vals, &mut scratch),
-            (Q::Abs(q), true) => pfpl::chunk::decompress_chunk_staged(q, p, raw, vals, &mut scratch),
-            (Q::Rel(q), false) => pfpl::chunk::decompress_chunk(q, p, raw, vals, &mut scratch),
-            (Q::Rel(q), true) => pfpl::chunk::decompress_chunk_staged(q, p, raw, vals, &mut scratch),
-            (Q::Pass(q), false) => pfpl::chunk::decompress_chunk(q, p, raw, vals, &mut scratch),
-            (Q::Pass(q), true) => {
+        reader.decode_chunk(i, offsets[i]..offsets[i + 1], true, |p, raw| {
+            if staged {
+                let q = reader.codec.quantizer();
                 pfpl::chunk::decompress_chunk_staged(q, p, raw, vals, &mut scratch)
+            } else {
+                reader.codec.decode_chunk(p, raw, vals, &mut scratch)
             }
-        };
-        res.map_err(|e| e.in_chunk(i, payload_start + offsets[i]))?;
+        })?;
     }
     Ok(out)
 }
@@ -218,7 +178,8 @@ where
 
 /// Check one decode-path sweep for contract violations: no panics, Ok/Err
 /// agreement across paths, bit-identical Ok values with the header-claimed
-/// length. `label` names the input (operator + iteration) for reports.
+/// length, and equal errors wherever the rejection happens before a chunk
+/// kernel runs. `label` names the input (operator + iteration) for reports.
 /// Returns the first `Ok` value set, if any.
 fn check_outcomes<F>(
     label: &str,
@@ -233,6 +194,8 @@ where
     report.decode_calls += outcomes.len() as u64;
     let mut first_ok: Option<(&'static str, Vec<F>)> = None;
     let mut first_err: Option<&'static str> = None;
+    // Every non-panicking path's verdict: `None` for Ok, else its error.
+    let mut verdicts: Vec<(&'static str, Option<Error>)> = Vec::new();
     for (path, outcome) in outcomes {
         match outcome {
             Outcome::Panic(msg) => {
@@ -246,21 +209,23 @@ where
                     report.fail(format!("{path} rejected a valid archive ({label}): {e}"));
                 }
                 first_err.get_or_insert(path);
+                verdicts.push((path, Some(e)));
             }
             Outcome::Ok(vals) => {
                 report.ok_decodes += 1;
+                verdicts.push((path, None));
                 match &first_ok {
                     None => {
                         // The output length must be what the (parseable)
                         // header claims — an Ok with any other length means
                         // a desynced loop slipped through validation.
-                        if let Ok((h, _, _)) = Header::read(archive) {
-                            if h.precision == F::PRECISION && vals.len() as u64 != h.count {
+                        if let Ok(r) = ArchiveReader::<F>::open(archive) {
+                            if vals.len() != r.count() {
                                 report.mismatches += 1;
                                 report.fail(format!(
                                     "{path} returned {} values, header claims {} ({label})",
                                     vals.len(),
-                                    h.count
+                                    r.count()
                                 ));
                             }
                         }
@@ -292,6 +257,24 @@ where
             "{ok_path} accepted but {err_path} rejected the same bytes ({label})"
         ));
     }
+    // Errors raised before any chunk kernel runs — by the table-of-contents
+    // parse, the precision check, the strict offset table, or a chunk
+    // checksum — come from the shared chunk engine, so every path must
+    // return the very same error. (All paths stop at the lowest failing
+    // chunk.) Payload-structure errors may differ between kernels; for
+    // those only Ok versus Err is compared, above.
+    let mut errors = verdicts.iter().filter_map(|(_, e)| e.as_ref());
+    let checksum = errors.find(|e| matches!(e, Error::ChecksumMismatch { .. }));
+    let gate = ArchiveReader::<F>::open(archive).and_then(|r| r.offsets());
+    if let Some(want) = gate.err().or_else(|| checksum.cloned()) {
+        for (path, got) in verdicts.iter().filter(|(_, got)| got.as_ref() != Some(&want)) {
+            report.mismatches += 1;
+            report.fail(format!(
+                "{path} returned {got:?}, every path must return the pre-kernel \
+                 error {want:?} ({label})"
+            ));
+        }
+    }
     first_ok.map(|(_, v)| v)
 }
 
@@ -299,7 +282,7 @@ where
 /// reconstructed value is bit-exact (lossless fallback, specials,
 /// passthrough) or within the bound the archive was compressed under.
 fn verify_bound<F: PfplFloat>(case: &Case<F>, decoded: &[F], report: &mut FuzzReport) {
-    let Ok((header, _, _)) = Header::read(&case.archive) else {
+    let Ok(Toc { header, .. }) = Toc::read(&case.archive) else {
         report.mismatches += 1;
         report.fail("clean archive failed to re-parse".into());
         return;
@@ -348,23 +331,20 @@ fn fault_injection<F>(rng: &mut Rng, case: &Case<F>, clean: &[F], report: &mut F
 where
     F: PfplFloat,
 {
-    let Ok((header, sizes, payload_start)) = Header::read(&case.archive) else {
+    let reader = ArchiveReader::<F>::open(&case.archive);
+    let Ok((offsets, toc)) = reader.and_then(|r| Ok((r.offsets()?, r.toc))) else {
         return;
     };
-    if header.chunk_count < 2 {
+    if toc.sizes.len() < 2 {
         return;
     }
-    let payload_len = case.archive.len() - payload_start;
-    let Ok(offsets) = chunk_offsets(&sizes, payload_len, payload_start) else {
-        return;
-    };
     // Pick a non-empty chunk other than the first.
-    let k = rng.range(1, header.chunk_count as usize);
+    let k = rng.range(1, toc.sizes.len());
     if offsets[k] == offsets[k + 1] {
         return;
     }
     let mut m = case.archive.clone();
-    let off = payload_start + rng.range(offsets[k], offsets[k + 1]);
+    let off = toc.payload_start + rng.range(offsets[k], offsets[k + 1]);
     m[off] ^= rng.nonzero_byte();
 
     let vpc = pfpl::chunk::values_per_chunk::<F>();
@@ -411,6 +391,41 @@ where
     }
 }
 
+/// Generate one valid archive, counting it (or the generator's panic).
+fn generate<F: PfplFloat>(rng: &mut Rng, report: &mut FuzzReport) -> Option<Case<F>> {
+    match catch_unwind(AssertUnwindSafe(|| gen_case::<F>(rng))) {
+        Ok(c) => {
+            report.cases += 1;
+            Some(c)
+        }
+        Err(p) => {
+            report.panics += 1;
+            report.fail(format!("PANIC generating case: {}", panic_message(&p)));
+            None
+        }
+    }
+}
+
+/// Run `iters` iterations of `step` from `seed` against one device, with
+/// the default panic hook silenced so expected unwinds don't spam stderr.
+fn drive(
+    seed: u64,
+    iters: u64,
+    step: impl Fn(&mut Rng, &GpuDevice, &mut FuzzReport),
+) -> FuzzReport {
+    let mut rng = Rng::new(seed);
+    let device = GpuDevice::new(pfpl_device_sim::configs::RTX_4090);
+    let mut report = FuzzReport::default();
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    for _ in 0..iters {
+        step(&mut rng, &device, &mut report);
+        report.iterations += 1;
+    }
+    std::panic::set_hook(prev_hook);
+    report
+}
+
 /// One fuzz iteration at precision `F`: generate a valid archive, verify
 /// it decodes identically (and in bound) on every path, then attack it
 /// with mutants and mid-stream faults.
@@ -421,15 +436,9 @@ where
     G: PfplFloat,
     G::Bits: WarpTranspose,
 {
-    let case = match catch_unwind(AssertUnwindSafe(|| gen_case::<F>(rng))) {
-        Ok(c) => c,
-        Err(p) => {
-            report.panics += 1;
-            report.fail(format!("PANIC generating case: {}", panic_message(&p)));
-            return;
-        }
+    let Some(case) = generate::<F>(rng, report) else {
+        return;
     };
-    report.cases += 1;
 
     // Clean archive: every path must accept, agree, and hold the bound.
     let outcomes = decode_all::<F>(&case.archive, device);
@@ -475,21 +484,13 @@ where
 /// raised by decoders are caught and counted (the default panic hook is
 /// silenced for the duration so expected unwinds don't spam stderr).
 pub fn run(seed: u64, iters: u64) -> FuzzReport {
-    let mut rng = Rng::new(seed);
-    let device = GpuDevice::new(pfpl_device_sim::configs::RTX_4090);
-    let mut report = FuzzReport::default();
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    for _ in 0..iters {
+    drive(seed, iters, |rng, device, report| {
         if rng.chance(1, 2) {
-            iterate::<f32, f64>(&mut rng, &device, &mut report);
+            iterate::<f32, f64>(rng, device, report);
         } else {
-            iterate::<f64, f32>(&mut rng, &device, &mut report);
+            iterate::<f64, f32>(rng, device, report);
         }
-        report.iterations += 1;
-    }
-    std::panic::set_hook(prev_hook);
-    report
+    })
 }
 
 /// One recovery-oracle iteration at precision `F`: generate a valid
@@ -510,25 +511,14 @@ where
     F: PfplFloat,
     F::Bits: WarpTranspose,
 {
-    let case = match catch_unwind(AssertUnwindSafe(|| gen_case::<F>(rng))) {
-        Ok(c) => c,
-        Err(p) => {
-            report.panics += 1;
-            report.fail(format!("PANIC generating case: {}", panic_message(&p)));
-            return;
-        }
-    };
-    report.cases += 1;
-    let archive = &case.archive;
-    let Ok(toc) = Toc::read(archive) else {
-        report.mismatches += 1;
-        report.fail("clean archive failed to re-parse".into());
+    let Some(case) = generate::<F>(rng, report) else {
         return;
     };
-    let payload_len = archive.len() - toc.payload_start;
-    let Ok(offsets) = chunk_offsets(&toc.sizes, payload_len, toc.payload_start) else {
+    let archive = &case.archive;
+    let reader = ArchiveReader::<F>::open(archive);
+    let Ok((offsets, toc)) = reader.and_then(|r| Ok((r.offsets()?, r.toc))) else {
         report.mismatches += 1;
-        report.fail("clean archive has inconsistent size table".into());
+        report.fail("clean archive failed to re-open".into());
         return;
     };
     report.decode_calls += 1;
@@ -637,29 +627,16 @@ where
     }
 
     // All three salvage backends must succeed and agree exactly.
-    type SalvageRun<F> = std::thread::Result<pfpl::Result<(Vec<F>, SalvageReport)>>;
-    let mut results: Vec<(&'static str, (Vec<F>, SalvageReport))> = Vec::new();
+    type SalvageRun<'a, F> = &'a dyn Fn() -> pfpl::Result<(Vec<F>, SalvageReport)>;
     let runs: [(&'static str, SalvageRun<F>); 3] = [
-        (
-            "salvage-serial",
-            catch_unwind(AssertUnwindSafe(|| {
-                pfpl::decompress_salvage::<F>(&m, Mode::Serial, fill)
-            })),
-        ),
-        (
-            "salvage-parallel",
-            catch_unwind(AssertUnwindSafe(|| {
-                pfpl::decompress_salvage::<F>(&m, Mode::Parallel, fill)
-            })),
-        ),
-        (
-            "salvage-device",
-            catch_unwind(AssertUnwindSafe(|| device.decompress_salvage::<F>(&m, fill))),
-        ),
+        ("salvage-serial", &|| pfpl::decompress_salvage::<F>(&m, Mode::Serial, fill)),
+        ("salvage-parallel", &|| pfpl::decompress_salvage::<F>(&m, Mode::Parallel, fill)),
+        ("salvage-device", &|| device.decompress_salvage::<F>(&m, fill)),
     ];
+    let mut results: Vec<(&'static str, (Vec<F>, SalvageReport))> = Vec::new();
     for (path, run) in runs {
         report.decode_calls += 1;
-        match run {
+        match catch_unwind(AssertUnwindSafe(run)) {
             Ok(Ok(r)) => {
                 report.ok_decodes += 1;
                 results.push((path, r));
@@ -737,21 +714,13 @@ fn bits_equal<F: PfplFloat>(a: &[F], b: &[F]) -> bool {
 /// the verdict is clean only if no corruption was ever silently absorbed,
 /// misattributed, or decoded differently across salvage backends.
 pub fn run_salvage(seed: u64, iters: u64) -> FuzzReport {
-    let mut rng = Rng::new(seed);
-    let device = GpuDevice::new(pfpl_device_sim::configs::RTX_4090);
-    let mut report = FuzzReport::default();
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    for _ in 0..iters {
+    drive(seed, iters, |rng, device, report| {
         if rng.chance(1, 2) {
-            salvage_iterate::<f32>(&mut rng, &device, &mut report);
+            salvage_iterate::<f32>(rng, device, report);
         } else {
-            salvage_iterate::<f64>(&mut rng, &device, &mut report);
+            salvage_iterate::<f64>(rng, device, report);
         }
-        report.iterations += 1;
-    }
-    std::panic::set_hook(prev_hook);
-    report
+    })
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! and reach the chunk decoders are the ones that find bugs.
 
 use crate::rng::Rng;
-use pfpl::container::{Header, Toc, HEADER_LEN, RAW_FLAG, V2_HEADER_LEN};
+use pfpl::container::{Toc, HEADER_LEN, RAW_FLAG, V2_HEADER_LEN};
 
 /// Byte offsets of the fixed header fields (see `docs/FORMAT.md`).
 const FLAGS_OFF: usize = 6;
@@ -152,7 +152,7 @@ pub fn mutate(rng: &mut Rng, archive: &[u8]) -> (Vec<u8>, &'static str) {
         // Splice: overwrite a payload span with bytes copied from another
         // payload position (valid-looking local structure, wrong place).
         10 => {
-            if let Ok((_, _, payload_start)) = Header::read(archive) {
+            if let Ok(Toc { payload_start, .. }) = Toc::read(archive) {
                 let plen = m.len() - payload_start;
                 if plen >= 2 {
                     let n = rng.range(1, plen.min(256));

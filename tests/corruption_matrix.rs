@@ -9,7 +9,7 @@
 //! because the size-table sum check requires every payload byte to be
 //! claimed.
 
-use pfpl::container::{chunk_offsets, Header, Toc, RAW_FLAG};
+use pfpl::container::{chunk_offsets, Toc, RAW_FLAG};
 use pfpl::float::PfplFloat;
 use pfpl::types::{ErrorBound, Mode, Precision};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,8 +64,9 @@ fn decode_total(name: &str, precision: Precision, bytes: &[u8], mode: Mode, what
             Ok(Ok(vals)) => {
                 // Ok is only acceptable when the (necessarily parseable)
                 // header's count matches what came back.
-                let (h, _, _) = Header::read(bytes)
-                    .unwrap_or_else(|e| panic!("{name}: Ok but header unreadable on {what}: {e}"));
+                let h = Toc::read(bytes)
+                    .unwrap_or_else(|e| panic!("{name}: Ok but header unreadable on {what}: {e}"))
+                    .header;
                 assert_eq!(
                     vals.len() as u64,
                     h.count,

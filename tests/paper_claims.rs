@@ -1,7 +1,7 @@
 //! Assertions tied to specific claims in the paper's text, as executable
 //! documentation of what the reproduction reproduces.
 
-use pfpl::container::Header;
+use pfpl::container::{Header, Toc};
 use pfpl::types::{ErrorBound, Mode, Precision};
 use pfpl_data::golden::{golden_specs, golden_values_f32, golden_values_f64};
 use pfpl_data::{suite_by_name, FieldData, SizeClass};
@@ -118,7 +118,7 @@ fn golden_decodes_respect_their_bound() {
                 path.display()
             )
         });
-        let (header, _, _) = Header::read(&archive).unwrap();
+        let header = Toc::read(&archive).unwrap().header;
         match spec.precision {
             Precision::Single => {
                 let orig = golden_values_f32(&spec);
