@@ -131,11 +131,9 @@ impl Compressor for FzGpu {
         // and would be reusable if this comparator ever ran per-chunk.
         let mut ze = zeroelim::Scratch::default();
         let mut shuffled = Vec::new();
-        let used = zeroelim::decode_into(payload, nwords * 4, &mut ze, &mut shuffled)
+        // Rejects truncated payloads and trailing bytes alike.
+        zeroelim::decode_into(payload, nwords * 4, &mut ze, &mut shuffled)
             .map_err(|e| BaselineError::Corrupt(e.to_string()))?;
-        if used != payload.len() {
-            return Err(BaselineError::Corrupt("trailing payload bytes".into()));
-        }
         let mut words = vec![0u32; nwords];
         shuffle::decode(&shuffled, &mut words);
         let eb2 = 2.0 * h.param;

@@ -8,14 +8,14 @@
 //! is delta+negabinary-coded as produced (the predecessor carries across
 //! tile boundaries), bit-transposed in place, and every emitted 64-byte
 //! plane line streams straight into zero-elimination
-//! ([`zeroelim::PlaneScratch`]). The intermediate 16 KiB shuffled byte
-//! buffer of the staged pipeline is never materialized; decompression runs
-//! the same fusion in reverse (plane lines are expanded on demand,
+//! ([`zeroelim::Scratch`]). The intermediate 16 KiB shuffled byte buffer
+//! of the staged pipeline is never materialized; decompression runs the
+//! same fusion in reverse (plane lines are expanded on demand,
 //! inverse-transposed, un-delta'd and dequantized tile by tile). Other
 //! lengths — in practice only the final partial chunk — take the staged
 //! four-pass fallback ([`compress_chunk_staged`]), which also serves as the
-//! equivalence oracle in tests: both paths emit byte-identical archives by
-//! construction.
+//! equivalence oracle in tests. Both paths share one zero-elimination sink
+//! and emit byte-identical archives.
 //!
 //! Chunks whose compressed form would be at least as large as the raw data
 //! are stored raw and flagged, capping worst-case expansion at the size
@@ -47,12 +47,9 @@ pub const fn values_per_chunk<F: PfplFloat>() -> usize {
 pub struct Scratch<F: PfplFloat> {
     words: Vec<F::Bits>,
     bytes: Vec<u8>,
-    ze: zeroelim::Scratch,
-    /// Streaming zero-elimination sink/source for the fused tile kernel.
-    pe: zeroelim::PlaneScratch,
-    /// Whether the last `encode` staged its payload in `pe` (fused) or
-    /// `ze` (staged) — the emit step must read the matching one.
-    fused: bool,
+    /// Zero-elimination sink and source of both the fused and the staged
+    /// path; holds the staged payload until it is emitted.
+    sink: zeroelim::Scratch,
 }
 
 impl<F: PfplFloat> Default for Scratch<F> {
@@ -60,9 +57,7 @@ impl<F: PfplFloat> Default for Scratch<F> {
         Self {
             words: Vec::with_capacity(values_per_chunk::<F>()),
             bytes: Vec::with_capacity(CHUNK_BYTES),
-            ze: zeroelim::Scratch::default(),
-            pe: zeroelim::PlaneScratch::default(),
-            fused: false,
+            sink: zeroelim::Scratch::default(),
         }
     }
 }
@@ -79,18 +74,17 @@ pub struct ChunkInfo {
 }
 
 /// True if the fused tile kernel handles a chunk of `n` values: whole
-/// 512-word tiles only, which also guarantees each bit plane's
-/// `n / 8`-byte extent owns whole bitmap bytes in the zero-elimination
-/// sink. Every full chunk qualifies (4096 f32 / 2048 f64 values); in
-/// practice only the final partial chunk falls back to the staged path.
+/// 512-word tiles only, which also makes each bit plane's `n / 8`-byte
+/// extent a whole number of 64-byte lines in the zero-elimination sink.
+/// Every full chunk qualifies (4096 f32 / 2048 f64 values); in practice
+/// only the final partial chunk falls back to the staged path.
 const fn fused_ok(n: usize) -> bool {
     n > 0 && n.is_multiple_of(shuffle::TILE_WORDS)
 }
 
 /// Run stages 0–3 (quantize, delta+negabinary, shuffle, zero-elimination),
-/// leaving the encoded payload staged in `scratch` (`pe` if fused, `ze` if
-/// staged — recorded in `scratch.fused`). Returns the staged payload
-/// length and the quantizer's lossless-word count.
+/// leaving the encoded payload staged in `scratch.sink`. Returns the staged
+/// payload length and the quantizer's lossless-word count.
 fn encode_stages<F: PfplFloat, Q: Quantizer<F>>(
     q: &Q,
     vals: &[F],
@@ -98,8 +92,7 @@ fn encode_stages<F: PfplFloat, Q: Quantizer<F>>(
     force_staged: bool,
 ) -> (usize, u64) {
     debug_assert!(vals.len() <= values_per_chunk::<F>());
-    scratch.fused = !force_staged && fused_ok(vals.len());
-    if scratch.fused {
+    if !force_staged && fused_ok(vals.len()) {
         encode_stages_fused(q, vals, scratch)
     } else {
         encode_stages_staged(q, vals, scratch)
@@ -115,8 +108,8 @@ fn encode_stages_fused<F: PfplFloat, Q: Quantizer<F>>(
     scratch: &mut Scratch<F>,
 ) -> (usize, u64) {
     let planes = F::Bits::BITS as usize;
-    scratch.pe.begin(planes, vals.len() / 8);
-    let pe = &mut scratch.pe;
+    let sink = &mut scratch.sink;
+    sink.begin(planes, vals.len() / 8);
     let mut tile = [F::Bits::ZERO; shuffle::TILE_WORDS];
     // One tile's worth of plane lines (2 KiB for f32, 4 KiB for f64) — the
     // only inter-stage buffer, L1-resident for the whole chunk. Lines are
@@ -139,12 +132,12 @@ fn encode_stages_fused<F: PfplFloat, Q: Quantizer<F>>(
         // Stages 2+3: transpose in place; every 64-byte plane line goes
         // straight into zero-elimination — the 16 KiB shuffled buffer of
         // the staged path is never written.
-        shuffle::encode_tile_into(&mut tile, lines);
+        shuffle::encode_tile_into(&mut tile, lines, 64);
         for (p, line) in lines.chunks_exact(64).enumerate() {
-            pe.push_line64(p, line.try_into().unwrap());
+            sink.push_line64(p, line.try_into().unwrap());
         }
     }
-    (pe.finish_encode(), lossless)
+    (sink.finish_encode(), lossless)
 }
 
 /// The staged four-pass reference pipeline: each stage is a whole-chunk
@@ -174,7 +167,7 @@ fn encode_stages_staged<F: PfplFloat, Q: Quantizer<F>>(
     shuffle::encode(&scratch.words, &mut scratch.bytes);
 
     // Stage 3: zero-byte elimination, staged (not yet emitted).
-    let enc_len = zeroelim::encode_to_scratch(&scratch.bytes, &mut scratch.ze);
+    let enc_len = zeroelim::encode_to_scratch(&scratch.bytes, &mut scratch.sink);
     (enc_len, lossless)
 }
 
@@ -232,11 +225,7 @@ fn compress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F>>(
             lossless_values: 0,
         }
     } else {
-        if scratch.fused {
-            scratch.pe.append_to(out);
-        } else {
-            zeroelim::append_encoded(&scratch.ze, out);
-        }
+        scratch.sink.append_to(out);
         ChunkInfo {
             raw: false,
             lossless_values: lossless,
@@ -267,11 +256,7 @@ pub fn compress_chunk_into<F: PfplFloat, Q: Quantizer<F>>(
             },
         )
     } else {
-        if scratch.fused {
-            scratch.pe.write_to(&mut slot[..enc_len]);
-        } else {
-            zeroelim::write_encoded(&scratch.ze, &mut slot[..enc_len]);
-        }
+        scratch.sink.write_to(&mut slot[..enc_len]);
         (
             enc_len,
             ChunkInfo {
@@ -332,13 +317,8 @@ fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     if !force_staged && fused_ok(vals.len()) {
         return decompress_fused(q, payload, vals, scratch);
     }
-    let used = zeroelim::decode_into(payload, raw_len, &mut scratch.ze, &mut scratch.bytes)?;
-    if used != payload.len() {
-        return Err(Error::Corrupt(format!(
-            "chunk payload has {} trailing bytes",
-            payload.len() - used
-        )));
-    }
+    // Rejects truncated payloads and trailing bytes alike.
+    zeroelim::decode_into(payload, raw_len, &mut scratch.sink, &mut scratch.bytes)?;
     // Resize without clearing: shuffle::decode overwrites every word, so
     // zero-filling here would be pure overhead in the steady state.
     scratch.words.resize(vals.len(), F::Bits::ZERO);
@@ -352,10 +332,10 @@ fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
 
 /// The fused decode kernel: expand only the zero-elimination level
 /// bitmaps up front (`begin_decode` also validates the exact payload
-/// length, covering the staged path's truncation and trailing-bytes
-/// checks), then reconstruct tile by tile — each bit plane's next 64-byte
-/// line is expanded on demand into the inverse transpose, un-delta'd with
-/// the carried predecessor, and dequantized straight into `vals`. Neither
+/// length, rejecting truncation and trailing bytes), then reconstruct tile
+/// by tile — each bit plane's next 64-byte line is expanded on demand into
+/// the inverse transpose, un-delta'd with the carried predecessor, and
+/// dequantized straight into `vals`. Neither
 /// the 16 KiB expanded byte buffer nor the chunk-wide word buffer of the
 /// staged path is touched.
 fn decompress_fused<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
@@ -365,12 +345,12 @@ fn decompress_fused<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     scratch: &mut Scratch<F>,
 ) -> Result<()> {
     let planes = F::Bits::BITS as usize;
-    scratch.pe.begin_decode(payload, planes, vals.len() / 8)?;
-    let pe = &mut scratch.pe;
+    let sink = &mut scratch.sink;
+    sink.begin_decode(payload, planes, vals.len() / 8)?;
     let mut tile = [F::Bits::ZERO; shuffle::TILE_WORDS];
     let mut carry = F::Bits::ZERO;
     for out_t in vals.chunks_exact_mut(shuffle::TILE_WORDS) {
-        shuffle::decode_tile(&mut tile, |p, line| pe.next_line(payload, p, line));
+        shuffle::decode_tile(&mut tile, |p, line| sink.next_line(payload, p, line));
         carry = delta::decode_carry(&mut tile, carry);
         for (v, &w) in out_t.iter_mut().zip(tile.iter()) {
             *v = q.decode(w);

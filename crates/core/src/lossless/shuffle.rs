@@ -5,10 +5,14 @@
 //! bits in the same positions (which stage 1 manufactures) become long runs
 //! of zero bits — and, after 8+ words, zero *bytes* for stage 3 to delete.
 //!
-//! The hot path processes `BITS`-word groups with a masked-swap bit-matrix
-//! transpose (log2(wordsize) steps — the same step count as the paper's
-//! warp-shuffle GPU implementation); arbitrary lengths fall back to a
-//! scalar path with identical output.
+//! The one fast kernel transposes a [`TILE_WORDS`]-word tile: `BITS`-word
+//! groups go through a masked-swap bit-matrix transpose (log2(wordsize)
+//! steps — the same step count as the paper's warp-shuffle GPU
+//! implementation), and each bit plane leaves the tile as one 64-byte
+//! line. The fused chunk kernel streams those lines into zero-elimination;
+//! [`encode`] / [`decode`] run the same tile kernel over whole-tile
+//! buffers and a scalar reference for every other length, with identical
+//! output.
 
 use crate::float::Word;
 
@@ -72,38 +76,37 @@ impl_transpose!(
     ]
 );
 
-/// Words per fused-pipeline tile: `batch` cache-line groups of `BITS`
-/// words each — always 512 (= 64 output bytes × 8 bit-planes-per-byte),
-/// independent of word width. One tile contributes exactly one 64-byte
+/// Words per tile: `batch` cache-line groups of `BITS` words each — always
+/// 512 (= 64 output bytes × 8 bit-planes-per-byte), independent of word
+/// width. One tile contributes exactly one 64-byte
 /// line to every bit plane.
 pub const TILE_WORDS: usize = 512;
 
-/// Fused-pipeline forward transpose of one [`TILE_WORDS`] tile, in place
-/// (the tile's contents are destroyed). All `BITS` plane lines of the
-/// tile are written contiguously into `out` (line `p` at
-/// `out[p * 64..][..64]`, `out.len() == BITS * 64`), MSB plane (`p == 0`)
-/// first — the same bytes [`encode`] would store at plane offsets
-/// `[tile_index * 64, tile_index * 64 + 64)`, so streaming consecutive
-/// tiles reproduces each plane of the staged layout in order.
+/// Forward transpose of one [`TILE_WORDS`] tile, in place (the tile's
+/// contents are destroyed). Plane `p`'s 64-byte line (MSB plane, `p == 0`,
+/// first) is written at `out[p * stride..][..64]`. With `stride` equal to
+/// the plane size of a whole buffer and `out` starting at tile `t`'s
+/// offset `t * 64`, this stores exactly the bytes [`encode`] stores for
+/// the tile.
 ///
-/// The fused chunk kernel stages one tile's lines here — a 2–4 KiB
-/// L1-resident buffer — and hands them to the zero-elimination sink whole,
-/// which keeps the line stores and the sink's 64-byte vector loads out of
-/// each other's store-forwarding window.
+/// The fused chunk kernel passes `stride == 64` and stages one tile's
+/// lines in a 2–4 KiB L1-resident buffer, handing them to the
+/// zero-elimination sink whole, which keeps the line stores and the sink's
+/// 64-byte vector loads out of each other's store-forwarding window.
 #[inline]
-pub fn encode_tile_into<W: Transpose>(tile: &mut [W; TILE_WORDS], out: &mut [u8]) {
+pub fn encode_tile_into<W: Transpose>(tile: &mut [W; TILE_WORDS], out: &mut [u8], stride: usize) {
     let bits = W::BITS as usize;
     let batch = TILE_WORDS / bits;
-    debug_assert_eq!(out.len(), bits * 64);
+    debug_assert!(out.len() >= (bits - 1) * stride + 64);
     for b in 0..batch {
         W::transpose_block(&mut tile[b * bits..(b + 1) * bits]);
     }
     let mut lane = [W::ZERO; 16];
-    for (p, line) in out.chunks_exact_mut(64).enumerate() {
+    for p in 0..bits {
         for b in 0..batch {
             lane[b] = tile[b * bits + bits - 1 - p];
         }
-        W::write_slice_le(&lane[..batch], line);
+        W::write_slice_le(&lane[..batch], &mut out[p * stride..][..64]);
     }
 }
 
@@ -132,18 +135,22 @@ pub fn decode_tile<W: Transpose>(tile: &mut [W; TILE_WORDS], mut fetch: impl FnM
 /// `out` (which must be exactly that long; every byte is overwritten).
 pub fn encode<W: Transpose>(words: &[W], out: &mut [u8]) {
     let n = words.len();
-    let bits = W::BITS as usize;
-    assert_eq!(out.len(), n * bits / 8, "output buffer size");
-    if n.is_multiple_of(bits) && n > 0 {
-        // The fast path stores every output byte exactly once — no
+    assert_eq!(out.len(), n * W::BITS as usize / 8, "output buffer size");
+    if n > 0 && n.is_multiple_of(TILE_WORDS) {
+        // The tile kernel stores every output byte exactly once — no
         // zero-fill pass needed.
-        encode_fast(words, out);
+        let plane_bytes = n / 8;
+        for (t, tw) in words.as_chunks::<TILE_WORDS>().0.iter().enumerate() {
+            let mut tile = *tw;
+            encode_tile_into(&mut tile, &mut out[t * 64..], plane_bytes);
+        }
     } else {
         out.fill(0);
         encode_scalar(words, out);
     }
 }
 
+/// Bit-at-a-time reference shuffle for any length; `out` must be zeroed.
 fn encode_scalar<W: Word>(words: &[W], out: &mut [u8]) {
     let bits = W::BITS;
     let mut bitpos = 0usize;
@@ -158,61 +165,24 @@ fn encode_scalar<W: Word>(words: &[W], out: &mut [u8]) {
     }
 }
 
-fn encode_fast<W: Transpose>(words: &[W], out: &mut [u8]) {
-    let bits = W::BITS as usize;
-    let n = words.len();
-    let plane_bytes = n / 8;
-    let word_bytes = bits / 8;
-    let groups = n / bits;
-    // Cache-line batching: transpose `batch` consecutive groups together,
-    // then emit each bit plane as one contiguous 64-byte line instead of
-    // `batch` scattered word-sized stores. `batch * bits` words is always
-    // 512 (= 64 bytes × 8 planes-per-byte), so the working set stays on
-    // the stack regardless of word width.
-    let batch = 64 / word_bytes;
-    let mut blocks = [W::ZERO; 512];
-    let mut line = [W::ZERO; 16];
-    let full = groups / batch;
-    for gb in 0..full {
-        let g0 = gb * batch;
-        blocks[..batch * bits].copy_from_slice(&words[g0 * bits..(g0 + batch) * bits]);
-        for b in 0..batch {
-            W::transpose_block(&mut blocks[b * bits..(b + 1) * bits]);
-        }
-        for p in 0..bits {
-            for b in 0..batch {
-                line[b] = blocks[b * bits + bits - 1 - p];
-            }
-            let off = p * plane_bytes + g0 * word_bytes;
-            W::write_slice_le(&line[..batch], &mut out[off..off + 64]);
-        }
-    }
-    // Remaining groups (fewer than one full cache line per plane).
-    let block = &mut blocks[..bits];
-    for g in full * batch..groups {
-        block.copy_from_slice(&words[g * bits..(g + 1) * bits]);
-        W::transpose_block(block);
-        for p in 0..bits {
-            let t = block[bits - 1 - p];
-            let off = p * plane_bytes + g * word_bytes;
-            t.write_le(&mut out[off..off + word_bytes]);
-        }
-    }
-}
-
 /// Inverse bit shuffle: reconstruct `words` from `bytes`
 /// (`bytes.len() == words.len() * BITS / 8`).
 pub fn decode<W: Transpose>(bytes: &[u8], words: &mut [W]) {
     let n = words.len();
-    let bits = W::BITS as usize;
-    assert_eq!(bytes.len(), n * bits / 8, "input buffer size");
-    if n.is_multiple_of(bits) && n > 0 {
-        decode_fast(bytes, words);
+    assert_eq!(bytes.len(), n * W::BITS as usize / 8, "input buffer size");
+    if n > 0 && n.is_multiple_of(TILE_WORDS) {
+        let plane_bytes = n / 8;
+        for (t, tw) in words.as_chunks_mut::<TILE_WORDS>().0.iter_mut().enumerate() {
+            decode_tile(tw, |p, line| {
+                line.copy_from_slice(&bytes[p * plane_bytes + t * 64..][..64]);
+            });
+        }
     } else {
         decode_scalar(bytes, words);
     }
 }
 
+/// Bit-at-a-time inverse of [`encode_scalar`].
 fn decode_scalar<W: Word>(bytes: &[u8], words: &mut [W]) {
     for w in words.iter_mut() {
         *w = W::ZERO;
@@ -227,43 +197,6 @@ fn decode_scalar<W: Word>(bytes: &[u8], words: &mut [W]) {
             }
             bitpos += 1;
         }
-    }
-}
-
-fn decode_fast<W: Transpose>(bytes: &[u8], words: &mut [W]) {
-    let bits = W::BITS as usize;
-    let n = words.len();
-    let plane_bytes = n / 8;
-    let word_bytes = bits / 8;
-    let groups = n / bits;
-    // Mirror of `encode_fast`: gather each plane as one contiguous
-    // 64-byte line covering `batch` groups, then transpose all of them.
-    let batch = 64 / word_bytes;
-    let mut blocks = [W::ZERO; 512];
-    let mut line = [W::ZERO; 16];
-    let full = groups / batch;
-    for gb in 0..full {
-        let g0 = gb * batch;
-        for p in 0..bits {
-            let off = p * plane_bytes + g0 * word_bytes;
-            W::read_slice_le(&bytes[off..off + 64], &mut line[..batch]);
-            for b in 0..batch {
-                blocks[b * bits + bits - 1 - p] = line[b];
-            }
-        }
-        for b in 0..batch {
-            W::transpose_block(&mut blocks[b * bits..(b + 1) * bits]);
-        }
-        words[g0 * bits..(g0 + batch) * bits].copy_from_slice(&blocks[..batch * bits]);
-    }
-    let block = &mut blocks[..bits];
-    for g in full * batch..groups {
-        for p in 0..bits {
-            let off = p * plane_bytes + g * word_bytes;
-            block[bits - 1 - p] = W::read_le(&bytes[off..off + word_bytes]);
-        }
-        W::transpose_block(block);
-        words[g * bits..(g + 1) * bits].copy_from_slice(block);
     }
 }
 
@@ -337,11 +270,27 @@ mod tests {
         assert_eq!(back, words);
     }
 
+    fn roundtrip_u64(words: &[u64]) {
+        let mut buf = vec![0u8; words.len() * 8];
+        encode(words, &mut buf);
+        let mut back = vec![0u64; words.len()];
+        decode(&buf, &mut back);
+        assert_eq!(back, words);
+    }
+
     #[test]
     fn roundtrip_various_lengths() {
-        for n in [0usize, 1, 7, 31, 32, 33, 63, 64, 100, 4096, 4100] {
+        // Includes whole groups that are not whole tiles (32, 480, 544 for
+        // u32; 64, 448 for u64), which take the scalar path.
+        for n in [0usize, 1, 7, 31, 32, 33, 63, 64, 100, 480, 544, 4096, 4100] {
             let words: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
             roundtrip_u32(&words);
+        }
+        for n in [0usize, 1, 63, 64, 65, 448, 512, 2048, 2050] {
+            let words: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            roundtrip_u64(&words);
         }
     }
 
@@ -370,9 +319,10 @@ mod tests {
             roundtrip_u32(&words);
         }
 
-        /// Tile-at-a-time emission must concatenate (per plane, in tile
-        /// order) to exactly the staged plane-major layout, and
-        /// `decode_tile` must invert it — for both word widths.
+        /// Tile-at-a-time emission into a line buffer (the fused kernel's
+        /// stride) must concatenate, per plane in tile order, to exactly
+        /// the scalar plane-major layout, and `decode_tile` must invert it
+        /// — for both word widths.
         #[test]
         fn tile_stream_equals_staged(seed: u64, tiles in 1usize..5) {
             let n = tiles * TILE_WORDS;
@@ -385,14 +335,14 @@ mod tests {
                     let bits = <$w>::BITS as usize;
                     let plane_bytes = n / 8;
                     let mut staged = vec![0u8; n * bits / 8];
-                    encode(&words, &mut staged);
+                    encode_scalar(&words, &mut staged);
 
                     let mut streamed = vec![0u8; staged.len()];
                     let mut tile = [0 as $w; TILE_WORDS];
                     let mut lines = vec![0u8; bits * 64];
                     for (t, tw) in words.chunks_exact(TILE_WORDS).enumerate() {
                         tile.copy_from_slice(tw);
-                        encode_tile_into(&mut tile, &mut lines);
+                        encode_tile_into(&mut tile, &mut lines, 64);
                         for (p, line) in lines.chunks_exact(64).enumerate() {
                             let off = p * plane_bytes + t * 64;
                             streamed[off..off + 64].copy_from_slice(line);
@@ -417,26 +367,37 @@ mod tests {
 
         #[test]
         fn roundtrip_prop_u64(words: Vec<u64>) {
-            let mut buf = vec![0u8; words.len() * 8];
-            encode(&words, &mut buf);
-            let mut back = vec![0u64; words.len()];
-            decode(&buf, &mut back);
-            prop_assert_eq!(back, words);
+            roundtrip_u64(&words);
         }
 
+        /// Whole-tile buffers run the tile kernel; it must equal the
+        /// scalar reference in both directions, for both word widths.
         #[test]
-        fn fast_equals_scalar_prop(seed: u64, groups in 1usize..4) {
-            let n = groups * 32;
+        fn fast_equals_scalar_prop(seed: u64, tiles in 1usize..9) {
+            let n = tiles * TILE_WORDS;
             let mut x = seed | 1;
-            let words: Vec<u32> = (0..n).map(|_| {
-                x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-                x as u32
-            }).collect();
-            let mut fast = vec![0u8; n * 4];
-            encode(&words, &mut fast);
-            let mut scalar = vec![0u8; n * 4];
-            encode_scalar(&words, &mut scalar);
-            prop_assert_eq!(fast, scalar);
+            let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+
+            macro_rules! check {
+                ($w:ty) => {{
+                    let words: Vec<$w> = (0..n).map(|_| next() as $w).collect();
+                    let len = n * <$w>::BITS as usize / 8;
+                    let mut fast = vec![0u8; len];
+                    encode(&words, &mut fast);
+                    let mut scalar = vec![0u8; len];
+                    encode_scalar(&words, &mut scalar);
+                    prop_assert_eq!(&fast, &scalar);
+
+                    let mut back = vec![0 as $w; n];
+                    decode(&scalar, &mut back);
+                    let mut back_scalar = vec![0 as $w; n];
+                    decode_scalar(&scalar, &mut back_scalar);
+                    prop_assert_eq!(&back, &back_scalar);
+                    prop_assert_eq!(&back, &words);
+                }};
+            }
+            check!(u32);
+            check!(u64);
         }
     }
 }

@@ -17,154 +17,158 @@
 //! where `nonrep_k` are the non-repeating bytes of `bitmap_{k-1}` flagged by
 //! `bitmap_k` (predecessor initialized to zero at each level).
 //!
-//! Encoding is split into a staging step ([`encode_to_scratch`]) that
-//! computes every piece into reusable [`Scratch`] buffers and returns the
-//! total serialized length, and emit steps ([`append_encoded`] /
-//! [`write_encoded`]) that assemble the pieces into a `Vec` or a
-//! caller-provided slot. This lets the chunk pipeline decide raw fallback
-//! *before* any archive bytes are written, and lets parallel workers write
-//! straight into disjoint slab slots — no per-chunk allocation either way.
+//! There is one encoder and one decoder, [`Scratch`], and one 64-byte line
+//! kernel in each direction: every level-0 bitmap byte and every survivor
+//! passes through `Scratch::push_line64` on the way in and
+//! `Scratch::next_line` on the way out. The fused chunk kernel streams
+//! the transpose's plane lines through them directly; a flat byte buffer
+//! ([`encode_to_scratch`] / [`decode_into`]) is one plane whose final
+//! partial line is padded with zeros, which adds no bitmap bits and no
+//! survivors.
+//!
+//! Encoding stages every piece in the scratch and returns the serialized
+//! length; nothing is emitted until the caller asks ([`Scratch::append_to`]
+//! / [`Scratch::write_to`]). This lets the chunk pipeline decide raw
+//! fallback *before* any archive bytes are written, and lets parallel
+//! workers write straight into disjoint slab slots — no per-chunk
+//! allocation either way.
 
 use crate::error::{Error, Result};
 
 /// Number of repeat-elimination rounds applied to the bitmap (paper: 4).
 pub const LEVELS: usize = 4;
 
+/// Bytes per line of the compaction and expansion kernels.
+const LINE: usize = 64;
+
 fn bitmap_len(n: usize) -> usize {
     n.div_ceil(8)
 }
 
-/// Reusable buffers for [`encode_to_scratch`] and [`decode_into`]. All
-/// buffers start empty and grow to the working set of the first chunk;
-/// steady-state use performs no heap allocation.
-#[derive(Default)]
-pub struct Scratch {
-    /// Surviving (nonzero) data bytes.
-    data: Vec<u8>,
-    /// Non-repeating bytes of bitmap levels 0..LEVELS-1.
-    nonreps: [Vec<u8>; LEVELS],
-    /// Ping-pong bitmap buffers; after staging, `bitmap_a` holds the top
-    /// (level-`LEVELS`) bitmap.
-    bitmap_a: Vec<u8>,
-    bitmap_b: Vec<u8>,
-}
+/// The 64-byte line kernels. Bit `i` of a line's mask is set iff byte `i`
+/// is nonzero (little-endian byte `j` of the mask is the bitmap byte of
+/// 8-byte group `j`), and survivors are packed in ascending byte order.
+/// The scalar kernels are always compiled as the reference; on AVX-512
+/// VBMI2 targets `vptestmb` + `vpcompressb` / `vpexpandb` replace them
+/// with byte-identical output.
+mod line {
+    /// Pack the nonzero bytes of `line` (ascending) into the head of
+    /// `dst`; returns `(mask, survivor_count)`. `dst` must be at least 64
+    /// bytes; bytes past the survivor count are unspecified.
+    // Only the test reference on AVX-512 VBMI2 targets.
+    #[allow(dead_code)]
+    #[inline]
+    pub fn compress64_scalar(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
+        let mut mask = 0u64;
+        let mut n = 0usize;
+        for (j, g) in line.as_chunks::<8>().0.iter().enumerate() {
+            let m = super::nonzero_byte_mask(u64::from_le_bytes(*g));
+            mask |= (m as u64) << (8 * j);
+            if m == 0xFF {
+                dst[n..n + 8].copy_from_slice(g);
+                n += 8;
+            } else {
+                // Set-bit iteration, ascending: same order as a byte scan.
+                let mut b = m;
+                while b != 0 {
+                    dst[n] = g[b.trailing_zeros() as usize];
+                    n += 1;
+                    b &= b - 1;
+                }
+            }
+        }
+        (mask, n)
+    }
 
-/// Flag nonzero bytes of `src` into `bitmap` and append the nonzero bytes
-/// themselves to `data`. Processes 8 bytes per step with a SWAR
-/// nonzero-byte mask; all-zero and all-nonzero groups take fast paths
-/// (zero groups dominate for compressible data).
-fn build_nonzero_into(src: &[u8], bitmap: &mut Vec<u8>, data: &mut Vec<u8>) {
-    bitmap.clear();
-    bitmap.resize(bitmap_len(src.len()), 0);
-    #[allow(unused_mut)]
-    let mut head = 0usize;
+    /// Inverse of [`compress64_scalar`]: scatter the first
+    /// `popcount(mask)` bytes of `src` to the set bit positions of `mask`,
+    /// zeros elsewhere. `src` must hold at least that many bytes.
+    #[allow(dead_code)]
+    #[inline]
+    pub fn expand64_scalar(mask: u64, src: &[u8], out: &mut [u8; 64]) {
+        let mut cur = 0usize;
+        for (j, g) in out.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+            let m = (mask >> (8 * j)) as u8;
+            if m == 0xFF {
+                g.copy_from_slice(&src[cur..cur + 8]);
+                cur += 8;
+            } else {
+                g.fill(0);
+                let mut b = m;
+                while b != 0 {
+                    g[b.trailing_zeros() as usize] = src[cur];
+                    cur += 1;
+                    b &= b - 1;
+                }
+            }
+        }
+    }
+
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx512f",
         target_feature = "avx512bw",
         target_feature = "avx512vbmi2"
     ))]
-    {
-        // Whole-line kernel for the bulk of the input; the scalar loop
-        // below finishes the (< 64-byte) tail with identical output.
-        let mut tmp = [0u8; 64];
-        while head + 64 <= src.len() {
-            let l: &[u8; 64] = src[head..head + 64].try_into().unwrap();
-            let (mask, n) = line::compress64(l, &mut tmp);
-            bitmap[head >> 3..(head >> 3) + 8].copy_from_slice(&mask.to_le_bytes());
-            data.extend_from_slice(&tmp[..n]);
-            head += 64;
-        }
-    }
-    let mut chunks = src[head..].chunks_exact(8);
-    let mut bi = head >> 3;
-    for chunk in &mut chunks {
-        let x = u64::from_le_bytes(chunk.try_into().unwrap());
-        let mask = nonzero_byte_mask(x);
-        bitmap[bi] = mask;
-        if mask == 0xFF {
-            data.extend_from_slice(chunk);
-        } else {
-            // Emit only the flagged bytes: one iteration per set bit
-            // (ascending, so byte order is preserved) instead of eight
-            // test-and-branch rounds.
-            let mut m = mask;
-            while m != 0 {
-                data.push(chunk[m.trailing_zeros() as usize]);
-                m &= m - 1;
+    pub use avx512::{compress64, expand64};
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512bw",
+        target_feature = "avx512vbmi2"
+    )))]
+    pub use {compress64_scalar as compress64, expand64_scalar as expand64};
+
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512bw",
+        target_feature = "avx512vbmi2"
+    ))]
+    mod avx512 {
+        use std::arch::x86_64::*;
+
+        /// `vptestmb` computes the 64-bit mask, `vpcompressb` packs the
+        /// survivors; same contract as `compress64_scalar`.
+        #[inline]
+        pub fn compress64(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
+            // Caller contract (encode side only — never reachable from
+            // archive bytes): kept as a hard assert because it guards the
+            // unsafe 64-byte store below.
+            assert!(dst.len() >= 64);
+            // SAFETY: the required target features are statically enabled
+            // (this module only compiles when they are); both pointers
+            // cover 64 valid bytes.
+            unsafe {
+                let v = _mm512_loadu_si512(line.as_ptr().cast());
+                let mask = _mm512_test_epi8_mask(v, v);
+                let packed = _mm512_maskz_compress_epi8(mask, v);
+                _mm512_storeu_si512(dst.as_mut_ptr().cast(), packed);
+                (mask, mask.count_ones() as usize)
             }
         }
-        bi += 1;
-    }
-    for (b, &v) in chunks.remainder().iter().enumerate() {
-        if v != 0 {
-            bitmap[bi] |= 1 << b;
-            data.push(v);
-        }
-    }
-}
 
-/// AVX-512 line kernels: `vptestmb` computes eight bitmap bytes at once,
-/// and `vpcompressb` / `vpexpandb` (AVX-512 VBMI2) perform the byte
-/// compaction / expansion of a whole 64-byte line in single instructions.
-/// Compaction order (ascending byte index) is identical to the scalar
-/// set-bit iteration, so every output stays byte-for-byte the same as the
-/// scalar paths, which remain as the only implementation on other targets.
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx512f",
-    target_feature = "avx512bw",
-    target_feature = "avx512vbmi2"
-))]
-mod line {
-    use std::arch::x86_64::*;
-
-    /// Pack the nonzero bytes of `line` (ascending) into the head of
-    /// `dst`; returns `(mask, survivor_count)` where bit `i` of `mask` is
-    /// set iff `line[i] != 0` (little-endian byte `j` of `mask` equals the
-    /// `nonzero_byte_mask` of 8-byte group `j`). `dst` must be at least
-    /// 64 bytes: the full compressed vector is stored, and the bytes past
-    /// the survivor count are garbage for the caller to ignore or
-    /// overwrite.
-    #[inline]
-    pub fn compress64(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
-        // Caller contract (encode side only — never reachable from archive
-        // bytes): kept as a hard assert because it guards the unsafe
-        // 64-byte store below.
-        assert!(dst.len() >= 64);
-        // SAFETY: the required target features are statically enabled
-        // (this module only compiles when they are); both pointers cover
-        // 64 valid bytes.
-        unsafe {
-            let v = _mm512_loadu_si512(line.as_ptr().cast());
-            let mask = _mm512_test_epi8_mask(v, v);
-            let packed = _mm512_maskz_compress_epi8(mask, v);
-            _mm512_storeu_si512(dst.as_mut_ptr().cast(), packed);
-            (mask, mask.count_ones() as usize)
-        }
-    }
-
-    /// Inverse of [`compress64`]: scatter the first `popcount(mask)` bytes
-    /// of `src` to the set bit positions of `mask`, zeros elsewhere. Only
-    /// those bytes of `src` are accessed (masked load with fault
-    /// suppression), so `src` may be shorter than 64 bytes.
-    #[inline]
-    pub fn expand64(mask: u64, src: &[u8], out: &mut [u8; 64]) {
-        let need = mask.count_ones() as usize;
-        // Caller contract: every decode caller first proves the payload
-        // holds all survivors (`begin_decode`'s exact-count check /
-        // `expand_into`'s `needed <= avail` check), so this is not
-        // reachable from untrusted archive bytes. Kept as a hard assert
-        // because it guards the unsafe masked load below.
-        assert!(src.len() >= need);
-        // SAFETY: features statically enabled; the masked load reads only
-        // the `need` in-bounds bytes (AVX-512 masked loads suppress faults
-        // on masked-out elements); the store covers 64 valid bytes.
-        unsafe {
-            let lm: __mmask64 = if need == 64 { !0 } else { (1u64 << need) - 1 };
-            let v = _mm512_maskz_loadu_epi8(lm, src.as_ptr().cast());
-            let ex = _mm512_maskz_expand_epi8(mask, v);
-            _mm512_storeu_si512(out.as_mut_ptr().cast(), ex);
+        /// `vpexpandb` scatter; same contract as `expand64_scalar`. Only
+        /// the `popcount(mask)` survivor bytes of `src` are accessed
+        /// (masked load with fault suppression).
+        #[inline]
+        pub fn expand64(mask: u64, src: &[u8], out: &mut [u8; 64]) {
+            let need = mask.count_ones() as usize;
+            // Caller contract: `Scratch::begin_decode`'s exact-count check
+            // proves the payload holds all survivors, so this is not
+            // reachable from untrusted archive bytes. Kept as a hard
+            // assert because it guards the unsafe masked load below.
+            assert!(src.len() >= need);
+            // SAFETY: features statically enabled; the masked load reads
+            // only the `need` in-bounds bytes (AVX-512 masked loads
+            // suppress faults on masked-out elements); the store covers 64
+            // valid bytes.
+            unsafe {
+                let lm: __mmask64 = if need == 64 { !0 } else { (1u64 << need) - 1 };
+                let v = _mm512_maskz_loadu_epi8(lm, src.as_ptr().cast());
+                let ex = _mm512_maskz_expand_epi8(mask, v);
+                _mm512_storeu_si512(out.as_mut_ptr().cast(), ex);
+            }
         }
     }
 }
@@ -231,285 +235,118 @@ fn build_nonrepeat_into(src: &[u8], bitmap: &mut Vec<u8>, data: &mut Vec<u8>) {
     }
 }
 
-/// Stage the encoding of `input` into `s`, returning the total serialized
-/// length. No bytes are emitted; follow with [`append_encoded`] or
-/// [`write_encoded`] (the staged pieces stay valid until the next
-/// `encode_to_scratch`/`decode_into` call on the same scratch).
-pub fn encode_to_scratch(input: &[u8], s: &mut Scratch) -> usize {
-    s.data.clear();
-    build_nonzero_into(input, &mut s.bitmap_a, &mut s.data);
-    for nr in &mut s.nonreps {
-        nr.clear();
-        build_nonrepeat_into(&s.bitmap_a, &mut s.bitmap_b, nr);
-        std::mem::swap(&mut s.bitmap_a, &mut s.bitmap_b);
-    }
-    s.bitmap_a.len() + s.nonreps.iter().map(Vec::len).sum::<usize>() + s.data.len()
-}
-
-/// Append the encoding staged in `s` to `out`.
-pub fn append_encoded(s: &Scratch, out: &mut Vec<u8>) {
-    out.extend_from_slice(&s.bitmap_a); // bitmap_LEVELS
-    for nr in s.nonreps.iter().rev() {
-        out.extend_from_slice(nr);
-    }
-    out.extend_from_slice(&s.data);
-}
-
-/// Write the encoding staged in `s` into `dst`, whose length must equal the
-/// value returned by the matching [`encode_to_scratch`] call.
-pub fn write_encoded(s: &Scratch, dst: &mut [u8]) {
-    let mut off = 0usize;
-    for part in std::iter::once(&s.bitmap_a)
-        .chain(s.nonreps.iter().rev())
-        .chain(std::iter::once(&s.data))
-    {
-        dst[off..off + part.len()].copy_from_slice(part);
-        off += part.len();
-    }
-    debug_assert_eq!(off, dst.len());
-}
-
-/// Streaming zero-elimination over bit planes, for the fused chunk kernel
-/// (paper §III-E).
+/// Zero-elimination encoder and decoder over bit planes, with reusable
+/// buffers: all of them grow to the working set of the first chunk, and
+/// steady-state use performs no heap allocation.
 ///
-/// The staged encoder consumes the full 16 KiB shuffled byte buffer at
-/// once. The fused pipeline never materializes that buffer: the transpose
-/// hands over one 64-byte *line* per bit plane per tile, and this sink
-/// eliminates zero bytes as the lines arrive. Because the shuffled buffer
-/// is plane-major (`plane_bytes` consecutive bytes per plane) and each tile
-/// contributes its lines in plane order, accumulating per plane reproduces
-/// the staged byte stream exactly:
+/// The input is `planes` consecutive planes of `plane_bytes` bytes each
+/// (plane-major, as the bit shuffle lays them out), streamed one 64-byte
+/// line at a time in plane order within each plane. The fused chunk kernel
+/// never materializes the shuffled buffer: each transposed tile hands over
+/// one line per bit plane, and accumulating per plane reproduces the
+/// byte stream of the whole buffer exactly:
 ///
-/// * the level-0 bitmap byte for plane `p` offset `off` lives at global
-///   bitmap index `(p * plane_bytes + off) / 8` — written by scatter;
-/// * plane `p`'s surviving bytes occupy a private region of `data`
-///   (capacity `plane_bytes` each, so regions never collide) and are
-///   concatenated in plane order on emit — exactly the staged data order.
+/// * the level-0 bitmap byte for plane `p` offset `off` lives at bitmap
+///   index `(p * plane_bytes + off) / 8` — written by scatter;
+/// * plane `p`'s surviving bytes occupy a private region of `data` (one
+///   plane stride each, so regions never collide) and are concatenated in
+///   plane order on emit.
 ///
-/// The repeat levels are built by the very same `build_nonrepeat_into`
-/// over the completed bitmap, so every serialized byte is identical to
-/// [`encode_to_scratch`] + [`append_encoded`] by construction. Like the
-/// staged encoder, everything stays staged until the raw-fallback decision;
-/// emit via [`PlaneScratch::append_to`] / [`PlaneScratch::write_to`].
-///
-/// The same struct drives fused *decoding*: [`PlaneScratch::begin_decode`]
-/// expands only the (small) level bitmaps and sets up one payload cursor
-/// per plane; [`PlaneScratch::next_line`] then expands each plane's next
-/// line on demand, again without the 16 KiB intermediate buffer.
+/// Several planes must each be a whole number of lines; a single plane
+/// may have any length, its final line padded with zeros. Encode with
+/// [`Self::begin`], [`Self::push_line64`] per line and
+/// [`Self::finish_encode`], then emit with [`Self::append_to`] /
+/// [`Self::write_to`]. Decode with [`Self::begin_decode`], which expands
+/// only the (small) level bitmaps and sets up one payload cursor per
+/// plane, then [`Self::next_line`] per line.
 #[derive(Default)]
-pub struct PlaneScratch {
+pub struct Scratch {
     planes: usize,
     plane_bytes: usize,
-    /// Level-0 nonzero bitmap, `planes * plane_bytes / 8` bytes. Every byte
-    /// is assigned (not OR-ed) exactly once per chunk, so `begin` never
+    /// Bytes per plane region: `plane_bytes` rounded up to whole lines.
+    stride: usize,
+    /// Level-0 nonzero bitmap, `planes * stride / 8` bytes, of which the
+    /// first `ceil(planes * plane_bytes / 8)` are serialized. Every byte is
+    /// assigned (not OR-ed) exactly once per chunk, so `begin` never
     /// zero-fills it.
     bitmap: Vec<u8>,
     /// Ping-pong pair for the repeat levels; after `finish_encode`,
     /// `bitmap_b` holds the top (level-`LEVELS`) bitmap.
     bitmap_b: Vec<u8>,
     bitmap_c: Vec<u8>,
-    /// Survivor bytes: plane `p` owns `data[p*plane_bytes..][..counts[p]]`.
+    /// Survivor bytes: plane `p` owns `data[p*stride..][..counts[p]]`.
     data: Vec<u8>,
     /// Encode: survivor count per plane. Decode: absolute payload cursor
     /// per plane.
     counts: Vec<usize>,
     /// Bytes streamed so far per plane (both directions).
     filled: Vec<usize>,
-    /// Per-plane partial 8-byte group, LE-packed: the device-sim transpose
-    /// emits word-sized pieces (4 bytes for f32), smaller than the bitmap
-    /// granularity.
-    pending: Vec<u64>,
-    pending_len: Vec<u8>,
     /// Non-repeating bytes of bitmap levels 0..LEVELS-1.
     nonreps: [Vec<u8>; LEVELS],
 }
 
-impl PlaneScratch {
-    /// Start encoding a chunk of `planes * plane_bytes` shuffled bytes.
-    /// `plane_bytes` must be a positive multiple of 8 so every plane owns
-    /// whole bitmap bytes (the fused chunk kernel guarantees this; other
-    /// shapes take the staged fallback).
-    pub fn begin(&mut self, planes: usize, plane_bytes: usize) {
-        assert!(
-            plane_bytes > 0 && plane_bytes.is_multiple_of(8),
-            "plane_bytes must be a positive multiple of 8, got {plane_bytes}"
-        );
+/// `Some(stride)` if `planes` planes of `plane_bytes` bytes are a valid
+/// shape: a single plane of any length, or planes of whole lines.
+fn plane_stride(planes: usize, plane_bytes: usize) -> Option<usize> {
+    (planes <= 1 || plane_bytes.is_multiple_of(LINE)).then(|| plane_bytes.next_multiple_of(LINE))
+}
+
+impl Scratch {
+    fn set_shape(&mut self, planes: usize, plane_bytes: usize, stride: usize) {
         self.planes = planes;
         self.plane_bytes = plane_bytes;
-        // Exact-size resizes: no work (in particular no zero-fill) in the
-        // steady state where every chunk has the same shape.
-        self.bitmap.resize(planes * plane_bytes / 8, 0);
-        self.data.resize(planes * plane_bytes, 0);
+        self.stride = stride;
         self.counts.clear();
         self.counts.resize(planes, 0);
         self.filled.clear();
         self.filled.resize(planes, 0);
-        self.pending.clear();
-        self.pending.resize(planes, 0);
-        self.pending_len.clear();
-        self.pending_len.resize(planes, 0);
     }
 
-    /// Eliminate one complete 8-byte group of `plane`: bitmap byte by
-    /// assignment, survivors into the plane's data region.
-    #[inline(always)]
-    fn commit_group(&mut self, plane: usize, chunk: [u8; 8]) {
-        let base = plane * self.plane_bytes;
-        let mask = nonzero_byte_mask(u64::from_le_bytes(chunk));
-        self.bitmap[(base + self.filled[plane]) >> 3] = mask;
-        let mut dst = base + self.counts[plane];
-        if mask == 0xFF {
-            self.data[dst..dst + 8].copy_from_slice(&chunk);
-            dst += 8;
-        } else if mask != 0 {
-            // Set-bit iteration, ascending — same emission order as the
-            // staged `build_nonzero_into`.
-            let mut m = mask;
-            while m != 0 {
-                self.data[dst] = chunk[m.trailing_zeros() as usize];
-                dst += 1;
-                m &= m - 1;
-            }
-        }
-        self.counts[plane] = dst - base;
-        self.filled[plane] += 8;
+    /// Start encoding `planes * plane_bytes` shuffled bytes. Several planes
+    /// must each be a whole number of 64-byte lines (the fused chunk kernel
+    /// guarantees this).
+    pub fn begin(&mut self, planes: usize, plane_bytes: usize) {
+        let stride = plane_stride(planes, plane_bytes).unwrap_or_else(|| {
+            panic!("{planes} planes of {plane_bytes} bytes: planes must be whole 64-byte lines")
+        });
+        self.set_shape(planes, plane_bytes, stride);
+        // Exact-size resizes: no work (in particular no zero-fill) in the
+        // steady state where every chunk has the same shape.
+        self.bitmap.resize(planes * stride / 8, 0);
+        self.data.resize(planes * stride, 0);
     }
 
-    #[inline]
-    fn push_byte(&mut self, plane: usize, b: u8) {
-        let pl = self.pending_len[plane] as usize;
-        self.pending[plane] |= (b as u64) << (8 * pl);
-        if pl == 7 {
-            let g = self.pending[plane].to_le_bytes();
-            self.pending[plane] = 0;
-            self.pending_len[plane] = 0;
-            self.commit_group(plane, g);
-        } else {
-            self.pending_len[plane] = (pl + 1) as u8;
-        }
-    }
-
-    /// Stream one whole 64-byte plane line into `plane` — the CPU tile
-    /// kernel's fixed granularity. Byte-for-byte equivalent to
-    /// `push(plane, line)` but a dedicated, inlinable entry: the general
-    /// `push` prologue (pending drain, length split) never runs, so the
-    /// per-line cost is one mask + one pack.
+    /// Stream the next 64-byte line of `plane`: its eight level-0 bitmap
+    /// bytes and its survivors. This is the only compaction code.
     #[inline]
     pub fn push_line64(&mut self, plane: usize, line: &[u8; 64]) {
         debug_assert!(plane < self.planes);
-        debug_assert_eq!(self.pending_len[plane], 0);
-        debug_assert!(self.filled[plane] + 64 <= self.plane_bytes);
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "avx512f",
-            target_feature = "avx512bw",
-            target_feature = "avx512vbmi2"
-        ))]
-        {
-            let base = plane * self.plane_bytes;
-            let fill = self.filled[plane];
-            let cnt = self.counts[plane];
-            // `cnt <= fill` and `fill + 64 <= plane_bytes` guarantee the
-            // 64-byte headroom `compress64` stores into.
-            let (mask, n) =
-                line::compress64(line, &mut self.data[base + cnt..base + self.plane_bytes]);
-            self.bitmap[(base + fill) >> 3..(base + fill + 64) >> 3]
-                .copy_from_slice(&mask.to_le_bytes());
-            self.filled[plane] = fill + 64;
-            self.counts[plane] = cnt + n;
-        }
-        #[cfg(not(all(
-            target_arch = "x86_64",
-            target_feature = "avx512f",
-            target_feature = "avx512bw",
-            target_feature = "avx512vbmi2"
-        )))]
-        self.push(plane, line);
+        debug_assert!(self.filled[plane] + LINE <= self.stride);
+        let base = plane * self.stride;
+        let fill = self.filled[plane];
+        let cnt = self.counts[plane];
+        // `cnt <= fill` and `fill + 64 <= stride` guarantee the 64-byte
+        // headroom `compress64` stores into.
+        let (mask, n) = line::compress64(line, &mut self.data[base + cnt..base + self.stride]);
+        self.bitmap[(base + fill) >> 3..(base + fill + LINE) >> 3]
+            .copy_from_slice(&mask.to_le_bytes());
+        self.filled[plane] = fill + LINE;
+        self.counts[plane] = cnt + n;
     }
 
-    /// Stream `bytes` into `plane`. Any length is accepted (sub-8-byte
-    /// pieces are staged in a pending group); the CPU tile kernel pushes
-    /// whole 64-byte lines, which take the aligned fast path throughout.
-    pub fn push(&mut self, plane: usize, bytes: &[u8]) {
-        debug_assert!(plane < self.planes);
-        debug_assert!(self.filled[plane] + self.pending_len[plane] as usize + bytes.len() <= self.plane_bytes);
-        if self.pending_len[plane] == 0 && bytes.len().is_multiple_of(8) {
-            // Fast path: group-aligned input with no partial group staged.
-            // The per-plane cursors live in locals for the whole call so
-            // the group loop matches the staged encoder's tight loop
-            // (loading `counts[plane]`/`filled[plane]` per group costs
-            // ~15% of encode throughput on the full fused pipeline).
-            let base = plane * self.plane_bytes;
-            let fill = self.filled[plane];
-            let mut cnt = self.counts[plane];
-            let bitmap = &mut self.bitmap[(base + fill) >> 3..(base + fill + bytes.len()) >> 3];
-            let data = &mut self.data[base..base + self.plane_bytes];
-            #[cfg(all(
-                target_arch = "x86_64",
-                target_feature = "avx512f",
-                target_feature = "avx512bw",
-                target_feature = "avx512vbmi2"
-            ))]
-            if let Ok(l) = <&[u8; 64]>::try_from(bytes) {
-                // Whole-line kernel (the CPU tile path always pushes 64
-                // bytes): `cnt <= fill` and `fill + 64 <= plane_bytes`
-                // guarantee the 64-byte headroom `compress64` stores into.
-                let (mask, n) = line::compress64(l, &mut data[cnt..]);
-                bitmap.copy_from_slice(&mask.to_le_bytes());
-                self.filled[plane] = fill + 64;
-                self.counts[plane] = cnt + n;
-                return;
-            }
-            for (g, bm) in bytes.chunks_exact(8).zip(bitmap) {
-                let chunk: [u8; 8] = g.try_into().unwrap();
-                let mask = nonzero_byte_mask(u64::from_le_bytes(chunk));
-                *bm = mask;
-                if mask == 0xFF {
-                    data[cnt..cnt + 8].copy_from_slice(&chunk);
-                    cnt += 8;
-                } else if mask != 0 {
-                    // Set-bit iteration, ascending — same emission order
-                    // as the staged `build_nonzero_into`.
-                    let mut m = mask;
-                    while m != 0 {
-                        data[cnt] = chunk[m.trailing_zeros() as usize];
-                        cnt += 1;
-                        m &= m - 1;
-                    }
-                }
-            }
-            self.filled[plane] = fill + bytes.len();
-            self.counts[plane] = cnt;
-            return;
-        }
-        let mut rest = bytes;
-        while self.pending_len[plane] != 0 && !rest.is_empty() {
-            self.push_byte(plane, rest[0]);
-            rest = &rest[1..];
-        }
-        let mut groups = rest.chunks_exact(8);
-        for g in &mut groups {
-            self.commit_group(plane, g.try_into().unwrap());
-        }
-        for &b in groups.remainder() {
-            self.push_byte(plane, b);
-        }
-    }
-
-    /// Finish the chunk: every plane must have received exactly
-    /// `plane_bytes` bytes. Builds the repeat levels over the completed
+    /// Finish the chunk: every plane must have received all of its lines.
+    /// Builds the repeat levels over the serialized part of the level-0
     /// bitmap and returns the total serialized length (the raw-fallback
     /// input); nothing is emitted yet.
     pub fn finish_encode(&mut self) -> usize {
-        debug_assert!(self.pending_len.iter().all(|&l| l == 0), "partial group at finish");
-        debug_assert!(self.filled.iter().all(|&f| f == self.plane_bytes));
-        // Repeat levels via the staged code path — identical level bytes by
-        // construction. Ping-pong through (bitmap_b, bitmap_c) so the
-        // level-0 bitmap buffer keeps its full size across chunks.
+        debug_assert!(self.filled.iter().all(|&f| f == self.stride));
+        let len0 = bitmap_len(self.planes * self.plane_bytes);
+        // Ping-pong through (bitmap_b, bitmap_c) so the level-0 bitmap
+        // buffer keeps its full size across chunks.
         let mut lo = std::mem::take(&mut self.bitmap_b);
         let mut hi = std::mem::take(&mut self.bitmap_c);
         self.nonreps[0].clear();
-        build_nonrepeat_into(&self.bitmap, &mut lo, &mut self.nonreps[0]);
+        build_nonrepeat_into(&self.bitmap[..len0], &mut lo, &mut self.nonreps[0]);
         for k in 1..LEVELS {
             self.nonreps[k].clear();
             build_nonrepeat_into(&lo, &mut hi, &mut self.nonreps[k]);
@@ -522,16 +359,18 @@ impl PlaneScratch {
             + self.counts.iter().sum::<usize>()
     }
 
-    /// Append the encoding staged by [`Self::finish_encode`] to `out` —
-    /// byte-identical to [`append_encoded`] on the staged pipeline.
+    /// The staged pieces in serialization order: top bitmap, non-repeat
+    /// bytes from the top level down, then each plane's survivors.
+    fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(&self.bitmap_b[..])
+            .chain(self.nonreps.iter().rev().map(|nr| &nr[..]))
+            .chain((0..self.planes).map(|p| &self.data[p * self.stride..][..self.counts[p]]))
+    }
+
+    /// Append the encoding staged by [`Self::finish_encode`] to `out`.
     pub fn append_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.bitmap_b); // bitmap_LEVELS
-        for nr in self.nonreps.iter().rev() {
-            out.extend_from_slice(nr);
-        }
-        for p in 0..self.planes {
-            let base = p * self.plane_bytes;
-            out.extend_from_slice(&self.data[base..base + self.counts[p]]);
+        for part in self.parts() {
+            out.extend_from_slice(part);
         }
     }
 
@@ -539,37 +378,34 @@ impl PlaneScratch {
     /// value returned by the matching [`Self::finish_encode`] call.
     pub fn write_to(&self, dst: &mut [u8]) {
         let mut off = 0usize;
-        for part in std::iter::once(&self.bitmap_b).chain(self.nonreps.iter().rev()) {
+        for part in self.parts() {
             dst[off..off + part.len()].copy_from_slice(part);
             off += part.len();
-        }
-        for p in 0..self.planes {
-            let base = p * self.plane_bytes;
-            let c = self.counts[p];
-            dst[off..off + c].copy_from_slice(&self.data[base..base + c]);
-            off += c;
         }
         debug_assert_eq!(off, dst.len());
     }
 
-    /// Start fused decoding: expand the level bitmaps (a few hundred bytes
-    /// of work — the 16 KiB data expansion happens lazily in
-    /// [`Self::next_line`]), recover the level-0 bitmap, and set up one payload
-    /// cursor per plane. Verifies that the payload length matches the
-    /// bitmap's survivor count *exactly*, which subsumes both the staged
-    /// path's truncation error and the chunk layer's trailing-bytes check.
-    pub fn begin_decode(&mut self, payload: &[u8], planes: usize, plane_bytes: usize) -> Result<()> {
-        if plane_bytes == 0 || !plane_bytes.is_multiple_of(8) {
-            // Shape errors surface as Corrupt rather than a panic so no
-            // decode entry point can be driven into an abort, whatever the
-            // caller passes (the fused chunk kernel always passes a
-            // positive multiple of 64).
-            return Err(Error::Corrupt(format!(
-                "plane_bytes must be a positive multiple of 8, got {plane_bytes}"
-            )));
-        }
-        self.planes = planes;
-        self.plane_bytes = plane_bytes;
+    /// Start decoding `payload` as `planes` planes of `plane_bytes` bytes:
+    /// expand the level bitmaps (a few hundred bytes of work — the data
+    /// expansion happens lazily in [`Self::next_line`]), recover the
+    /// level-0 bitmap, and set up one payload cursor per plane. Verifies
+    /// that the payload length matches the bitmap's survivor count
+    /// *exactly*, which rejects both truncated payloads and trailing bytes.
+    pub fn begin_decode(
+        &mut self,
+        payload: &[u8],
+        planes: usize,
+        plane_bytes: usize,
+    ) -> Result<()> {
+        // Shape errors surface as Corrupt rather than a panic so no decode
+        // entry point can be driven into an abort, whatever the caller
+        // passes.
+        let stride = plane_stride(planes, plane_bytes).ok_or_else(|| {
+            Error::Corrupt(format!(
+                "{planes} planes of {plane_bytes} bytes: planes must be whole 64-byte lines"
+            ))
+        })?;
+        self.set_shape(planes, plane_bytes, stride);
         let n = planes * plane_bytes;
         let top_len = level_len(n, LEVELS);
         if payload.len() < top_len {
@@ -587,11 +423,10 @@ impl PlaneScratch {
         let mut cursor = top_len;
         let mut res = Ok(());
         for k in (0..LEVELS).rev() {
-            let lower_n = level_len(n, k);
             // The level-0 bitmap lands in its dedicated buffer; upper
             // levels ping-pong.
             let dst = if k == 0 { &mut self.bitmap } else { &mut hi };
-            res = expand_into(&lo, lower_n, payload, &mut cursor, true, dst);
+            res = expand_into(&lo, level_len(n, k), payload, &mut cursor, dst);
             if res.is_err() {
                 break;
             }
@@ -602,14 +437,16 @@ impl PlaneScratch {
         self.bitmap_b = lo;
         self.bitmap_c = hi;
         res?;
-        self.counts.clear();
-        self.filled.clear();
-        let bm_per_plane = plane_bytes / 8;
+        // Bits of the last bitmap byte past `n` flag no byte; the zero
+        // padding up to whole lines flags none either.
+        if !n.is_multiple_of(8) {
+            self.bitmap[n / 8] &= (1u8 << (n % 8)) - 1;
+        }
+        self.bitmap.resize(planes * stride / 8, 0);
         let mut c = cursor;
         for p in 0..planes {
-            self.counts.push(c);
-            self.filled.push(0);
-            c += self.bitmap[p * bm_per_plane..(p + 1) * bm_per_plane]
+            self.counts[p] = c;
+            c += self.bitmap[p * stride / 8..][..stride / 8]
                 .iter()
                 .map(|b| b.count_ones() as usize)
                 .sum::<usize>();
@@ -623,53 +460,20 @@ impl PlaneScratch {
         Ok(())
     }
 
-    /// Expand the next `out.len()` bytes of `plane` (a multiple of 8;
-    /// each plane must be walked sequentially). `payload` must be the
-    /// slice given to [`Self::begin_decode`], whose length check guarantees
-    /// every cursor stays in bounds.
+    /// Expand the next 64-byte line of `plane` into `out` (each plane must
+    /// be walked sequentially). `payload` must be the slice given to
+    /// [`Self::begin_decode`], whose length check guarantees every cursor
+    /// stays in bounds. This is the only zero-fill expansion code.
     #[inline]
-    pub fn next_line(&mut self, payload: &[u8], plane: usize, out: &mut [u8]) {
-        debug_assert!(out.len().is_multiple_of(8));
-        debug_assert!(self.filled[plane] + out.len() <= self.plane_bytes);
-        let bi0 = (plane * self.plane_bytes + self.filled[plane]) >> 3;
-        let mut cur = self.counts[plane];
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "avx512f",
-            target_feature = "avx512bw",
-            target_feature = "avx512vbmi2"
-        ))]
-        if let Ok(l) = <&mut [u8; 64]>::try_from(&mut *out) {
-            // Whole-line kernel: eight bitmap bytes form the 64-bit
-            // expansion mask directly. `begin_decode`'s exact length check
-            // guarantees `payload[cur..]` holds every survivor.
-            let mask = u64::from_le_bytes(self.bitmap[bi0..bi0 + 8].try_into().unwrap());
-            line::expand64(mask, &payload[cur..], l);
-            self.counts[plane] = cur + mask.count_ones() as usize;
-            self.filled[plane] += 64;
-            return;
-        }
-        for (bi, chunk) in (bi0..).zip(out.chunks_exact_mut(8)) {
-            let mask = self.bitmap[bi];
-            if mask == 0 {
-                chunk.fill(0);
-            } else if mask == 0xFF {
-                chunk.copy_from_slice(&payload[cur..cur + 8]);
-                cur += 8;
-            } else {
-                chunk.fill(0);
-                // Scatter by set-bit iteration, ascending — the encoder's
-                // emission order.
-                let mut m = mask;
-                while m != 0 {
-                    chunk[m.trailing_zeros() as usize] = payload[cur];
-                    cur += 1;
-                    m &= m - 1;
-                }
-            }
-        }
-        self.counts[plane] = cur;
-        self.filled[plane] += out.len();
+    pub fn next_line(&mut self, payload: &[u8], plane: usize, out: &mut [u8; 64]) {
+        debug_assert!(self.filled[plane] + LINE <= self.stride);
+        let bi = (plane * self.stride + self.filled[plane]) >> 3;
+        let cur = self.counts[plane];
+        let (masks, _) = self.bitmap[bi..].as_chunks::<8>();
+        let mask = u64::from_le_bytes(masks[0]);
+        line::expand64(mask, &payload[cur..], out);
+        self.counts[plane] = cur + mask.count_ones() as usize;
+        self.filled[plane] += LINE;
     }
 }
 
@@ -692,15 +496,13 @@ fn popcount_prefix(bitmap: &[u8], nbits: usize) -> usize {
     c
 }
 
-/// Reconstruct a lower-level byte array of length `n` from its flag bitmap
-/// and the flagged bytes into `out`, using `repeat_rule` to produce
-/// unflagged bytes from the running predecessor (zero-fill otherwise).
+/// Reconstruct a lower-level bitmap of length `n` into `out` from its flag
+/// bitmap and the flagged bytes: unflagged bytes repeat their predecessor.
 fn expand_into(
     bitmap: &[u8],
     n: usize,
     payload: &[u8],
     cursor: &mut usize,
-    repeat_rule: bool,
     out: &mut Vec<u8>,
 ) -> Result<()> {
     let needed = popcount_prefix(bitmap, n);
@@ -715,105 +517,68 @@ fn expand_into(
     }
     out.clear();
     out.resize(n, 0);
-    if repeat_rule {
-        let mut prev = 0u8;
-        for (i, slot) in out.iter_mut().enumerate() {
-            if bitmap[i >> 3] >> (i & 7) & 1 == 1 {
-                *slot = payload[*cursor];
-                *cursor += 1;
-            } else {
-                *slot = prev;
-            }
-            prev = *slot;
+    let mut prev = 0u8;
+    for (i, slot) in out.iter_mut().enumerate() {
+        if bitmap[i >> 3] >> (i & 7) & 1 == 1 {
+            *slot = payload[*cursor];
+            *cursor += 1;
+        } else {
+            *slot = prev;
         }
-    } else {
-        // Zero-fill rule: group-at-a-time fast paths (zero groups are
-        // already zeroed; full groups are straight copies).
-        let mut i = 0usize;
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "avx512f",
-            target_feature = "avx512bw",
-            target_feature = "avx512vbmi2"
-        ))]
-        while i + 64 <= n {
-            // Whole-line expansion: eight bitmap bytes form the 64-bit
-            // scatter mask directly; the up-front `needed <= avail` check
-            // guarantees the payload holds every flagged byte.
-            let mask = u64::from_le_bytes(bitmap[i >> 3..(i >> 3) + 8].try_into().unwrap());
-            let dst: &mut [u8; 64] = (&mut out[i..i + 64]).try_into().unwrap();
-            line::expand64(mask, &payload[*cursor..], dst);
-            *cursor += mask.count_ones() as usize;
-            i += 64;
-        }
-        while i + 8 <= n {
-            let mask = bitmap[i >> 3];
-            if mask == 0 {
-                i += 8;
-                continue;
-            }
-            if mask == 0xFF {
-                out[i..i + 8].copy_from_slice(&payload[*cursor..*cursor + 8]);
-                *cursor += 8;
-                i += 8;
-                continue;
-            }
-            // Scatter the flagged bytes by set-bit iteration (ascending,
-            // matching the encoder's emission order).
-            let mut m = mask;
-            while m != 0 {
-                out[i + m.trailing_zeros() as usize] = payload[*cursor];
-                *cursor += 1;
-                m &= m - 1;
-            }
-            i += 8;
-        }
-        while i < n {
-            if bitmap[i >> 3] >> (i & 7) & 1 == 1 {
-                out[i] = payload[*cursor];
-                *cursor += 1;
-            }
-            i += 1;
-        }
+        prev = *slot;
     }
     Ok(())
 }
 
+/// Stage the encoding of the flat buffer `input` (one plane) into `s`,
+/// returning the total serialized length. No bytes are emitted; follow
+/// with [`append_encoded`] or [`Scratch::write_to`] (the staged pieces stay
+/// valid until the next encode or decode on the same scratch).
+pub fn encode_to_scratch(input: &[u8], s: &mut Scratch) -> usize {
+    s.begin(1, input.len());
+    let (lines, tail) = input.as_chunks::<LINE>();
+    for l in lines {
+        s.push_line64(0, l);
+    }
+    if !tail.is_empty() {
+        let mut pad = [0u8; LINE];
+        pad[..tail.len()].copy_from_slice(tail);
+        s.push_line64(0, &pad);
+    }
+    s.finish_encode()
+}
+
+/// Append the encoding staged in `s` to `out`.
+pub fn append_encoded(s: &Scratch, out: &mut Vec<u8>) {
+    s.append_to(out);
+}
+
 /// Decompress a payload staged by [`encode_to_scratch`] for an input of
 /// `uncompressed_len` bytes, writing the reconstructed bytes into `out`
-/// (cleared and resized). Returns the number of payload bytes consumed.
-/// Level bitmaps live in `s`; nothing is allocated once the scratch and
-/// `out` have grown to the chunk working set.
+/// (resized). The whole payload must be consumed: truncated payloads and
+/// trailing bytes are both errors, so on success the returned count of
+/// consumed bytes is `payload.len()`. Nothing is allocated once the scratch
+/// and `out` have grown to the chunk working set.
 pub fn decode_into(
     payload: &[u8],
     uncompressed_len: usize,
     s: &mut Scratch,
     out: &mut Vec<u8>,
 ) -> Result<usize> {
-    let n = uncompressed_len;
-    let top_len = level_len(n, LEVELS);
-    if payload.len() < top_len {
-        return Err(Error::Truncated {
-            offset: payload.len(),
-            needed: top_len - payload.len(),
-            have: 0,
-            what: "zero-elimination top bitmap",
-        });
+    s.begin_decode(payload, 1, uncompressed_len)?;
+    // Every byte is overwritten below, so the resize needs no clear.
+    out.resize(uncompressed_len, 0);
+    let (lines, tail) = out.as_chunks_mut::<LINE>();
+    for l in lines {
+        s.next_line(payload, 0, l);
     }
-    s.bitmap_a.clear();
-    s.bitmap_a.extend_from_slice(&payload[..top_len]);
-    let mut cursor = top_len;
-    // Walk back down: bitmap_k flags the non-repeating bytes of bitmap_{k-1}.
-    for k in (0..LEVELS).rev() {
-        let lower_n = level_len(n, k);
-        expand_into(&s.bitmap_a, lower_n, payload, &mut cursor, true, &mut s.bitmap_b)?;
-        std::mem::swap(&mut s.bitmap_a, &mut s.bitmap_b);
+    if !tail.is_empty() {
+        let mut pad = [0u8; LINE];
+        s.next_line(payload, 0, &mut pad);
+        tail.copy_from_slice(&pad[..tail.len()]);
     }
-    // bitmap_a is now the nonzero-byte bitmap of the original data.
-    expand_into(&s.bitmap_a, n, payload, &mut cursor, false, out)?;
-    Ok(cursor)
+    Ok(payload.len())
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -839,6 +604,78 @@ mod tests {
         assert_eq!(dec, input);
         assert_eq!(used, enc.len(), "every payload byte must be consumed");
         enc.len()
+    }
+
+    /// Flag the bytes of `src` that are nonzero (`repeat == false`) or
+    /// differ from their predecessor (`repeat == true`), one byte at a
+    /// time: returns the flag bitmap and the flagged bytes.
+    fn ref_flags(src: &[u8], repeat: bool) -> (Vec<u8>, Vec<u8>) {
+        let (mut bm, mut kept, mut prev) = (vec![0u8; src.len().div_ceil(8)], Vec::new(), 0u8);
+        for (i, &b) in src.iter().enumerate() {
+            if b != if repeat { prev } else { 0 } {
+                bm[i >> 3] |= 1 << (i & 7);
+                kept.push(b);
+            }
+            prev = b;
+        }
+        (bm, kept)
+    }
+
+    /// Byte-at-a-time reference encoder, straight from the format.
+    fn ref_encode(input: &[u8]) -> Vec<u8> {
+        let (mut bm, data) = ref_flags(input, false);
+        let mut nonreps = Vec::new();
+        for _ in 0..LEVELS {
+            let (up, nr) = ref_flags(&bm, true);
+            nonreps.push(nr);
+            bm = up;
+        }
+        for nr in nonreps.iter().rev() {
+            bm.extend_from_slice(nr);
+        }
+        bm.extend_from_slice(&data);
+        bm
+    }
+
+    /// Byte-at-a-time reference decoder: `None` unless the payload is
+    /// consumed exactly. Bits past the end of each level are ignored.
+    fn ref_decode(payload: &[u8], n: usize) -> Option<Vec<u8>> {
+        let mut cur = level_len(n, LEVELS);
+        let mut bm = payload.get(..cur)?.to_vec();
+        // `k > 0`: expand bitmap level k-1 (unflagged bytes repeat);
+        // `k == 0`: expand the data (unflagged bytes are zero).
+        for k in (0..=LEVELS).rev() {
+            let len = if k == 0 { n } else { level_len(n, k - 1) };
+            let (mut lower, mut prev) = (vec![0u8; len], 0u8);
+            for (i, slot) in lower.iter_mut().enumerate() {
+                if bm[i >> 3] >> (i & 7) & 1 == 1 {
+                    prev = *payload.get(cur)?;
+                    cur += 1;
+                } else if k == 0 {
+                    prev = 0;
+                }
+                *slot = prev;
+            }
+            bm = lower;
+        }
+        (cur == payload.len()).then_some(bm)
+    }
+
+    /// Bytes with plenty of zeros: nonzero with probability `1/zero_every`.
+    fn sparse_bytes(n: usize, seed: u64, zero_every: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x.is_multiple_of(zero_every) {
+                    (x >> 8) as u8 | 1
+                } else {
+                    0
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -876,12 +713,50 @@ mod tests {
         assert_eq!(roundtrip(&[]), 0);
     }
 
+    /// A flat buffer of every length 0..=200 (whole lines, partial final
+    /// lines, sub-line inputs) encodes to the reference bytes, and both
+    /// decoders invert it.
     #[test]
-    fn small_inputs() {
-        for n in 1..64usize {
-            let input: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
-            roundtrip(&input);
+    fn flat_lengths_match_reference() {
+        for n in 0..=200usize {
+            for (seed, zero_every) in [(n as u64, 1), (n as u64 * 7 + 3, 3)] {
+                let input = sparse_bytes(n, seed, zero_every);
+                let mut enc = Vec::new();
+                encode(&input, &mut enc);
+                assert_eq!(enc, ref_encode(&input), "n = {n}");
+                assert_eq!(ref_decode(&enc, n).as_deref(), Some(&input[..]), "n = {n}");
+                assert_eq!(roundtrip(&input), enc.len());
+            }
         }
+    }
+
+    /// Bits of the last level-0 bitmap byte past the input length flag no
+    /// byte: a payload that sets them decodes as if they were clear.
+    #[test]
+    fn bitmap_bits_past_len_are_ignored() {
+        // Encode 16 bytes whose last three are nonzero, then drop those
+        // three survivors: as a 13-byte payload, the final bitmap byte has
+        // bits 5..8 set past the end.
+        let mut input: Vec<u8> = (1..=16).collect();
+        input[2] = 0;
+        let mut enc = Vec::new();
+        encode(&input, &mut enc);
+        enc.truncate(enc.len() - 3);
+        // [top][nonrep_4][nonrep_3][nonrep_2][nonrep_1 = both level-0 bytes]
+        assert_eq!(enc[4..6], [0xFB, 0xFF]);
+        let (dec, used) = decode(&enc, 13).unwrap();
+        assert_eq!(dec, &input[..13]);
+        assert_eq!(used, enc.len());
+        assert_eq!(ref_decode(&enc, 13).as_deref(), Some(&input[..13]));
+    }
+
+    #[test]
+    fn trailing_byte_rejected() {
+        let input = sparse_bytes(1000, 9, 2);
+        let mut enc = Vec::new();
+        encode(&input, &mut enc);
+        enc.push(0);
+        assert!(decode(&enc, 1000).is_err());
     }
 
     #[test]
@@ -890,10 +765,7 @@ mod tests {
         let mut enc = Vec::new();
         encode(&input, &mut enc);
         for cut in [0, 1, enc.len() / 2, enc.len() - 1] {
-            assert!(
-                decode(&enc[..cut], 1000).is_err(),
-                "cut at {cut} must fail"
-            );
+            assert!(decode(&enc[..cut], 1000).is_err(), "cut at {cut} must fail");
         }
     }
 
@@ -916,11 +788,9 @@ mod tests {
             append_encoded(&s, &mut enc);
             assert_eq!(enc.len(), total);
 
-            // write_encoded must produce identical bytes.
-            let total2 = encode_to_scratch(input, &mut s);
-            assert_eq!(total2, total);
+            // write_to must produce identical bytes.
             let mut slot = vec![0u8; total];
-            write_encoded(&s, &mut slot);
+            s.write_to(&mut slot);
             assert_eq!(slot, enc);
 
             let used = decode_into(&enc, input.len(), &mut s, &mut out).unwrap();
@@ -946,61 +816,69 @@ mod tests {
             prop_assert!(size <= n / 8 + 40 + input.iter().filter(|&&b| b != 0).count());
         }
 
-        /// The streaming plane sink must serialize byte-identically to the
-        /// staged whole-buffer encoder, and its plane decoder must invert
-        /// it, for any plane shape and push granularity.
+        /// Streaming plane lines must serialize to the reference encoding
+        /// of the whole plane-major buffer, and the plane decoder must
+        /// invert it, for every plane shape the fused kernel can use.
         #[test]
-        fn plane_scratch_matches_staged(
-            planes in 1usize..9,
-            plane_groups in 1usize..9,
-            piece_idx in 0usize..6,
+        fn planes_match_reference(
+            planes in 1usize..65,
+            plane_lines in 1usize..5,
             seed: u64,
             zero_every in 1u64..5,
         ) {
-            let piece = [1usize, 2, 4, 8, 16, 64][piece_idx];
-            let plane_bytes = plane_groups * 8;
-            // Plane-major input with plenty of zero bytes.
-            let mut x = seed | 1;
-            let input: Vec<u8> = (0..planes * plane_bytes).map(|_| {
-                x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-                if x.is_multiple_of(zero_every) { (x >> 8) as u8 } else { 0 }
-            }).collect();
+            let plane_bytes = plane_lines * LINE;
+            let input = sparse_bytes(planes * plane_bytes, seed, zero_every);
+            let reference = ref_encode(&input);
 
-            let mut staged = Vec::new();
-            encode(&input, &mut staged);
-
-            let mut ps = PlaneScratch::default();
-            ps.begin(planes, plane_bytes);
+            let mut s = Scratch::default();
+            s.begin(planes, plane_bytes);
             for (p, row) in input.chunks_exact(plane_bytes).enumerate() {
-                for part in row.chunks(piece) {
-                    ps.push(p, part);
+                for l in row.chunks_exact(LINE) {
+                    s.push_line64(p, l.try_into().unwrap());
                 }
             }
-            let total = ps.finish_encode();
-            prop_assert_eq!(total, staged.len());
-            let mut fused = Vec::new();
-            ps.append_to(&mut fused);
-            prop_assert_eq!(&fused, &staged);
+            let total = s.finish_encode();
+            prop_assert_eq!(total, reference.len());
+            let mut appended = Vec::new();
+            s.append_to(&mut appended);
+            prop_assert_eq!(&appended, &reference);
             let mut slot = vec![0u8; total];
-            ps.write_to(&mut slot);
-            prop_assert_eq!(&slot, &staged);
+            s.write_to(&mut slot);
+            prop_assert_eq!(&slot, &reference);
 
-            // Plane-wise decode inverts it.
-            ps.begin_decode(&staged, planes, plane_bytes).unwrap();
+            s.begin_decode(&reference, planes, plane_bytes).unwrap();
             let mut back = vec![0u8; planes * plane_bytes];
             for (p, row) in back.chunks_exact_mut(plane_bytes).enumerate() {
-                for line in row.chunks_mut(8) {
-                    ps.next_line(&staged, p, line);
+                for l in row.chunks_exact_mut(LINE) {
+                    s.next_line(&reference, p, l.try_into().unwrap());
                 }
             }
             prop_assert_eq!(&back, &input);
 
-            // Truncations must be rejected, never panic.
-            for cut in [0, staged.len() / 2, staged.len().saturating_sub(1)] {
-                if cut < staged.len() {
-                    prop_assert!(ps.begin_decode(&staged[..cut], planes, plane_bytes).is_err());
+            // Truncations and trailing bytes must be rejected, never panic.
+            for cut in [0, reference.len() / 2, reference.len().saturating_sub(1)] {
+                if cut < reference.len() {
+                    prop_assert!(s.begin_decode(&reference[..cut], planes, plane_bytes).is_err());
                 }
             }
+            let long = [&reference[..], &[0]].concat();
+            prop_assert!(s.begin_decode(&long, planes, plane_bytes).is_err());
+        }
+
+        /// The compiled-in line kernels (AVX-512 where enabled) agree with
+        /// the scalar reference kernels on random and sparse lines.
+        #[test]
+        fn line_kernels_match_scalar(seed: u64, zero_every in 1u64..9) {
+            let l: [u8; 64] = sparse_bytes(64, seed, zero_every).try_into().unwrap();
+            let (mut got, mut want) = ([0u8; 64], [0u8; 64]);
+            let (mask, n) = line::compress64(&l, &mut got);
+            prop_assert_eq!(line::compress64_scalar(&l, &mut want), (mask, n));
+            prop_assert_eq!(&got[..n], &want[..n]);
+            let (mut ex, mut ex_ref) = ([0xAAu8; 64], [0x55u8; 64]);
+            line::expand64(mask, &got[..n], &mut ex);
+            line::expand64_scalar(mask, &got[..n], &mut ex_ref);
+            prop_assert_eq!(ex, ex_ref);
+            prop_assert_eq!(ex, l);
         }
 
         #[test]
@@ -1008,19 +886,7 @@ mod tests {
             let mut bitmap = Vec::new();
             let mut data = Vec::new();
             build_nonrepeat_into(&src, &mut bitmap, &mut data);
-            // Reference: one byte at a time.
-            let mut nb = vec![0u8; bitmap_len(src.len())];
-            let mut nd = Vec::new();
-            let mut prev = 0u8;
-            for (i, &b) in src.iter().enumerate() {
-                if b != prev {
-                    nb[i >> 3] |= 1 << (i & 7);
-                    nd.push(b);
-                }
-                prev = b;
-            }
-            prop_assert_eq!(&bitmap, &nb);
-            prop_assert_eq!(&data, &nd);
+            prop_assert_eq!((bitmap, data), ref_flags(&src, true));
         }
     }
 }

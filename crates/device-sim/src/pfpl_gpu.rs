@@ -8,17 +8,11 @@
 //! * quantization is embarrassingly parallel; delta encoding reads only
 //!   inputs; the bit shuffle runs at warp granularity with
 //!   `log2(wordsize)` butterfly shuffle steps;
-//! * on the encode side the transpose is fused with zero-elimination:
-//!   each warp's per-plane output words stream straight into the bitmap +
-//!   compaction sink ([`pfpl::lossless::zeroelim::PlaneScratch`], shared
-//!   with the CPU fused kernel) without materializing the shuffled chunk;
-//!   the staged block path remains for partial chunks. The decoder keeps
-//!   its block-wide-scan structure — the paper's GPU decoder needs the
-//!   block-level prefix sum, and a tile-sequential carry would not map to
-//!   device threads;
-//! * staged zero-elimination bitmaps are built one byte (8 input bytes)
-//!   per thread without atomics; output compaction uses block-wide
-//!   exclusive scans with per-thread pre-reduction;
+//! * zero-elimination bitmaps are built one byte (8 input bytes) per
+//!   thread without atomics; output compaction uses block-wide exclusive
+//!   scans with per-thread pre-reduction. The encoder uses no CPU
+//!   zero-elimination code, so the byte-identity tests compare two
+//!   independent encoders;
 //! * the cumulative compressed size is propagated between blocks with
 //!   decoupled look-back, and each block writes its payload into device
 //!   memory at its exclusive-prefix offset;
@@ -213,9 +207,6 @@ struct EncodeScratch<F: PfplFloat> {
     /// Final chunk payload (compressed or raw fallback).
     payload: Vec<u8>,
     ze: ZeBlockScratch,
-    /// Streaming zero-elimination sink for the fused transpose handoff
-    /// (shared with the CPU fused kernel, so the bytes match trivially).
-    pe: pfpl::lossless::zeroelim::PlaneScratch,
 }
 
 impl<F: PfplFloat> Default for EncodeScratch<F> {
@@ -226,7 +217,6 @@ impl<F: PfplFloat> Default for EncodeScratch<F> {
             shuffled: Vec::new(),
             payload: Vec::new(),
             ze: ZeBlockScratch::default(),
-            pe: pfpl::lossless::zeroelim::PlaneScratch::default(),
         }
     }
 }
@@ -262,44 +252,19 @@ where
         s.deltas.push(negabinary::encode(s.words[i].wrapping_sub(prev)));
     }
 
-    // Bit shuffle + zero-elimination. For whole-64-word multiples (every
-    // full chunk) the two stages are fused: each warp-transpose plane word
-    // streams straight into the zero-elimination sink — the chunk-wide
-    // shuffled buffer is never materialized, mirroring the CPU fused
-    // kernel (§III-E). The 64-multiple requirement keeps each plane's
-    // bitmap extent on whole bytes; other shapes (only possible for a
-    // partial final chunk) keep the staged warp/scalar path, which emits
-    // identical bytes by construction.
+    // Bit shuffle at warp granularity (scalar for a partial final chunk
+    // that is not whole groups), then zero-byte elimination with
+    // block-scan compaction.
     let n = s.deltas.len();
-    let enc_len = if n > 0 && n.is_multiple_of(64) {
-        let bits = F::Bits::BITS as usize;
-        s.pe.begin(bits, n / 8);
-        let (deltas, pe) = (&s.deltas, &mut s.pe);
-        let mut piece = [0u8; 8];
-        for group in deltas.chunks_exact(bits) {
-            F::Bits::warp_transpose(group, |p, t| {
-                t.write_le(&mut piece[..word_bytes]);
-                pe.push(p, &piece[..word_bytes]);
-            });
-        }
-        let enc_len = pe.finish_encode();
-        s.payload.clear();
-        if enc_len < raw_len {
-            s.pe.append_to(&mut s.payload);
-        }
-        enc_len
+    s.shuffled.resize(raw_len, 0);
+    if n > 0 && n.is_multiple_of(F::Bits::BITS as usize) {
+        warp_bitshuffle::<F::Bits>(&s.deltas, &mut s.shuffled);
     } else {
-        s.shuffled.resize(raw_len, 0);
-        if n > 0 && n.is_multiple_of(F::Bits::BITS as usize) {
-            warp_bitshuffle::<F::Bits>(&s.deltas, &mut s.shuffled);
-        } else {
-            shuffle::encode(&s.deltas, &mut s.shuffled);
-        }
-        // Zero-byte elimination with block-scan compaction.
-        s.payload.clear();
-        zeroelim_block(&s.shuffled, &mut s.ze, &mut s.payload);
-        s.payload.len()
-    };
+        shuffle::encode(&s.deltas, &mut s.shuffled);
+    }
+    s.payload.clear();
+    zeroelim_block(&s.shuffled, &mut s.ze, &mut s.payload);
+    let enc_len = s.payload.len();
 
     if enc_len >= raw_len {
         // Raw fallback: emit the original values unchanged (bulk
@@ -540,13 +505,8 @@ where
         F::Bits::read_slice_le(payload, &mut s.words);
         return Ok(());
     }
-    let used = pfpl::lossless::zeroelim::decode_into(payload, raw_len, &mut s.ze, &mut s.bytes)?;
-    if used != payload.len() {
-        return Err(Error::Corrupt(format!(
-            "chunk payload has {} trailing bytes",
-            payload.len() - used
-        )));
-    }
+    // Rejects truncated payloads and trailing bytes alike.
+    pfpl::lossless::zeroelim::decode_into(payload, raw_len, &mut s.ze, &mut s.bytes)?;
     if nvals > 0 && nvals.is_multiple_of(F::Bits::BITS as usize) {
         warp_bitunshuffle(&s.bytes, &mut s.words);
     } else {

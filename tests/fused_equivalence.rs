@@ -8,8 +8,8 @@
 //! [`ChunkInfo`], identical raw-fallback decisions, and bit-identical
 //! decoded values — across quantizers, precisions, chunk lengths
 //! (full / tile-multiple partial / arbitrary partial), special values,
-//! and the device-sim backend (whose warp transpose feeds the same
-//! streaming zero-elimination sink).
+//! and the device-sim backend (an independent warp transpose and
+//! block-scan zero-elimination that must produce the same bytes).
 
 use pfpl::chunk::{self, ChunkInfo, Scratch, CHUNK_BYTES};
 use pfpl::float::PfplFloat;
@@ -78,7 +78,9 @@ fn noise_f32(n: usize) -> Vec<f32> {
 /// (staged fallback; dispatch must still agree with the forced-staged
 /// oracle trivially — asserting it guards the dispatch predicate itself).
 fn lengths(vpc: usize) -> Vec<usize> {
-    vec![vpc, vpc - 512, 512, 1024, 0, 1, 7, 123, 511, 513, vpc - 1]
+    // `vpc - 32`, 32 and 544 are whole transpose groups but not whole
+    // tiles: the staged shuffle runs its scalar path for them.
+    vec![vpc, vpc - 512, 512, 1024, 0, 1, 7, 123, 511, 513, vpc - 1, vpc - 32, 32, 544]
 }
 
 #[test]

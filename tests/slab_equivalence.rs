@@ -89,6 +89,11 @@ fn known_shapes_identical_across_paths() {
         smooth(vpc),         // exactly one chunk
         smooth(vpc + 1),     // one full chunk + 1-value tail
         smooth(10 * vpc),    // many full chunks
+        // Tails of whole transpose groups that are not whole tiles: the
+        // CPU shuffle runs its scalar path, device-sim its warp transpose.
+        smooth(vpc + 32),
+        smooth(vpc + 544),
+        smooth(2 * vpc - 32),
         noise(3 * vpc + 17), // raw chunks exercise the fallback path
         {
             let mut mixed = smooth(4 * vpc);
