@@ -215,8 +215,8 @@ fn info(o: &Opts) -> Result<String, CliError> {
 
 /// `verify -a <archive>`: archive-only integrity check against the stored
 /// checksums (v2). With `-i <raw floats>` it additionally decompresses and
-/// measures the reconstruction error against the original data. Either
-/// failure exits nonzero with a per-chunk damage report.
+/// checks every value against the original data. Either failure exits
+/// nonzero, with a per-chunk damage report or the first violating value.
 fn verify(o: &Opts) -> Result<String, CliError> {
     let arch_path = o.require("-a").map_err(CliError::usage)?;
     let archive = read_file(arch_path)?;
@@ -235,37 +235,28 @@ fn verify(o: &Opts) -> Result<String, CliError> {
     let Some(input) = o.get("-i") else {
         return Ok(format!("OK: {arch_path}: {}", report.summary()));
     };
-    bound_check(input, arch_path, &archive, toc.header)
-}
-
-/// The data-vs-archive half of `verify`: decode and measure the actual
-/// maximum error against the original values.
-fn bound_check(input: &str, arch_path: &str, archive: &[u8], h: Header) -> Result<String, CliError> {
-    let eb = h.user_bound;
-    let metric = h.kind.name();
-    let (max_err, n) = match h.precision {
-        Precision::Single => max_error::<f32>(input, arch_path, archive, h.kind)?,
-        Precision::Double => max_error::<f64>(input, arch_path, archive, h.kind)?,
-    };
-    if max_err <= eb {
-        Ok(format!(
-            "OK: {n} values, max {metric} error {max_err:.6e} <= bound {eb:.6e}"
-        ))
-    } else {
-        Err(CliError::runtime(format!(
-            "BOUND VIOLATED: max {metric} error {max_err:.6e} > bound {eb:.6e}"
-        )))
+    let h = toc.header;
+    match h.precision {
+        Precision::Single => bound_check::<f32>(input, arch_path, &archive, &h)?,
+        Precision::Double => bound_check::<f64>(input, arch_path, &archive, &h)?,
     }
+    Ok(format!(
+        "OK: {} values within {} bound {:.6e}",
+        h.count,
+        h.kind.name(),
+        h.user_bound
+    ))
 }
 
-/// Decode `archive` as `F` and return its maximum `kind` error against
-/// the raw values in `input`, and the value count.
-fn max_error<F: PfplFloat>(
+/// The data-vs-archive half of `verify`: decode `archive` as `F` and
+/// check it value by value against the raw values in `input` under the
+/// bound its header records ([`pfpl::exact::check_bound`]).
+fn bound_check<F: PfplFloat>(
     input: &str,
     arch_path: &str,
     archive: &[u8],
-    kind: BoundKind,
-) -> Result<(f64, usize), CliError> {
+    h: &Header,
+) -> Result<(), CliError> {
     let orig = read_values::<F>(input)?;
     let recon: Vec<F> = pfpl::decompress(archive, Mode::Parallel)
         .map_err(|e| CliError::runtime(format!("{arch_path}: {e}")))?;
@@ -276,8 +267,13 @@ fn max_error<F: PfplFloat>(
             recon.len()
         )));
     }
-    let wide = |v: &[F]| v.iter().map(|x| x.to_f64()).collect::<Vec<f64>>();
-    Ok((measure(&wide(&orig), &wide(&recon), kind), orig.len()))
+    let bound = match h.kind {
+        BoundKind::Abs => ErrorBound::Abs(h.user_bound),
+        BoundKind::Rel => ErrorBound::Rel(h.user_bound),
+        BoundKind::Noa => ErrorBound::Noa(h.user_bound),
+    };
+    pfpl::exact::check_bound(bound, h, &orig, &recon)
+        .map_err(|e| CliError::runtime(format!("BOUND VIOLATED: {e}")))
 }
 
 /// `salvage -i <archive> -o <raw floats>`: decode everything that still
@@ -345,44 +341,6 @@ fn fuzz(o: &Opts) -> Result<String, CliError> {
                 .join("\n")
         )))
     }
-}
-
-fn measure(orig: &[f64], recon: &[f64], kind: BoundKind) -> f64 {
-    let mut max = 0.0f64;
-    match kind {
-        BoundKind::Abs => {
-            for (a, b) in orig.iter().zip(recon) {
-                if a.is_finite() {
-                    max = max.max((a - b).abs());
-                }
-            }
-        }
-        BoundKind::Rel => {
-            for (a, b) in orig.iter().zip(recon) {
-                if a.is_finite() && *a != 0.0 {
-                    max = max.max(((a - b) / a).abs());
-                }
-            }
-        }
-        BoundKind::Noa => {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &a in orig {
-                if a.is_finite() {
-                    lo = lo.min(a);
-                    hi = hi.max(a);
-                }
-            }
-            let range = hi - lo;
-            if range > 0.0 {
-                for (a, b) in orig.iter().zip(recon) {
-                    if a.is_finite() {
-                        max = max.max((a - b).abs() / range);
-                    }
-                }
-            }
-        }
-    }
-    max
 }
 
 /// Map the ErrorBound constructor choices (shared with `opts`).

@@ -18,7 +18,12 @@
 //! is always correct) in the pathological overflow/underflow regimes.
 //!
 //! Everything here uses only IEEE add/sub/mul — bit-deterministic across
-//! devices.
+//! devices. [`check_bound`] applies these checks to a whole decode: it is
+//! the one per-value verdict the CLI's `verify -i` and the fuzz oracle use.
+
+use crate::container::Header;
+use crate::float::{bound_toward_zero, PfplFloat, Word};
+use crate::types::ErrorBound;
 
 /// Exact sum: returns `(s, e)` with `s = fl(a+b)` and `s + e = a + b`
 /// exactly (absent overflow). Knuth's TwoSum, branch-free.
@@ -118,6 +123,11 @@ const TINY: f64 = 3.054936363499605e-151; // 2^-500
 /// Exact scale factor 2^600 (power-of-two multiplications are exact in the
 /// ranges we use them).
 const SCALE_UP: f64 = 4.149515568880993e180; // 2^600
+/// 2^500: REL magnitudes above this are rescaled before verification
+/// (see [`check_bound`]).
+const HUGE_MAG: f64 = 3.273390607896142e150;
+/// Exact scale factor 2^-600.
+const SCALE_DOWN: f64 = 2.409919865102884e-181;
 /// TwoProd results above this may have suffered overflow inside the split.
 const HUGE: f64 = 1e290;
 /// TwoProd results below this (after rescue scaling) risk denormal residuals.
@@ -180,9 +190,98 @@ pub fn rel_within_mag_f32(a: f32, b: f32, eb: f32) -> bool {
     dd_abs_le(ds, de, bound)
 }
 
+/// The per-value guarantee, decided exactly: does `got` reconstruct `orig`
+/// within `bound`, for an archive whose header is `header`?
+///
+/// * bit-identical values pass;
+/// * a NaN must come back as the same NaN, except that REL returns a
+///   negative NaN as its positive twin (REL bins live in the negative-NaN
+///   range);
+/// * other non-finite values must come back bit-identical;
+/// * ABS and NOA: `|v - r| <= eb` ([`PfplFloat::abs_within`]);
+/// * REL: the same sign and `|v - r| <= eb * |v|` on magnitudes
+///   ([`PfplFloat::rel_within_mag`], after an exact rescale when `|v|`
+///   exceeds 2^500, where that check turns conservative).
+///
+/// `eb` is the header's derived bound, the one the quantizer enforced. For
+/// ABS and REL a derived bound looser than the requested bound rounded
+/// toward zero into `F` is itself a failure, and every derived bound must
+/// be finite and non-negative. The error names the first violating value.
+///
+/// The verdict is exact for every ABS and NOA bound and for every REL
+/// bound up to 1e100; above that a REL value within the bound may be
+/// reported as a violation, never the other way round.
+pub fn check_bound<F: PfplFloat>(
+    bound: ErrorBound,
+    header: &Header,
+    orig: &[F],
+    got: &[F],
+) -> Result<(), String> {
+    let derived = header.derived_bound;
+    let limit = match bound {
+        ErrorBound::Abs(user) | ErrorBound::Rel(user) => bound_toward_zero::<F>(user).to_f64(),
+        ErrorBound::Noa(_) => f64::MAX,
+    };
+    if header.kind != bound.kind() || !(derived.is_finite() && derived >= 0.0 && derived <= limit) {
+        return Err(format!(
+            "header {} bound {derived} is not within the requested {bound:?}",
+            header.kind.name()
+        ));
+    }
+    let eb = bound_toward_zero::<F>(derived);
+    if orig.len() != got.len() {
+        return Err(format!(
+            "{} values decoded, {} compressed",
+            got.len(),
+            orig.len()
+        ));
+    }
+    let sign = F::SIGN_MASK.to_u64();
+    for (i, (&v, &r)) in orig.iter().zip(got).enumerate() {
+        let (vb, rb) = (v.to_bits().to_u64(), r.to_bits().to_u64());
+        if vb == rb {
+            continue;
+        }
+        let ok = if v.is_nan() {
+            matches!(bound, ErrorBound::Rel(_)) && vb & sign != 0 && rb == vb & !sign
+        } else if !v.is_finite() || !r.is_finite() {
+            false
+        } else {
+            match bound {
+                ErrorBound::Abs(_) | ErrorBound::Noa(_) => F::abs_within(v, r, eb),
+                ErrorBound::Rel(_) => {
+                    v.is_sign_negative() == r.is_sign_negative()
+                        && rel_within_scaled(v.abs(), r.abs(), eb)
+                }
+            }
+        };
+        if !ok {
+            return Err(format!("value {i}: {v:?} decoded as {r:?}, bound {eb:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// [`PfplFloat::rel_within_mag`], exact for magnitudes `a` above 2^500
+/// too. There `eb * a` nears the range where the Dekker split overflows,
+/// so the check rejects conservatively — right for the quantizer (the
+/// value is stored losslessly) but wrong for a verifier. Scaling both
+/// magnitudes by 2^-600 is exact, except that a `b` below 2^-422 may round;
+/// then `b < a * 2^-922`, and the verdict (`eb >= 1`) is the same for
+/// every such `b`. Only `f64` reaches the scaled branch.
+fn rel_within_scaled<F: PfplFloat>(a: F, b: F, eb: F) -> bool {
+    if a.to_f64() > HUGE_MAG {
+        let (a, b) = (a.to_f64() * SCALE_DOWN, b.to_f64() * SCALE_DOWN);
+        rel_within_mag_f64(a, b, eb.to_f64())
+    } else {
+        F::rel_within_mag(a, b, eb)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Precision;
     use proptest::prelude::*;
 
     #[test]
@@ -315,6 +414,111 @@ mod tests {
         assert!(!rel_within_mag_f32(a, b2, eb));
     }
 
+    /// `check_bound` of one value pair under `bound`, with the header an
+    /// honest encoder writes for it.
+    fn check_one<F: PfplFloat>(bound: ErrorBound, v: F, r: F) -> Result<(), String> {
+        let derived = bound_toward_zero::<F>(bound.value()).to_f64();
+        let header = Header::new(F::PRECISION, bound, derived, false, 1).unwrap();
+        check_bound(bound, &header, &[v], &[r])
+    }
+
+    #[test]
+    fn check_bound_rejects_pairs_rounded_checks_accept() {
+        let rel = ErrorBound::Rel(1e-3);
+        // 0x1.d7f8188750097p+5 -> 0x1.d77f458f5e8c8p+5 passes
+        // `((v - r) / v).abs() <= eb` in f64.
+        let (v, r) = (
+            f64::from_bits(0x404D_7F81_8875_0097),
+            f64::from_bits(0x404D_77F4_58F5_E8C8),
+        );
+        assert!(((v - r) / v).abs() <= 1e-3);
+        assert!(check_one(rel, v, r).is_err());
+        // 0x1.f878e64f0e507p+5 -> 0x1.f7f7c136e9b12p+5 passes
+        // `(v - r).abs() <= eb * v.abs()` in f64.
+        let (v, r) = (
+            f64::from_bits(0x404F_878E_64F0_E507),
+            f64::from_bits(0x404F_7F7C_136E_9B12),
+        );
+        assert!((v - r).abs() <= 1e-3 * v.abs());
+        assert!(check_one(rel, v, r).is_err());
+        assert!(check_one(rel, v, v).is_ok());
+    }
+
+    #[test]
+    fn check_bound_rel_is_exact_at_huge_magnitudes() {
+        assert_eq!(HUGE_MAG * TINY, 1.0);
+        assert_eq!(SCALE_DOWN * SCALE_UP, 1.0);
+        // 6.366342220030589e300 -> 6.366342224900336e300 is within
+        // REL 1e-9 (7.6e-10 relative), but `eb * a` is past the split's
+        // safe range, so the quantizer's check rejects it.
+        let (v, r) = (
+            f64::from_bits(0x7E63_0341_BD28_CC20),
+            f64::from_bits(0x7E63_0341_BD67_4292),
+        );
+        assert!(!rel_within_mag_f64(v, r, 1e-9));
+        assert!(check_one(ErrorBound::Rel(1e-9), v, r).is_ok());
+        assert!(check_one(ErrorBound::Rel(1e-10), v, r).is_err());
+        assert!(check_one(ErrorBound::Rel(1e-9), -v, -r).is_ok());
+        assert!(check_one(ErrorBound::Rel(1e-9), f64::MAX, f64::from_bits(1)).is_err());
+        assert!(check_one(ErrorBound::Rel(1.0), f64::MAX, f64::from_bits(1)).is_ok());
+    }
+
+    #[test]
+    fn check_bound_signed_zero() {
+        let (rel, abs) = (ErrorBound::Rel(1e-3), ErrorBound::Abs(1e-3));
+        assert!(check_one(rel, 0.0f32, 0.0).is_ok());
+        assert!(check_one(rel, 0.0f32, -0.0).is_err());
+        assert!(check_one(rel, -0.0f64, 0.0).is_err());
+        assert!(check_one(abs, 0.0f32, -0.0).is_ok());
+        assert!(check_one(abs, -0.0f64, 0.0).is_ok());
+    }
+
+    #[test]
+    fn check_bound_nan_and_infinities() {
+        let (rel, abs) = (ErrorBound::Rel(1e-3), ErrorBound::Abs(1e-3));
+        let nan = f32::from_bits(0x7FC0_0001);
+        let neg_nan = f32::from_bits(0xFFC0_0001);
+        for b in [rel, abs, ErrorBound::Noa(1e-3)] {
+            assert!(check_one(b, nan, nan).is_ok());
+            assert!(check_one(b, nan, f32::from_bits(0x7FC0_0002)).is_err());
+            assert!(check_one(b, nan, neg_nan).is_err());
+            assert!(check_one(b, f32::INFINITY, f32::INFINITY).is_ok());
+            assert!(check_one(b, f32::INFINITY, f32::MAX).is_err());
+            assert!(check_one(b, f32::NEG_INFINITY, f32::INFINITY).is_err());
+            assert!(check_one(b, 1.0, f32::INFINITY).is_err());
+        }
+        // Only REL may return a negative NaN as its positive twin.
+        assert!(check_one(rel, neg_nan, nan).is_ok());
+        assert!(check_one(abs, neg_nan, nan).is_err());
+        let neg_nan64 = f64::from_bits(0xFFF8_0000_0000_0001);
+        assert!(check_one(rel, neg_nan64, neg_nan64.abs()).is_ok());
+        assert!(check_one(abs, neg_nan64, neg_nan64.abs()).is_err());
+    }
+
+    #[test]
+    fn check_bound_header_and_lengths() {
+        let abs = ErrorBound::Abs(1e-3);
+        let honest = bound_toward_zero::<f32>(1e-3).to_f64();
+        let loose = f32::from_bits(bound_toward_zero::<f32>(1e-3).to_bits() + 1).to_f64();
+        let h = |b, d| Header::new(Precision::Single, b, d, false, 2).unwrap();
+        let (v, r) = ([1.0f32, 2.0], [1.0005f32, 2.0]);
+        assert!(check_bound(abs, &h(abs, honest), &v, &r).is_ok());
+        assert!(check_bound(abs, &h(abs, loose), &v, &r).is_err());
+        let rel = ErrorBound::Rel(1e-3);
+        assert!(check_bound(rel, &h(rel, loose), &v, &v).is_err());
+        assert!(check_bound(rel, &h(abs, honest), &v, &v).is_err());
+        // NOA: the derived bound is authoritative.
+        let noa = ErrorBound::Noa(1e-3);
+        assert!(check_bound(noa, &h(noa, 1e-3), &v, &r).is_ok());
+        assert!(check_bound(noa, &h(noa, 1e-4), &v, &r).is_err());
+        assert!(check_bound(noa, &h(noa, f64::NAN), &v, &v).is_err());
+        let inf = ErrorBound::Abs(f64::INFINITY);
+        assert!(check_bound(inf, &h(inf, f64::INFINITY), &v, &v).is_err());
+        assert!(check_bound(abs, &h(abs, honest), &v, &r[..1]).is_err());
+        let err = check_bound(abs, &h(abs, honest), &v, &[1.0, 2.1]).unwrap_err();
+        assert!(err.starts_with("value 1:"), "{err}");
+    }
+
     /// Reference exact ABS comparison by aligning mantissas in i128
     /// (valid when exponents are within ~60 of each other).
     fn ref_abs_within(v: f64, r: f64, eb: f64) -> Option<bool> {
@@ -367,6 +571,33 @@ mod tests {
             let lhs = (a as f64 - b as f64).abs();
             let rhs = eb as f64 * a as f64;
             prop_assert_eq!(accepted, lhs <= rhs);
+        }
+
+        #[test]
+        fn rel_check_matches_integer_reference_at_huge_magnitudes(
+            ma in (1u64 << 52)..(1u64 << 53),
+            xa in 900i32..971,
+            me in 1u64..(1 << 20),
+            xe in -45i32..-20,
+            ulps in -4i64..5,
+            above: bool,
+        ) {
+            // a = ma 2^xa, eb = me 2^xe, b = mb 2^xb.
+            let a = ma as f64 * 2f64.powi(xa);
+            let eb = me as f64 * 2f64.powi(xe);
+            // `b` on the boundary `a * (1 ± eb)`, give or take a few ulps.
+            let edge = if above { a + a * eb } else { a - a * eb };
+            let b = f64::from_bits((edge.to_bits() as i64 + ulps) as u64);
+            let mb = b.to_bits() & ((1 << 52) - 1) | 1 << 52;
+            let xb = (b.to_bits() >> 52) as i32 - 1075;
+            // |a - b| <= eb a in units of 2^(xe + xa): |ma 2^-xe - mb 2^(xb-xe-xa)| <= me ma.
+            let shift_b = xb - xe - xa;
+            prop_assume!((0..64).contains(&shift_b));
+            let diff = ((ma as i128) << -xe) - ((mb as i128) << shift_b);
+            let want = diff.unsigned_abs() <= me as u128 * ma as u128;
+            let header = Header::new(Precision::Double, ErrorBound::Rel(eb), eb, false, 1).unwrap();
+            prop_assert_eq!(check_bound(ErrorBound::Rel(eb), &header, &[a], &[b]).is_ok(), want,
+                "a={:e} b={:e} eb={:e}", a, b, eb);
         }
 
         #[test]

@@ -14,8 +14,7 @@
 //! * [`lz`] — greedy hash-chain LZ77 with Huffman-coded literals and
 //!   match headers ("deflate-lite", the ZSTD/GZIP stand-in);
 //! * [`rans`] — a 12-bit static rANS coder (the FSE-style entropy stage
-//!   of ZSTD), for sub-bit-per-symbol coding of heavily skewed streams;
-//! * [`rle`] — simple byte run-length coding used by a few baselines.
+//!   of ZSTD), for sub-bit-per-symbol coding of heavily skewed streams.
 
 #![warn(missing_docs)]
 
@@ -23,7 +22,6 @@ pub mod bitio;
 pub mod huffman;
 pub mod lz;
 pub mod rans;
-pub mod rle;
 
 /// Errors produced by the entropy codecs.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,7 +22,7 @@ use pfpl::container::{payload_checksum, Toc};
 use pfpl::engine::ArchiveReader;
 use pfpl::float::PfplFloat;
 use pfpl::salvage::{ChunkStatus, SalvageReport};
-use pfpl::types::{ErrorBound, Mode};
+use pfpl::types::Mode;
 use pfpl::Error;
 use pfpl_device_sim::pfpl_gpu::{GpuDevice, WarpTranspose};
 use rng::Rng;
@@ -280,46 +280,20 @@ where
 
 /// Verify the paper's guarantee value-by-value on a clean decode: every
 /// reconstructed value is bit-exact (lossless fallback, specials,
-/// passthrough) or within the bound the archive was compressed under.
+/// passthrough) or within the bound the archive was compressed under,
+/// decided exactly by [`pfpl::exact::check_bound`].
 fn verify_bound<F: PfplFloat>(case: &Case<F>, decoded: &[F], report: &mut FuzzReport) {
     let Ok(Toc { header, .. }) = Toc::read(&case.archive) else {
         report.mismatches += 1;
         report.fail("clean archive failed to re-parse".into());
         return;
     };
-    if decoded.len() != case.data.len() {
+    if let Err(e) = pfpl::exact::check_bound(case.bound, &header, &case.data, decoded) {
         report.bound_violations += 1;
         report.fail(format!(
-            "clean decode returned {} values, input had {}",
-            decoded.len(),
-            case.data.len()
+            "bound violated: {e} under {:?} (pattern {:?})",
+            case.bound, case.pattern
         ));
-        return;
-    }
-    let eb = case.bound.value();
-    for (i, (a, b)) in case.data.iter().zip(decoded).enumerate() {
-        if a.to_bits() == b.to_bits() {
-            continue;
-        }
-        let (av, bv) = (a.to_f64(), b.to_f64());
-        let within = match case.bound {
-            // The user bound is authoritative: the derived bound is
-            // rounded toward zero, so checking against `eb` is exact.
-            ErrorBound::Abs(_) => (av - bv).abs() <= eb,
-            ErrorBound::Rel(_) => (av - bv).abs() <= eb * av.abs(),
-            // NOA: the header's derived bound is the ABS bound the
-            // quantizer actually enforced (eb * range, rounded toward
-            // zero) — exact, with no range-recomputation rounding.
-            ErrorBound::Noa(_) => (av - bv).abs() <= header.derived_bound,
-        };
-        if !within {
-            report.bound_violations += 1;
-            report.fail(format!(
-                "bound violated at value {i}: {av} -> {bv} under {:?} (pattern {:?})",
-                case.bound, case.pattern
-            ));
-            return;
-        }
     }
 }
 
