@@ -355,12 +355,11 @@ fn decompress_impl<F: PfplFloat>(archive: &[u8]) -> Result<Vec<F>> {
             if syms.len() != rows * rest {
                 return Err(BaselineError::Corrupt("block symbol count".into()));
             }
-            parsed.push((syms, outliers));
+            parsed.push((syms, outliers, rows));
         }
         let decoded: Vec<Result<Vec<F>>> = parsed
             .par_iter()
-            .zip(&pieces)
-            .map(|((syms, outliers), &(_, rows))| {
+            .map(|&(ref syms, ref outliers, rows)| {
                 let mut sub = h.dims.clone();
                 sub[0] = rows;
                 decode_block(syms, &sub, outliers, h.param)

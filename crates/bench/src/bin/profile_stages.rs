@@ -23,8 +23,36 @@ use pfpl::quantize::AbsQuantizer;
 use pfpl::types::{ErrorBound, Mode};
 use pfpl_data::timing::{median_seconds, throughput_gbs};
 use std::hint::black_box;
+use std::time::Instant;
 
 const BOUND: f64 = 1e-3;
+
+/// Median seconds of `a` and of `b` over `runs` runs each, timed
+/// interleaved (a, b, a, b, ...) so slow clock drift on a shared host hits
+/// both paths equally instead of skewing their ratio — the ratios are CI
+/// gates, so they must not absorb ambient noise. Both run on `state`.
+fn interleaved_medians<S>(
+    runs: usize,
+    state: &mut S,
+    mut a: impl FnMut(&mut S),
+    mut b: impl FnMut(&mut S),
+) -> (f64, f64) {
+    assert!(runs >= 1);
+    let (mut ta, mut tb) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+    for _ in 0..runs {
+        let t0 = Instant::now();
+        a(state);
+        ta.push(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        b(state);
+        tb.push(t0.elapsed().as_secs_f64());
+    }
+    let median = |mut ts: Vec<f64>| {
+        ts.sort_by(|x, y| x.total_cmp(y));
+        ts[ts.len() / 2]
+    };
+    (median(ta), median(tb))
+}
 
 fn main() {
     let mut values: usize = 4096 * 1024;
@@ -63,6 +91,7 @@ fn main() {
     // ---- fused vs staged chunk kernels ----------------------------------
     // Same chunking, same scratch reuse; the only difference is one pass
     // through L1-resident tiles versus four passes through 16 KiB buffers.
+    // Each pair is timed interleaved, fused then staged, run by run.
     let mut cscratch = chunk::Scratch::<f32>::default();
     let mut cout = Vec::with_capacity(bytes);
     // One untimed pass of each kernel first: the fused kernel is the first
@@ -78,18 +107,22 @@ fn main() {
             &mut cout,
         ));
     }
-    let t_ck_fused = median_seconds(runs, || {
-        cout.clear();
-        for c in vals.chunks(vpc) {
-            black_box(chunk::compress_chunk(&q, c, &mut cscratch, &mut cout));
-        }
-    });
-    let t_ck_staged = median_seconds(runs, || {
-        cout.clear();
-        for c in vals.chunks(vpc) {
-            black_box(chunk::compress_chunk_staged(&q, c, &mut cscratch, &mut cout));
-        }
-    });
+    let (t_ck_fused, t_ck_staged) = interleaved_medians(
+        runs,
+        &mut (&mut cscratch, &mut cout),
+        |(s, out)| {
+            out.clear();
+            for c in vals.chunks(vpc) {
+                black_box(chunk::compress_chunk(&q, c, s, out));
+            }
+        },
+        |(s, out)| {
+            out.clear();
+            for c in vals.chunks(vpc) {
+                black_box(chunk::compress_chunk_staged(&q, c, s, out));
+            }
+        },
+    );
     let chunk_payloads: Vec<(Vec<u8>, chunk::ChunkInfo, usize)> = vals
         .chunks(vpc)
         .map(|c| {
@@ -99,17 +132,20 @@ fn main() {
         })
         .collect();
     let mut cvals = vec![0f32; vpc];
-    let t_ck_dec_fused = median_seconds(runs, || {
-        for (p, info, n) in &chunk_payloads {
-            chunk::decompress_chunk(&q, p, info.raw, &mut cvals[..*n], &mut cscratch).unwrap();
-        }
-    });
-    let t_ck_dec_staged = median_seconds(runs, || {
-        for (p, info, n) in &chunk_payloads {
-            chunk::decompress_chunk_staged(&q, p, info.raw, &mut cvals[..*n], &mut cscratch)
-                .unwrap();
-        }
-    });
+    let (t_ck_dec_fused, t_ck_dec_staged) = interleaved_medians(
+        runs,
+        &mut (&mut cvals, &mut cscratch),
+        |(v, s)| {
+            for (p, info, n) in &chunk_payloads {
+                chunk::decompress_chunk(&q, p, info.raw, &mut v[..*n], s).unwrap();
+            }
+        },
+        |(v, s)| {
+            for (p, info, n) in &chunk_payloads {
+                chunk::decompress_chunk_staged(&q, p, info.raw, &mut v[..*n], s).unwrap();
+            }
+        },
+    );
 
     // ---- end to end ------------------------------------------------------
     let bound = ErrorBound::Abs(BOUND);
@@ -124,28 +160,19 @@ fn main() {
 
     // ---- integrity: checksum tax and salvage throughput ------------------
     // `decompress` verifies every chunk against the v2 checksum table by
-    // default; `decompress_unverified` isolates the tax. The two are timed
-    // interleaved (verified, unverified, verified, ...) so slow clock drift
-    // on a shared host hits both paths equally instead of skewing the
-    // ratio — the tax is a CI gate, so it must not absorb ambient noise.
-    let (t_dec_verified, t_dec_unverified) = {
-        black_box(pfpl::decompress::<f32>(&archive, Mode::Serial).unwrap());
-        black_box(pfpl::decompress_unverified::<f32>(&archive, Mode::Serial).unwrap());
-        let (mut tv, mut tu) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
-        for _ in 0..runs {
-            let t0 = std::time::Instant::now();
+    // default; `decompress_unverified` isolates the tax.
+    black_box(pfpl::decompress::<f32>(&archive, Mode::Serial).unwrap());
+    black_box(pfpl::decompress_unverified::<f32>(&archive, Mode::Serial).unwrap());
+    let (t_dec_verified, t_dec_unverified) = interleaved_medians(
+        runs,
+        &mut (),
+        |()| {
             black_box(pfpl::decompress::<f32>(&archive, Mode::Serial).unwrap());
-            tv.push(t0.elapsed().as_secs_f64());
-            let t0 = std::time::Instant::now();
+        },
+        |()| {
             black_box(pfpl::decompress_unverified::<f32>(&archive, Mode::Serial).unwrap());
-            tu.push(t0.elapsed().as_secs_f64());
-        }
-        let med = |ts: &mut Vec<f64>| {
-            ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            ts[ts.len() / 2]
-        };
-        (med(&mut tv), med(&mut tu))
-    };
+        },
+    );
     let t_salvage = median_seconds(runs, || {
         black_box(pfpl::decompress_salvage::<f32>(&archive, Mode::Serial, 0.0f32).unwrap());
     });
@@ -170,10 +197,7 @@ fn main() {
             dec_by_threads.push_str(&format!("{sep}\"{t}\": \"skipped_oversubscribed\""));
             continue;
         }
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build_global()
-            .expect("configure pool size");
+        rayon::set_num_threads(t);
         let tc = median_seconds(runs, || {
             black_box(pfpl::compress(&vals, bound, Mode::Parallel).unwrap());
         });

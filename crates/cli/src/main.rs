@@ -66,10 +66,7 @@ fn main() -> ExitCode {
 fn run(argv: &[String]) -> Result<String, CliError> {
     let (cmd, opts) = Opts::parse(argv).map_err(CliError::usage)?;
     if let Some(n) = opts.threads().map_err(CliError::usage)? {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .map_err(|e| CliError::runtime(format!("--threads: {e}")))?;
+        rayon::set_num_threads(n);
     }
     match cmd.as_str() {
         "compress" => compress(&opts),

@@ -27,7 +27,6 @@ use crate::error::Result;
 use crate::float::{PfplFloat, Word};
 use crate::stats::CompressStats;
 use crate::types::{ErrorBound, Mode};
-use rayon::prelude::*;
 
 /// Compress a slice of values under the given error bound.
 ///
@@ -45,7 +44,7 @@ pub fn compress_with_stats<F: PfplFloat>(
     bound: ErrorBound,
     mode: Mode,
 ) -> Result<(Vec<u8>, CompressStats)> {
-    let codec = ChunkDecoder::from_bound(bound, data)?;
+    let codec = ChunkDecoder::from_bound(bound, data, mode)?;
     let header = codec.header(bound, data.len() as u64)?;
     let vpc = chunk::values_per_chunk::<F>();
     let nchunks = header.chunk_count as usize;
@@ -77,16 +76,13 @@ pub fn compress_with_stats<F: PfplFloat>(
             // digest each payload while it is hot in cache; a sequential
             // pass then compacts the slots into the final archive.
             let mut slab = vec![0u8; nchunks * CHUNK_BYTES];
-            let entries: Vec<ChunkEntry> = slab
-                .par_chunks_mut(CHUNK_BYTES)
-                .enumerate()
-                .map_init(Scratch::default, |scratch, (i, slot)| {
-                    let lo = i * vpc;
-                    let hi = data.len().min(lo + vpc);
-                    let (len, info) = codec.compress_chunk_into(&data[lo..hi], scratch, slot);
-                    ChunkEntry::new(i, &slot[..len], info)
-                })
-                .collect();
+            let work = |(i, slot): (usize, &mut [u8]), scratch: &mut Scratch<F>| {
+                let lo = i * vpc;
+                let hi = data.len().min(lo + vpc);
+                let (len, info) = codec.compress_chunk_into(&data[lo..hi], scratch, slot);
+                ChunkEntry::new(i, &slot[..len], info)
+            };
+            let entries: Vec<ChunkEntry> = map_chunks(&mut slab, mode, work);
             let mut archive = start_archive(&header, &entries);
             for (slot, e) in slab.chunks_exact(CHUNK_BYTES).zip(&entries) {
                 archive.extend_from_slice(&slot[..e.payload_len()]);
@@ -131,7 +127,7 @@ fn run_decompress<F: PfplFloat>(archive: &[u8], mode: Mode, verify: bool) -> Res
             reader.codec.decode_chunk(p, raw, vals, scratch)
         })
     };
-    map_chunks::<_, _, Result<Vec<()>>>(&mut out, mode, work)?;
+    map_chunks::<_, _, _, Result<Vec<()>>>(&mut out, mode, work)?;
     Ok(out)
 }
 

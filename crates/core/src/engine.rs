@@ -12,7 +12,7 @@
 //! * the header and tables: [`ChunkDecoder::header`] and [`start_archive`]
 //!   / [`patch_archive`] over per-chunk [`ChunkEntry`]s.
 
-use crate::chunk::{self, ChunkInfo, Scratch};
+use crate::chunk::{self, ChunkInfo, Scratch, CHUNK_BYTES};
 use crate::container::{
     chunk_offsets, patch_tables, payload_checksum, Header, Toc, RAW_FLAG, V2_HEADER_LEN,
 };
@@ -55,8 +55,9 @@ impl<F: PfplFloat> ChunkDecoder<F> {
     /// The codec that compresses `data` under `bound`: validates the
     /// bound, rounds it toward zero into `F` (so the guarantee holds for
     /// the user's `f64` value), and for NOA derives the absolute bound from
-    /// `data`'s range, falling back to passthrough when there is none.
-    pub fn from_bound(bound: ErrorBound, data: &[F]) -> Result<Self> {
+    /// `data`'s range — scanned under `mode` — falling back to passthrough
+    /// when there is none.
+    pub fn from_bound(bound: ErrorBound, data: &[F], mode: Mode) -> Result<Self> {
         let eb = bound.value();
         if !(eb > 0.0) || !eb.is_finite() {
             return Err(Error::InvalidErrorBound(format!(
@@ -67,7 +68,7 @@ impl<F: PfplFloat> ChunkDecoder<F> {
         Ok(match bound {
             ErrorBound::Abs(_) => ChunkDecoder::Abs(AbsQuantizer::new(eb_f)?),
             ErrorBound::Rel(_) => ChunkDecoder::Rel(RelQuantizer::new(eb_f)?),
-            ErrorBound::Noa(_) => match derive_noa_bound(data, eb_f) {
+            ErrorBound::Noa(_) => match derive_noa_bound(data, eb_f, mode) {
                 NoaBound::Abs(abs_eb) => ChunkDecoder::Abs(AbsQuantizer::new(abs_eb)?),
                 NoaBound::Passthrough => ChunkDecoder::Pass(PassthroughQuantizer),
             },
@@ -267,23 +268,25 @@ impl<'a, F: PfplFloat> ArchiveReader<'a, F> {
     }
 }
 
-/// Run `work` on each chunk of `out` with a per-worker scratch set — in
-/// order on this thread, or on the pool — and collect the results in
-/// chunk order (a serial `Result` collection stops at the first error).
-pub(crate) fn map_chunks<F: PfplFloat, R: Send, C: FromIterator<R>>(
-    out: &mut [F],
+/// Run `work` on each chunk's slot of `out` — [`CHUNK_BYTES`] of `T`, so
+/// one chunk of values or one chunk's slab slot — with a per-worker
+/// scratch set, in order on this thread or on the pool, and collect the
+/// results in chunk order (a serial `Result` collection stops at the
+/// first error).
+pub(crate) fn map_chunks<F: PfplFloat, T: Send, R: Send, C: FromIterator<R>>(
+    out: &mut [T],
     mode: Mode,
-    work: impl Fn((usize, &mut [F]), &mut Scratch<F>) -> R + Sync,
+    work: impl Fn((usize, &mut [T]), &mut Scratch<F>) -> R + Sync,
 ) -> C {
-    let vpc = chunk::values_per_chunk::<F>();
+    let slot = CHUNK_BYTES / std::mem::size_of::<T>();
     match mode {
         Mode::Serial => {
             let mut scratch = Scratch::default();
-            let chunks = out.chunks_mut(vpc).enumerate();
+            let chunks = out.chunks_mut(slot).enumerate();
             chunks.map(|item| work(item, &mut scratch)).collect()
         }
         Mode::Parallel => {
-            let chunks = out.par_chunks_mut(vpc).enumerate();
+            let chunks = out.par_chunks_mut(slot).enumerate();
             chunks
                 .map_init(Scratch::default, |s, item| work(item, s))
                 .collect()
@@ -365,23 +368,24 @@ mod tests {
     #[test]
     fn from_bound_picks_the_quantizer_and_rounds_toward_zero() {
         let smooth: Vec<f32> = (0..5000).map(|i| (i as f32 * 0.01).sin()).collect();
-        let abs = ChunkDecoder::from_bound(ErrorBound::Abs(0.1), &smooth).unwrap();
+        let abs = ChunkDecoder::from_bound(ErrorBound::Abs(0.1), &smooth, Mode::Serial).unwrap();
         assert!(matches!(abs, ChunkDecoder::Abs(_)));
         let h = abs.header(ErrorBound::Abs(0.1), 5000).unwrap();
         assert!(h.derived_bound <= 0.1 && h.derived_bound > 0.0999 && !h.passthrough);
-        let rel = ChunkDecoder::from_bound(ErrorBound::Rel(0.1), &smooth).unwrap();
+        let rel = ChunkDecoder::from_bound(ErrorBound::Rel(0.1), &smooth, Mode::Serial).unwrap();
         assert!(matches!(rel, ChunkDecoder::Rel(_)));
-        let noa = ChunkDecoder::from_bound(ErrorBound::Noa(1e-3), &smooth).unwrap();
+        let noa = ChunkDecoder::from_bound(ErrorBound::Noa(1e-3), &smooth, Mode::Serial).unwrap();
         assert!(matches!(noa, ChunkDecoder::Abs(_)));
         let h = noa.header(ErrorBound::Noa(1e-3), 5000).unwrap();
         assert!(h.derived_bound <= 2e-3 && h.kind == BoundKind::Noa);
-        let flat = ChunkDecoder::from_bound(ErrorBound::Noa(1e-3), &[7.0f32; 100]).unwrap();
+        let flat =
+            ChunkDecoder::from_bound(ErrorBound::Noa(1e-3), &[7.0f32; 100], Mode::Serial).unwrap();
         assert!(matches!(flat, ChunkDecoder::Pass(_)));
         let h = flat.header(ErrorBound::Noa(1e-3), 100).unwrap();
         assert!(h.passthrough && h.derived_bound == 0.0 && h.chunk_count == 1);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                ChunkDecoder::<f64>::from_bound(ErrorBound::Abs(bad), &[]),
+                ChunkDecoder::<f64>::from_bound(ErrorBound::Abs(bad), &[], Mode::Serial),
                 Err(Error::InvalidErrorBound(_))
             ));
         }

@@ -7,6 +7,7 @@
 //! data (keeping the decoder embarrassingly parallel, §III-E).
 
 use crate::float::PfplFloat;
+use crate::types::Mode;
 use rayon::prelude::*;
 
 /// Outcome of deriving the NOA absolute bound from the data.
@@ -21,18 +22,21 @@ pub enum NoaBound<F: PfplFloat> {
     Passthrough,
 }
 
-/// Scan the input (in parallel) and derive the NOA absolute bound.
+/// Scan the input for its range and derive the NOA absolute bound. Under
+/// [`Mode::Serial`] the scan is one fold on this thread; under
+/// [`Mode::Parallel`] the pool folds 64 Ki-value blocks and their `(lo, hi)`
+/// pairs are folded in block order. Both give the same bound.
 ///
 /// NaNs are ignored by the scan; infinities make the range infinite, which
 /// forces passthrough mode. `-0.0`/`+0.0` ties resolve either way without
 /// affecting the result (`x - (-0.0) == x - 0.0` for the subtraction used).
-pub fn derive_noa_bound<F: PfplFloat>(data: &[F], eb: F) -> NoaBound<F> {
+pub fn derive_noa_bound<F: PfplFloat>(data: &[F], eb: F, mode: Mode) -> NoaBound<F> {
     // Seed with (+∞, −∞) instead of folding Options: the inner loop is
     // then two branchless conditional moves per value, and NaNs fall out
     // for free (`NaN < lo` and `NaN > hi` are both false). Empty or
     // all-NaN input leaves the seeds crossed (`lo > hi`), which the
     // finite-bound check below converts to passthrough.
-    let ident = || (F::from_f64(f64::INFINITY), F::from_f64(f64::NEG_INFINITY));
+    let ident = (F::from_f64(f64::INFINITY), F::from_f64(f64::NEG_INFINITY));
     let fold = |(lo, hi): (F, F), v: &F| {
         let v = *v;
         (
@@ -46,10 +50,14 @@ pub fn derive_noa_bound<F: PfplFloat>(data: &[F], eb: F) -> NoaBound<F> {
             if b.1 > a.1 { b.1 } else { a.1 },
         )
     };
-    let (lo, hi) = data
-        .par_chunks(1 << 16)
-        .map(|c| c.iter().fold(ident(), fold))
-        .reduce(ident, combine);
+    let scan = |c: &[F]| c.iter().fold(ident, fold);
+    let (lo, hi) = match mode {
+        Mode::Serial => scan(data),
+        Mode::Parallel => {
+            let blocks: Vec<(F, F)> = data.par_chunks(1 << 16).map(scan).collect();
+            blocks.into_iter().fold(ident, combine)
+        }
+    };
     if !(lo <= hi) {
         return NoaBound::Passthrough;
     }
@@ -71,7 +79,7 @@ mod tests {
     fn basic_range() {
         let data = vec![1.0f32, -3.0, 2.0, 0.5];
         // range = 5, eb = 0.01 → abs = 0.05
-        match derive_noa_bound(&data, 0.01f32) {
+        match derive_noa_bound(&data, 0.01f32, Mode::Parallel) {
             NoaBound::Abs(b) => assert!((b - 0.05).abs() < 1e-7, "{b}"),
             NoaBound::Passthrough => panic!("expected usable bound"),
         }
@@ -80,7 +88,7 @@ mod tests {
     #[test]
     fn nan_ignored() {
         let data = vec![f32::NAN, 1.0, f32::NAN, 3.0];
-        match derive_noa_bound(&data, 0.5f32) {
+        match derive_noa_bound(&data, 0.5f32, Mode::Parallel) {
             NoaBound::Abs(b) => assert!((b - 1.0).abs() < 1e-6),
             NoaBound::Passthrough => panic!(),
         }
@@ -89,25 +97,25 @@ mod tests {
     #[test]
     fn degenerate_inputs_passthrough() {
         assert_eq!(
-            derive_noa_bound(&[] as &[f32], 0.1),
+            derive_noa_bound(&[] as &[f32], 0.1, Mode::Parallel),
             NoaBound::Passthrough
         );
         assert_eq!(
-            derive_noa_bound(&[7.5f32; 100], 0.1),
+            derive_noa_bound(&[7.5f32; 100], 0.1, Mode::Parallel),
             NoaBound::Passthrough,
             "zero range"
         );
         assert_eq!(
-            derive_noa_bound(&[f32::NAN; 4], 0.1),
+            derive_noa_bound(&[f32::NAN; 4], 0.1, Mode::Parallel),
             NoaBound::Passthrough
         );
         assert_eq!(
-            derive_noa_bound(&[f32::NEG_INFINITY, 1.0], 0.1),
+            derive_noa_bound(&[f32::NEG_INFINITY, 1.0], 0.1, Mode::Parallel),
             NoaBound::Passthrough,
             "infinite range"
         );
         assert_eq!(
-            derive_noa_bound(&[f32::MIN, f32::MAX], 0.5),
+            derive_noa_bound(&[f32::MIN, f32::MAX], 0.5, Mode::Parallel),
             NoaBound::Passthrough,
             "range overflows f32"
         );
@@ -120,9 +128,11 @@ mod tests {
             .collect();
         let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        match derive_noa_bound(&data, 1e-3f64) {
-            NoaBound::Abs(b) => assert_eq!(b, 1e-3 * (hi - lo)),
-            NoaBound::Passthrough => panic!(),
+        for mode in [Mode::Serial, Mode::Parallel] {
+            match derive_noa_bound(&data, 1e-3f64, mode) {
+                NoaBound::Abs(b) => assert_eq!(b, 1e-3 * (hi - lo)),
+                NoaBound::Passthrough => panic!(),
+            }
         }
     }
 }

@@ -30,7 +30,7 @@ use crate::engine::{compress_stats, start_archive, ArchiveReader, ChunkDecoder, 
 use crate::error::{Error, Result};
 use crate::float::PfplFloat;
 use crate::stats::CompressStats;
-use crate::types::ErrorBound;
+use crate::types::{ErrorBound, Mode};
 
 /// Incremental PFPL encoder: feed values in pushes of any size, collect a
 /// standard archive at the end.
@@ -58,7 +58,7 @@ impl<F: PfplFloat> StreamCompressor<F> {
             ));
         }
         Ok(Self {
-            codec: ChunkDecoder::from_bound(bound, &[])?,
+            codec: ChunkDecoder::from_bound(bound, &[], Mode::Serial)?,
             bound,
             pending: Vec::with_capacity(chunk::values_per_chunk::<F>()),
             entries: Vec::new(),

@@ -124,7 +124,8 @@ pub enum Mode {
     /// Single-threaded; chunks are processed in order with reused scratch
     /// buffers (the fastest per-core path).
     Serial,
-    /// Chunk-parallel via a work-stealing thread pool (PFPL_OMP analogue).
+    /// Chunk-parallel on a persistent thread pool whose workers claim
+    /// chunk indices in ascending order (PFPL_OMP analogue).
     #[default]
     Parallel,
 }

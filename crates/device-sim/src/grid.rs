@@ -2,10 +2,11 @@
 //!
 //! The paper dynamically assigns chunks to thread blocks for load balance
 //! (§III-E). The simulation runs its blocks on the same **persistent
-//! worker pool** that backs the host-side parallel paths
-//! ([`rayon::broadcast`]): each participating thread repeatedly claims the
-//! next block index from an atomic counter, so a launch costs an epoch
-//! broadcast instead of a spawn/join of fresh OS threads per call.
+//! worker pool** that backs the host-side parallel paths, through the same
+//! claim loop ([`rayon::map_claimed`], one block per claim): each
+//! participating thread repeatedly claims the next block index from an
+//! atomic counter, so a launch costs an epoch broadcast instead of a
+//! spawn/join of fresh OS threads per call.
 //! Because indices are claimed **in ascending order** and workers never
 //! block on *later* indices, any block a worker waits on during decoupled
 //! look-back is either finished or currently running — the same
@@ -14,14 +15,13 @@
 //! nested-launch path (a single sequential claimant finishes every
 //! earlier block before looking back at it).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 /// Launch `num_blocks` instances of `kernel` on `workers` persistent
 /// worker threads. `kernel(b)` is called exactly once for every
 /// `b in 0..num_blocks`.
 ///
 /// # Panics
-/// Propagates panics from kernels (the scope joins all workers).
+/// Propagates panics from kernels (the pool joins all participants before
+/// unwinding).
 pub fn launch<F>(num_blocks: usize, workers: usize, kernel: F)
 where
     F: Fn(usize) + Sync,
@@ -29,50 +29,29 @@ where
     launch_init(num_blocks, workers, || (), |(), b| kernel(b));
 }
 
-/// [`launch`] with per-worker state: each participating thread calls
-/// `init` at most once (lazily, on its first claimed block) and passes the
-/// state to every kernel invocation it claims. This models per-SM shared
-/// memory — kernels reuse worker-resident scratch buffers instead of
-/// allocating per block.
+/// [`launch`] with per-worker state and per-block results: each
+/// participating thread calls `init` at most once (lazily, on its first
+/// claimed block) and passes the state to every kernel invocation it
+/// claims. This models per-SM shared memory — kernels reuse
+/// worker-resident scratch buffers instead of allocating per block.
+/// Returns every block's result in block order.
 ///
 /// # Panics
 /// Propagates panics from kernels (the pool joins all participants before
 /// unwinding).
-pub fn launch_init<S, I, F>(num_blocks: usize, workers: usize, init: I, kernel: F)
+pub fn launch_init<S, R, I, F>(num_blocks: usize, workers: usize, init: I, kernel: F) -> Vec<R>
 where
+    R: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
 {
-    if num_blocks == 0 {
-        return;
-    }
-    let workers = workers.clamp(1, num_blocks);
-    if workers == 1 {
-        let mut state = init();
-        for b in 0..num_blocks {
-            kernel(&mut state, b);
-        }
-        return;
-    }
-    let counter = AtomicUsize::new(0);
-    rayon::broadcast(workers, || {
-        // Lazy state: a participant that never claims a block (the whole
-        // grid was drained first) also never pays for an init.
-        let mut state: Option<S> = None;
-        loop {
-            let b = counter.fetch_add(1, Ordering::Relaxed);
-            if b >= num_blocks {
-                break;
-            }
-            kernel(state.get_or_insert_with(&init), b);
-        }
-    });
+    rayon::map_claimed(num_blocks, workers, 1, init, kernel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn every_block_runs_once() {

@@ -38,8 +38,7 @@ use pfpl::float::{negabinary, PfplFloat, Word};
 use pfpl::lossless::shuffle;
 use pfpl::quantize::Quantizer;
 use pfpl::salvage::SalvageReport;
-use pfpl::types::ErrorBound;
-use std::sync::Mutex;
+use pfpl::types::{ErrorBound, Mode};
 
 /// A simulated GPU that compresses and decompresses PFPL archives.
 #[derive(Debug, Clone, Copy)]
@@ -63,7 +62,7 @@ impl GpuDevice {
     where
         F::Bits: WarpTranspose,
     {
-        let codec = ChunkDecoder::from_bound(bound, data)?;
+        let codec = ChunkDecoder::from_bound(bound, data, Mode::Parallel)?;
         let header = codec.header(bound, data.len() as u64)?;
         let vpc = pfpl::chunk::values_per_chunk::<F>();
         let nchunks = header.chunk_count as usize;
@@ -169,27 +168,23 @@ impl GpuDevice {
         let vpc = pfpl::chunk::values_per_chunk::<F>();
         let nchunks = reader.toc.sizes.len();
         let out = DeviceSlice::new_with(reader.count(), init.to_bits());
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..nchunks).map(|_| None).collect());
-        grid::launch_init(
+        let results = grid::launch_init(
             nchunks,
             self.config.resident_blocks(),
             DecodeScratch::<F>::default,
             |scratch, b| {
-                let r = step(b, &mut |p, raw| {
+                step(b, &mut |p, raw| {
                     decode_chunk_block(q, p, raw, reader.chunk_values(b), scratch)?;
                     // SAFETY: the kernel leaves exactly chunk_values(b)
                     // words, and chunk b owns that range of `out` from
                     // b * vpc exclusively.
                     unsafe { out.write_at(b * vpc, &scratch.words) };
                     Ok(())
-                });
-                results.lock().expect("no block panics holding the lock")[b] = Some(r);
+                })
             },
         );
-        let results = results.into_inner().expect("no block panicked holding the lock");
-        let results = results.into_iter().map(|r| r.expect("every launched block files a result"));
         let vals = out.into_vec().into_iter().map(F::from_bits).collect();
-        (vals, results.collect())
+        (vals, results)
     }
 }
 

@@ -93,7 +93,7 @@ fn abs_rel_noa_f32_all_lengths() {
         assert_chunk_equiv(&abs, &data);
         assert_chunk_equiv(&rel, &data);
         // NOA resolves to a derived ABS bound or passthrough.
-        match derive_noa_bound(&data, 1e-4f32) {
+        match derive_noa_bound(&data, 1e-4f32, Mode::Serial) {
             NoaBound::Abs(eb) => {
                 assert_chunk_equiv(&AbsQuantizer::<f32>::new(eb).unwrap(), &data);
             }

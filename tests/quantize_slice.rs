@@ -16,6 +16,7 @@ use proptest::prelude::*;
 // helper below can be generic over the codec.
 use pfpl::float::{PfplFloat, Word};
 use pfpl::quantize::RelQuantizer;
+use pfpl::types::Mode;
 
 /// Assert `encode_slice` ≡ scalar `encode` (words and lossless count) on
 /// `vals`, at the full length and at a few unaligned sub-lengths that land
@@ -53,7 +54,7 @@ fn check_all_codecs_f32(data: &[f32], eb: f32) {
     assert_slice_matches_scalar(&AbsQuantizer::<f32>::new(eb).unwrap(), data);
     assert_slice_matches_scalar(&RelQuantizer::<f32>::new(eb).unwrap(), data);
     assert_slice_matches_scalar(&PassthroughQuantizer, data);
-    if let NoaBound::Abs(b) = derive_noa_bound(data, eb) {
+    if let NoaBound::Abs(b) = derive_noa_bound(data, eb, Mode::Serial) {
         assert_slice_matches_scalar(&AbsQuantizer::<f32>::new(b).unwrap(), data);
     }
 }
@@ -62,7 +63,7 @@ fn check_all_codecs_f64(data: &[f64], eb: f64) {
     assert_slice_matches_scalar(&AbsQuantizer::<f64>::new(eb).unwrap(), data);
     assert_slice_matches_scalar(&RelQuantizer::<f64>::new(eb).unwrap(), data);
     assert_slice_matches_scalar(&PassthroughQuantizer, data);
-    if let NoaBound::Abs(b) = derive_noa_bound(data, eb) {
+    if let NoaBound::Abs(b) = derive_noa_bound(data, eb, Mode::Serial) {
         assert_slice_matches_scalar(&AbsQuantizer::<f64>::new(b).unwrap(), data);
     }
 }

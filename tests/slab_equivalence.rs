@@ -133,10 +133,7 @@ fn archives_identical_across_pool_sizes() {
     for bound in [ErrorBound::Abs(1e-3), ErrorBound::Rel(1e-4)] {
         let reference = pfpl::compress(&data, bound, Mode::Serial).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build_global()
-                .unwrap();
+            rayon::set_num_threads(threads);
             let arch = pfpl::compress(&data, bound, Mode::Parallel).unwrap();
             assert_eq!(
                 reference, arch,
@@ -151,10 +148,7 @@ fn archives_identical_across_pool_sizes() {
         }
     }
     // Restore the default pool size for the rest of this test binary.
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build_global()
-        .unwrap();
+    rayon::set_num_threads(0);
 }
 
 #[test]
