@@ -19,6 +19,7 @@
 //! `--runs R` (median-of-R, default 5).
 
 use pfpl::chunk;
+use pfpl::container::Toc;
 use pfpl::quantize::AbsQuantizer;
 use pfpl::types::{ErrorBound, Mode};
 use pfpl_data::timing::{median_seconds, throughput_gbs};
@@ -253,8 +254,6 @@ fn main() {
 
     // Keep the measurement honest: the decompressed data must round-trip.
     let check: Vec<f32> = pfpl::decompress(&archive, Mode::Serial).unwrap();
-    assert!(vals
-        .iter()
-        .zip(&check)
-        .all(|(a, b)| (a - b).abs() <= BOUND as f32 + 1e-7));
+    let header = Toc::read(&archive).unwrap().header;
+    pfpl::exact::check_bound(bound, &header, &vals, &check).unwrap();
 }

@@ -4,7 +4,7 @@
 use crate::args::{Args, Op};
 use crate::participants::Participant;
 use pfpl::types::ErrorBound;
-use pfpl_data::metrics::geomean;
+use pfpl_data::metrics::geomean_of_geomeans;
 use pfpl_data::timing::{median_seconds, throughput_gbs};
 use pfpl_data::Suite;
 
@@ -73,18 +73,13 @@ pub fn run_matrix(
                 name: p.name.clone(),
                 side: p.side.label(),
                 eb,
-                ratio: geo_of_geo(&suite_ratios),
-                gbs: geo_of_geo(&suite_gbs),
+                ratio: geomean_of_geomeans(&suite_ratios),
+                gbs: geomean_of_geomeans(&suite_gbs),
                 files,
             });
         }
     }
     rows
-}
-
-fn geo_of_geo(per_suite: &[Vec<f64>]) -> f64 {
-    let means: Vec<f64> = per_suite.iter().map(|v| geomean(v)).collect();
-    geomean(&means)
 }
 
 /// Print rows as an aligned table or CSV, with a Pareto-front marker per
@@ -167,11 +162,5 @@ mod tests {
         assert!(pareto(&rows, &rows[1]));
         assert!(!pareto(&rows, &rows[2]), "dominated by fast-small");
         assert!(pareto(&rows, &rows[3]));
-    }
-
-    #[test]
-    fn geo_of_geo_weights_suites_equally() {
-        let per_suite = vec![vec![4.0, 4.0, 4.0], vec![16.0]];
-        assert!((geo_of_geo(&per_suite) - 8.0).abs() < 1e-12);
     }
 }

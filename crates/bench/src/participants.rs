@@ -70,14 +70,6 @@ impl Participant {
             engine: Engine::PfplGpu(GpuDevice::new(cfg)),
         }
     }
-    /// PFPL on an explicit device config (for the §V-F study).
-    pub fn pfpl_on_device(cfg: pfpl_device_sim::DeviceConfig) -> Self {
-        Self {
-            name: format!("PFPL@{}", cfg.name),
-            side: Side::Gpu,
-            engine: Engine::PfplGpu(GpuDevice::new(cfg)),
-        }
-    }
     /// Wrap a baseline compressor; `side` tells the harness where the
     /// original runs (cuSZp/FZ-GPU are GPU codes in the paper).
     pub fn baseline(c: Box<dyn Compressor>, side: Side) -> Self {

@@ -5,11 +5,12 @@
 //! makes the work units independent, and every arithmetic operation in the
 //! pipeline is IEEE-exact, so only scheduling differs.
 //!
-//! Archive assembly is single-pass in both modes. Serial compression
+//! Archive assembly is single-pass at every thread count. At one thread
+//! (`Mode::Serial`, or `Mode::Parallel` on a one-thread pool) compression
 //! reserves the header and size table up front, streams chunk payloads
-//! directly into the archive, and backpatches the table. Parallel
-//! compression gives each worker a disjoint slot in a pre-allocated slab
-//! and compacts the slots with one exclusive-prefix-sum pass. Neither mode
+//! directly into the archive, and backpatches the table. On more threads
+//! it gives each worker a disjoint slot in a pre-allocated slab and
+//! compacts the slots with one exclusive-prefix-sum pass. Neither path
 //! allocates or copies per-chunk intermediates.
 //!
 //! Every per-chunk decision — codec, verify-and-decode step, tables —
@@ -49,46 +50,44 @@ pub fn compress_with_stats<F: PfplFloat>(
     let vpc = chunk::values_per_chunk::<F>();
     let nchunks = header.chunk_count as usize;
 
-    let (archive, entries) = match mode {
-        Mode::Serial => {
-            // Single-pass assembly: reserve header + size table up front
-            // (worst-case payload capacity so the Vec never reallocates),
-            // stream each chunk's payload straight into the archive, then
-            // backpatch the size table. One scratch set is reused for every
-            // chunk, mirroring the paper's L1-resident double buffer — no
-            // per-chunk buffer, no second copy, no per-chunk allocation.
-            let raw_total = data.len() * (F::Bits::BITS as usize / 8);
-            let mut archive = Vec::with_capacity(V2_HEADER_LEN + 8 * nchunks + raw_total);
-            header.write_placeholder(&mut archive);
-            let mut entries = Vec::with_capacity(nchunks);
-            let mut scratch = Scratch::default();
-            for (i, c) in data.chunks(vpc).enumerate() {
-                let start = archive.len();
-                let info = codec.compress_chunk(c, &mut scratch, &mut archive);
-                entries.push(ChunkEntry::new(i, &archive[start..], info));
-            }
-            patch_archive(&mut archive, &entries);
-            (archive, entries)
+    let threads = mode.threads();
+    let (archive, entries) = if threads == 1 {
+        // Single-pass assembly: reserve header + size table up front
+        // (worst-case payload capacity so the Vec never reallocates),
+        // stream each chunk's payload straight into the archive, then
+        // backpatch the size table. One scratch set is reused for every
+        // chunk, mirroring the paper's L1-resident double buffer — no
+        // per-chunk buffer, no second copy, no per-chunk allocation.
+        let raw_total = data.len() * (F::Bits::BITS as usize / 8);
+        let mut archive = Vec::with_capacity(V2_HEADER_LEN + 8 * nchunks + raw_total);
+        header.write_placeholder(&mut archive);
+        let mut entries = Vec::with_capacity(nchunks);
+        let mut scratch = Scratch::default();
+        for (i, c) in data.chunks(vpc).enumerate() {
+            let start = archive.len();
+            let info = codec.compress_chunk(c, &mut scratch, &mut archive);
+            entries.push(ChunkEntry::new(i, &archive[start..], info));
         }
-        Mode::Parallel => {
-            // Slab assembly: one CHUNK_BYTES slot per chunk (payloads never
-            // exceed the raw size). Workers compress into disjoint slots and
-            // digest each payload while it is hot in cache; a sequential
-            // pass then compacts the slots into the final archive.
-            let mut slab = vec![0u8; nchunks * CHUNK_BYTES];
-            let work = |(i, slot): (usize, &mut [u8]), scratch: &mut Scratch<F>| {
-                let lo = i * vpc;
-                let hi = data.len().min(lo + vpc);
-                let (len, info) = codec.compress_chunk_into(&data[lo..hi], scratch, slot);
-                ChunkEntry::new(i, &slot[..len], info)
-            };
-            let entries: Vec<ChunkEntry> = map_chunks(&mut slab, mode, work);
-            let mut archive = start_archive(&header, &entries);
-            for (slot, e) in slab.chunks_exact(CHUNK_BYTES).zip(&entries) {
-                archive.extend_from_slice(&slot[..e.payload_len()]);
-            }
-            (archive, entries)
+        patch_archive(&mut archive, &entries);
+        (archive, entries)
+    } else {
+        // Slab assembly: one CHUNK_BYTES slot per chunk (payloads never
+        // exceed the raw size). Workers compress into disjoint slots and
+        // digest each payload while it is hot in cache; a sequential
+        // pass then compacts the slots into the final archive.
+        let mut slab = vec![0u8; nchunks * CHUNK_BYTES];
+        let work = |scratch: &mut Scratch<F>, i: usize, slot: &mut [u8]| {
+            let lo = i * vpc;
+            let hi = data.len().min(lo + vpc);
+            let (len, info) = codec.compress_chunk_into(&data[lo..hi], scratch, slot);
+            ChunkEntry::new(i, &slot[..len], info)
+        };
+        let entries = map_chunks(&mut slab, threads, work);
+        let mut archive = start_archive(&header, &entries);
+        for (slot, e) in slab.chunks_exact(CHUNK_BYTES).zip(&entries) {
+            archive.extend_from_slice(&slot[..e.payload_len()]);
         }
+        (archive, entries)
     };
     let stats = compress_stats(&header, &entries, archive.len());
     Ok((archive, stats))
@@ -122,12 +121,14 @@ fn run_decompress<F: PfplFloat>(archive: &[u8], mode: Mode, verify: bool) -> Res
     let reader = ArchiveReader::<F>::open(archive)?;
     let offsets = reader.offsets()?;
     let mut out = vec![F::ZERO; reader.count()];
-    let work = |(i, vals): (usize, &mut [F]), scratch: &mut Scratch<F>| {
+    let work = |scratch: &mut Scratch<F>, i: usize, vals: &mut [F]| {
         reader.decode_chunk(i, offsets[i]..offsets[i + 1], verify, |p, raw| {
             reader.codec.decode_chunk(p, raw, vals, scratch)
         })
     };
-    map_chunks::<_, _, _, Result<Vec<()>>>(&mut out, mode, work)?;
+    map_chunks(&mut out, mode.threads(), work)
+        .into_iter()
+        .collect::<Result<()>>()?;
     Ok(out)
 }
 

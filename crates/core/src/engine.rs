@@ -24,7 +24,6 @@ use crate::quantize::{
 use crate::salvage::{ChunkReport, ChunkStatus};
 use crate::stats::CompressStats;
 use crate::types::{BoundKind, ErrorBound, Mode};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// The chunk codec: the quantizer an archive's chunks are encoded and
@@ -269,29 +268,16 @@ impl<'a, F: PfplFloat> ArchiveReader<'a, F> {
 }
 
 /// Run `work` on each chunk's slot of `out` — [`CHUNK_BYTES`] of `T`, so
-/// one chunk of values or one chunk's slab slot — with a per-worker
-/// scratch set, in order on this thread or on the pool, and collect the
-/// results in chunk order (a serial `Result` collection stops at the
-/// first error).
-pub(crate) fn map_chunks<F: PfplFloat, T: Send, R: Send, C: FromIterator<R>>(
+/// one chunk of values or one chunk's slab slot — on `threads` threads
+/// (inline on this one at 1), with one scratch set per thread, and return
+/// the results in chunk order.
+pub(crate) fn map_chunks<F: PfplFloat, T: Send, R: Send>(
     out: &mut [T],
-    mode: Mode,
-    work: impl Fn((usize, &mut [T]), &mut Scratch<F>) -> R + Sync,
-) -> C {
+    threads: usize,
+    work: impl Fn(&mut Scratch<F>, usize, &mut [T]) -> R + Sync,
+) -> Vec<R> {
     let slot = CHUNK_BYTES / std::mem::size_of::<T>();
-    match mode {
-        Mode::Serial => {
-            let mut scratch = Scratch::default();
-            let chunks = out.chunks_mut(slot).enumerate();
-            chunks.map(|item| work(item, &mut scratch)).collect()
-        }
-        Mode::Parallel => {
-            let chunks = out.par_chunks_mut(slot).enumerate();
-            chunks
-                .map_init(Scratch::default, |s, item| work(item, s))
-                .collect()
-        }
-    }
+    rayon::map_chunks_mut(out, slot, threads, Scratch::default, work)
 }
 
 /// One chunk's table entries — size word (bit 31 = raw), payload

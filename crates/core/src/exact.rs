@@ -190,6 +190,93 @@ pub fn rel_within_mag_f32(a: f32, b: f32, eb: f32) -> bool {
     dd_abs_le(ds, de, bound)
 }
 
+/// Exactly decide `c <= eb * (hi - lo)`: is `c` within NOA's bound `eb`
+/// times the range of values spanning `lo..=hi`? For finite `c >= 0`,
+/// finite `eb > 0` and finite `lo <= hi`; exact over that whole domain.
+///
+/// `hi - lo` is split exactly into `s + e` ([`two_sum`]; both ends are
+/// halved first if it overflows, which is then exact). Power-of-two
+/// scaling, exact here, moves `eb` and `s` into `[1, 2)`, so both
+/// [`two_prod`]s stay in range. A scaled `c` outside `[0.25, 8)` is
+/// decided by magnitude alone; inside it, the exact difference of `c` and
+/// `eb * s` is 0 or at least 2^-104, so an `eb * e` below 2^-899 only
+/// decides ties, by its sign.
+pub fn noa_within(c: f64, eb: f64, lo: f64, hi: f64) -> bool {
+    debug_assert!(c >= 0.0 && c.is_finite() && eb > 0.0 && eb.is_finite() && lo <= hi);
+    if c == 0.0 {
+        return true;
+    }
+    if lo == hi {
+        return false;
+    }
+    let (s, e, halved) = if (hi - lo).is_finite() {
+        let (s, e) = two_sum(hi, -lo);
+        (s, e, 0)
+    } else {
+        let (s, e) = two_sum(hi * 0.5, -lo * 0.5);
+        (s, e, 1)
+    };
+    let (je, js) = (exponent(eb), exponent(s));
+    // c <= eb * (s + e)  <=>  c' <= eb' * (s' + e') with eb', s' in [1, 2),
+    // |e'| <= 2^-53 and c' = c * 2^-k: the right side lies in (0.99, 4.01).
+    let k = je + js + halved;
+    match exponent(c) - k {
+        kc if kc >= 3 => return false,
+        kc if kc <= -3 => return true,
+        _ => {}
+    }
+    let eb = scale(eb, -je);
+    let (p, pe) = two_prod(eb, scale(s, -js));
+    let (q, qe) = if e == 0.0 {
+        (0.0, 0.0)
+    } else if exponent(e) - js < -900 {
+        (TIE_BREAK.copysign(e), 0.0)
+    } else {
+        two_prod(eb, scale(e, -js))
+    };
+    sum_sign([scale(c, -k), -p, -pe, -q, -qe]) <= 0.0
+}
+
+/// 2^-900: stands in for a residual product too small to matter except
+/// as a tie-breaker (see [`noa_within`]).
+const TIE_BREAK: f64 = 1.183_052_186_166_774_7e-271;
+
+/// `floor(log2 |x|)` for finite nonzero `x`, subnormals included.
+fn exponent(x: f64) -> i32 {
+    let bits = x.to_bits() & !(1u64 << 63);
+    match (bits >> 52) as i32 {
+        0 => -1011 - bits.leading_zeros() as i32,
+        biased => biased - 1023,
+    }
+}
+
+/// `x * 2^k`, in steps that keep every intermediate between `x` and the
+/// result: exact whenever the result is normal.
+fn scale(mut x: f64, mut k: i32) -> f64 {
+    while k != 0 {
+        let step = k.clamp(-1000, 1000);
+        x *= f64::from_bits(((1023 + step) as u64) << 52);
+        k -= step;
+    }
+    x
+}
+
+/// The sign of the exact sum of `terms` (as a signed float, or 0). Each
+/// term is grown into a non-overlapping expansion with [`two_sum`]
+/// (Shewchuk's Grow-Expansion); the largest nonzero component of such an
+/// expansion carries its sign. Exact unless a partial sum overflows.
+fn sum_sign<const N: usize>(terms: [f64; N]) -> f64 {
+    let mut parts = [0.0; N];
+    for (n, &t) in terms.iter().enumerate() {
+        let mut q = t;
+        for part in &mut parts[..n] {
+            (q, *part) = two_sum(q, *part);
+        }
+        parts[n] = q;
+    }
+    parts.into_iter().rev().find(|&x| x != 0.0).unwrap_or(0.0)
+}
+
 /// The per-value guarantee, decided exactly: does `got` reconstruct `orig`
 /// within `bound`, for an archive whose header is `header`?
 ///
@@ -205,8 +292,10 @@ pub fn rel_within_mag_f32(a: f32, b: f32, eb: f32) -> bool {
 ///
 /// `eb` is the header's derived bound, the one the quantizer enforced. For
 /// ABS and REL a derived bound looser than the requested bound rounded
-/// toward zero into `F` is itself a failure, and every derived bound must
-/// be finite and non-negative. The error names the first violating value.
+/// toward zero into `F` is itself a failure; for NOA, one above the
+/// requested bound times the range `max - min` of `orig`'s finite values
+/// ([`noa_within`]). Every derived bound must be finite and non-negative.
+/// The error names the first violating value.
 ///
 /// The verdict is exact for every ABS and NOA bound and for every REL
 /// bound up to 1e100; above that a REL value within the bound may be
@@ -218,11 +307,25 @@ pub fn check_bound<F: PfplFloat>(
     got: &[F],
 ) -> Result<(), String> {
     let derived = header.derived_bound;
-    let limit = match bound {
-        ErrorBound::Abs(user) | ErrorBound::Rel(user) => bound_toward_zero::<F>(user).to_f64(),
-        ErrorBound::Noa(_) => f64::MAX,
-    };
-    if header.kind != bound.kind() || !(derived.is_finite() && derived >= 0.0 && derived <= limit) {
+    let within = derived.is_finite()
+        && derived >= 0.0
+        && match bound {
+            ErrorBound::Abs(user) | ErrorBound::Rel(user) => {
+                derived <= bound_toward_zero::<F>(user).to_f64()
+            }
+            ErrorBound::Noa(user) => {
+                let finite = orig.iter().map(|v| v.to_f64()).filter(|v| v.is_finite());
+                let (lo, hi) = finite.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                    (lo.min(v), hi.max(v))
+                });
+                derived == 0.0
+                    || (user > 0.0
+                        && user.is_finite()
+                        && lo <= hi
+                        && noa_within(derived, user, lo, hi))
+            }
+        };
+    if header.kind != bound.kind() || !within {
         return Err(format!(
             "header {} bound {derived} is not within the requested {bound:?}",
             header.kind.name()
@@ -415,10 +518,16 @@ mod tests {
     }
 
     /// `check_bound` of one value pair under `bound`, with the header an
-    /// honest encoder writes for it.
+    /// honest encoder writes for it (one value has no range, so NOA is
+    /// passthrough).
     fn check_one<F: PfplFloat>(bound: ErrorBound, v: F, r: F) -> Result<(), String> {
-        let derived = bound_toward_zero::<F>(bound.value()).to_f64();
-        let header = Header::new(F::PRECISION, bound, derived, false, 1).unwrap();
+        let noa = matches!(bound, ErrorBound::Noa(_));
+        let derived = if noa {
+            0.0
+        } else {
+            bound_toward_zero::<F>(bound.value()).to_f64()
+        };
+        let header = Header::new(F::PRECISION, bound, derived, noa, 1).unwrap();
         check_bound(bound, &header, &[v], &[r])
     }
 
@@ -507,16 +616,61 @@ mod tests {
         let rel = ErrorBound::Rel(1e-3);
         assert!(check_bound(rel, &h(rel, loose), &v, &v).is_err());
         assert!(check_bound(rel, &h(abs, honest), &v, &v).is_err());
-        // NOA: the derived bound is authoritative.
+        // NOA: the derived bound decides each value, and may not exceed the
+        // requested bound times the finite values' range (1 here).
         let noa = ErrorBound::Noa(1e-3);
         assert!(check_bound(noa, &h(noa, 1e-3), &v, &r).is_ok());
         assert!(check_bound(noa, &h(noa, 1e-4), &v, &r).is_err());
         assert!(check_bound(noa, &h(noa, f64::NAN), &v, &v).is_err());
+        let next = f64::from_bits(1e-3f64.to_bits() + 1);
+        assert!(check_bound(noa, &h(noa, next), &v, &v).is_err());
+        let with_inf = [1.0, f32::INFINITY];
+        assert!(check_bound(noa, &h(noa, 1e-3), &with_inf, &with_inf).is_err());
+        assert!(check_bound(noa, &h(noa, 0.0), &[f32::NAN; 2], &[f32::NAN; 2]).is_ok());
         let inf = ErrorBound::Abs(f64::INFINITY);
         assert!(check_bound(inf, &h(inf, f64::INFINITY), &v, &v).is_err());
         assert!(check_bound(abs, &h(abs, honest), &v, &r[..1]).is_err());
         let err = check_bound(abs, &h(abs, honest), &v, &[1.0, 2.1]).unwrap_err();
         assert!(err.starts_with("value 1:"), "{err}");
+    }
+
+    #[test]
+    fn noa_within_is_exact_at_the_boundary() {
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        // The f32 case whose nearest-rounded bound 0.5 + 2^-24 exceeds
+        // the exact 0.5 * (1 + 1.5 * 2^-24).
+        let lo = -1.5 * 2f64.powi(-24);
+        let exact = 0.5 + 0.75 * 2f64.powi(-24);
+        assert!(noa_within(exact, 0.5, lo, 1.0));
+        assert!(!noa_within(up(exact), 0.5, lo, 1.0));
+        assert!(!noa_within(0.5 + 2f64.powi(-24), 0.5, lo, 1.0));
+        // (eb, lo, hi, the largest f64 within eb * (hi - lo)), found with
+        // exact rationals: huge and tiny bounds, a range that overflows
+        // f64, subnormal ranges and products.
+        let cases = [
+            (1e300, 0.0, 1e-300, 0x3FF0_0000_0000_0000),
+            (1e-300, -1e300, 1e300, 0x4000_0000_0000_0000),
+            (3e-10, -1.7e308, 1.7e308, 0x7E03_7ED9_545A_7CA3),
+            (0.7, 1.5e-323, 4.94e-321, 0x0000_0000_0000_02B9),
+            (1e-3, -2.5e-310, 1e-305, 0x0007_30E2_4021_3B51),
+            (123.456, -1e-200, 7e-201, 0x16E4_14C5_4445_BCE7),
+            (1e-20, -6e299, 6.5e299, 0x7A16_093B_802D_578B),
+        ];
+        for (eb, lo, hi, last) in cases {
+            let last = f64::from_bits(last);
+            assert!(noa_within(last, eb, lo, hi), "{eb:e} {lo:e} {hi:e}");
+            assert!(!noa_within(up(last), eb, lo, hi), "{eb:e} {lo:e} {hi:e}");
+        }
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        assert!(noa_within(f64::MAX, 0.5, -f64::MAX, f64::MAX));
+        assert!(!noa_within(f64::MAX, below_half, -f64::MAX, f64::MAX));
+        // A range so wide that `hi - lo` drops `lo`: only the residual's
+        // sign decides the tie.
+        assert!(noa_within(1e300, 1.0, -1e-300, 1e300));
+        assert!(!noa_within(1e300, 1.0, 1e-300, 1e300));
+        let tiny = f64::from_bits(1);
+        assert!(noa_within(tiny, 1.0, 0.0, tiny) && !noa_within(up(tiny), 1.0, 0.0, tiny));
+        assert!(noa_within(0.0, 1.0, 3.0, 3.0) && !noa_within(tiny, 1.0, 3.0, 3.0));
     }
 
     /// Reference exact ABS comparison by aligning mantissas in i128
@@ -598,6 +752,39 @@ mod tests {
             let header = Header::new(Precision::Double, ErrorBound::Rel(eb), eb, false, 1).unwrap();
             prop_assert_eq!(check_bound(ErrorBound::Rel(eb), &header, &[a], &[b]).is_ok(), want,
                 "a={:e} b={:e} eb={:e}", a, b, eb);
+        }
+
+        #[test]
+        fn noa_within_matches_integer_reference(
+            mb in 1i64..(1 << 24), ml in -(1i64 << 24)..(1 << 24), mh in -(1i64 << 24)..(1 << 24),
+            xb in -40i32..8, xl in -20i32..20, xh in -20i32..20, ulps in -3i64..4,
+        ) {
+            // eb = mb 2^xb, lo/hi = ml 2^xl / mh 2^xh; c is the f64 nearest
+            // eb * (hi - lo), give or take a few ulps. In units of 2^(xb + e0)
+            // with e0 = min(xl, xh): c <= eb * (mh 2^(xh-e0) - ml 2^(xl-e0)).
+            let (lo, hi) = (ml as f64 * 2f64.powi(xl), mh as f64 * 2f64.powi(xh));
+            let (lo, hi, ml, mh, xl, xh) =
+                if lo <= hi { (lo, hi, ml, mh, xl, xh) } else { (hi, lo, mh, ml, xh, xl) };
+            let eb = mb as f64 * 2f64.powi(xb);
+            let near = (eb * (hi - lo)).max(0.0);
+            let c = f64::from_bits((near.to_bits() as i64 + ulps).max(0) as u64);
+            prop_assume!(c == 0.0 || c >= f64::MIN_POSITIVE);
+            let e0 = xl.min(xh);
+            let range = ((mh as i128) << (xh - e0)) - ((ml as i128) << (xl - e0));
+            let x = mb as i128 * range;
+            let mc = (c.to_bits() & ((1 << 52) - 1) | 1 << 52) as i128;
+            let shift = (c.to_bits() >> 52) as i32 - 1075 - xb - e0;
+            let want = if c == 0.0 {
+                true
+            } else if shift >= 0 {
+                prop_assume!(shift < 60);
+                mc << shift <= x
+            } else {
+                // mc 2^shift <= x  <=>  ceil(mc 2^shift) <= x, as x is an integer.
+                prop_assume!(shift > -60);
+                (mc + (1 << -shift) - 1) >> -shift <= x
+            };
+            prop_assert_eq!(noa_within(c, eb, lo, hi), want, "c={:e} eb={:e} lo={:e} hi={:e}", c, eb, lo, hi);
         }
 
         #[test]

@@ -161,8 +161,6 @@ pub trait PfplFloat: Copy + PartialOrd + PartialEq + Debug + Send + Sync + 'stat
 
     /// Number of explicit mantissa (fraction) bits: 23 or 52.
     const MANT_BITS: u32;
-    /// Number of exponent bits: 8 or 11.
-    const EXP_BITS: u32;
     /// Sign-bit mask.
     const SIGN_MASK: Self::Bits;
     /// Exponent-field mask.
@@ -209,28 +207,19 @@ pub trait PfplFloat: Copy + PartialOrd + PartialEq + Debug + Send + Sync + 'stat
     /// losslessly, so saturation is harmless.
     fn round_away_i64(self) -> i64;
 
-    /// Truncate toward zero to `i64`, saturating; NaN maps to 0.
-    ///
-    /// This is the bare bit-deterministic float→int cast, used by the
-    /// branchless batch quantizer: `(|v| * scale + 0.5).trunc_sat_i64()`
-    /// equals `|round_away_i64(v * scale)|` for every value whose bin fits
-    /// the encodable range (values outside it — including NaN, which maps
-    /// through 0 but then fails the bound check — are rerouted to the
-    /// scalar path, so the two saturation behaviors never diverge).
-    fn trunc_sat_i64(self) -> i64;
-
     /// Truncate toward zero to the *bits-width* signed integer (`i32` for
     /// `f32`, `i64` for `f64`), saturating, widened to `i64`; NaN maps
     /// to 0.
     ///
-    /// The batch quantizers use this instead of [`Self::trunc_sat_i64`]
-    /// because the width-matched conversion vectorizes (one
-    /// `cvttps2dq`-class instruction per lane group), while f32→i64
-    /// lowers to scalar converts. The two saturations differ only for
-    /// magnitudes above `i32::MAX` — far beyond the largest encodable bin
-    /// (`MANT_MASK`, 2^23 − 1 for f32) — so affected lanes fail the
-    /// bin-range fast check and reroute to the scalar path under either
-    /// behavior: batched output stays bit-identical.
+    /// This is the bare bit-deterministic float→int cast of the branchless
+    /// batch quantizers: `(|v| * scale + 0.5).trunc_sat_bin()` equals
+    /// `|round_away_i64(v * scale)|` for every value whose bin fits the
+    /// encodable range (`MANT_MASK`, 2^23 − 1 for f32). Values outside it —
+    /// including NaN, which maps through 0 but then fails the bound check —
+    /// fail the bin-range fast check and reroute to the scalar path, so
+    /// saturation never changes the output. The width-matched conversion
+    /// vectorizes (one `cvttps2dq`-class instruction per lane group), where
+    /// f32→i64 would lower to scalar converts.
     fn trunc_sat_bin(self) -> i64;
 
     /// Exact ABS-bound check `|v - r| <= eb` (see [`crate::exact`]).
@@ -243,7 +232,6 @@ pub trait PfplFloat: Copy + PartialOrd + PartialEq + Debug + Send + Sync + 'stat
 impl PfplFloat for f32 {
     type Bits = u32;
     const MANT_BITS: u32 = 23;
-    const EXP_BITS: u32 = 8;
     const SIGN_MASK: u32 = 0x8000_0000;
     const EXP_MASK: u32 = 0x7F80_0000;
     const MANT_MASK: u32 = 0x007F_FFFF;
@@ -308,10 +296,6 @@ impl PfplFloat for f32 {
         }
     }
     #[inline(always)]
-    fn trunc_sat_i64(self) -> i64 {
-        self as i64
-    }
-    #[inline(always)]
     fn trunc_sat_bin(self) -> i64 {
         (self as i32) as i64
     }
@@ -328,7 +312,6 @@ impl PfplFloat for f32 {
 impl PfplFloat for f64 {
     type Bits = u64;
     const MANT_BITS: u32 = 52;
-    const EXP_BITS: u32 = 11;
     const SIGN_MASK: u64 = 0x8000_0000_0000_0000;
     const EXP_MASK: u64 = 0x7FF0_0000_0000_0000;
     const MANT_MASK: u64 = 0x000F_FFFF_FFFF_FFFF;
@@ -391,10 +374,6 @@ impl PfplFloat for f64 {
         } else {
             (self - 0.5) as i64
         }
-    }
-    #[inline(always)]
-    fn trunc_sat_i64(self) -> i64 {
-        self as i64
     }
     #[inline(always)]
     fn trunc_sat_bin(self) -> i64 {

@@ -6,9 +6,12 @@
 //! recorded in the archive header so decompression never needs the original
 //! data (keeping the decoder embarrassingly parallel, §III-E).
 
-use crate::float::PfplFloat;
+use crate::exact::noa_within;
+use crate::float::{PfplFloat, Word};
 use crate::types::Mode;
-use rayon::prelude::*;
+
+/// Values per range-scan block.
+const BLOCK: usize = 1 << 16;
 
 /// Outcome of deriving the NOA absolute bound from the data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,14 +25,17 @@ pub enum NoaBound<F: PfplFloat> {
     Passthrough,
 }
 
-/// Scan the input for its range and derive the NOA absolute bound. Under
-/// [`Mode::Serial`] the scan is one fold on this thread; under
-/// [`Mode::Parallel`] the pool folds 64 Ki-value blocks and their `(lo, hi)`
-/// pairs are folded in block order. Both give the same bound.
+/// Scan the input for its range and derive the NOA absolute bound. The
+/// scan folds 64 Ki-value blocks on `mode`'s threads, then folds their
+/// `(lo, hi)` pairs in block order, so every mode gives the same bound.
 ///
 /// NaNs are ignored by the scan; infinities make the range infinite, which
 /// forces passthrough mode. `-0.0`/`+0.0` ties resolve either way without
 /// affecting the result (`x - (-0.0) == x - 0.0` for the subtraction used).
+///
+/// The bound is `eb * (max - min)` rounded to nearest in `F`, stepped
+/// toward zero while it exceeds the exact product ([`noa_within`]): the
+/// two roundings can each add half an ulp, so at most two steps.
 pub fn derive_noa_bound<F: PfplFloat>(data: &[F], eb: F, mode: Mode) -> NoaBound<F> {
     // Seed with (+∞, −∞) instead of folding Options: the inner loop is
     // then two branchless conditional moves per value, and NaNs fall out
@@ -50,21 +56,26 @@ pub fn derive_noa_bound<F: PfplFloat>(data: &[F], eb: F, mode: Mode) -> NoaBound
             if b.1 > a.1 { b.1 } else { a.1 },
         )
     };
-    let scan = |c: &[F]| c.iter().fold(ident, fold);
-    let (lo, hi) = match mode {
-        Mode::Serial => scan(data),
-        Mode::Parallel => {
-            let blocks: Vec<(F, F)> = data.par_chunks(1 << 16).map(scan).collect();
-            blocks.into_iter().fold(ident, combine)
-        }
+    let scan = |_: &mut (), i: usize| {
+        let block = &data[i * BLOCK..data.len().min((i + 1) * BLOCK)];
+        block.iter().fold(ident, fold)
     };
+    let blocks = rayon::map_claimed(data.len().div_ceil(BLOCK), mode.threads(), 1, || (), scan);
+    let (lo, hi) = blocks.into_iter().fold(ident, combine);
     if !(lo <= hi) {
         return NoaBound::Passthrough;
     }
     // range = max - min; abs = eb * range, both in F's arithmetic.
     let range = hi.add(F::from_bits(lo.to_bits() ^ F::SIGN_MASK));
-    let abs = eb.mul(range);
-    if abs.is_finite() && abs >= F::MIN_NORMAL {
+    let mut abs = eb.mul(range);
+    let usable = |abs: F| abs.is_finite() && abs >= F::MIN_NORMAL;
+    for _ in 0..2 {
+        if !usable(abs) || noa_within(abs.to_f64(), eb.to_f64(), lo.to_f64(), hi.to_f64()) {
+            break;
+        }
+        abs = F::from_bits(abs.to_bits().wrapping_sub(F::Bits::ONE));
+    }
+    if usable(abs) {
         NoaBound::Abs(abs)
     } else {
         NoaBound::Passthrough

@@ -179,7 +179,7 @@ pub fn decompress_salvage<F: PfplFloat>(
     let reader = ArchiveReader::<F>::open(archive)?;
     let extents = reader.extents();
     let mut out = vec![fill; reader.count()];
-    let work = |(i, vals): (usize, &mut [F]), scratch: &mut Scratch<F>| {
+    let work = |scratch: &mut Scratch<F>, i: usize, vals: &mut [F]| {
         let report = reader.salvage_chunk(i, extents[i], vals.len(), |p, raw| {
             reader.codec.decode_chunk(p, raw, vals, scratch)
         });
@@ -188,7 +188,7 @@ pub fn decompress_salvage<F: PfplFloat>(
         }
         report
     };
-    let chunks = map_chunks(&mut out, mode, work);
+    let chunks = map_chunks(&mut out, mode.threads(), work);
     let version = reader.toc.version;
     Ok((out, SalvageReport { version, chunks }))
 }

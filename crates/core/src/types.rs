@@ -116,16 +116,29 @@ impl Precision {
 
 /// Execution policy: the PFPL_Serial / PFPL_OMP analogues of the paper.
 ///
-/// Both modes produce **bit-for-bit identical** archives; only wall-clock
-/// time differs. (The simulated-GPU backend in `pfpl-device-sim` is the third
-/// compatible implementation.)
+/// As in the paper (§III-E), both modes run the same loop over independent
+/// chunks and differ only in how many threads run it, so they produce
+/// **bit-for-bit identical** archives; only wall-clock time differs. (The
+/// simulated-GPU backend in `pfpl-device-sim` is the third compatible
+/// implementation.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
-    /// Single-threaded; chunks are processed in order with reused scratch
-    /// buffers (the fastest per-core path).
+    /// The chunk loop at one thread: it runs inline on the caller, in
+    /// chunk order, with one reused scratch set, and never wakes the pool.
     Serial,
-    /// Chunk-parallel on a persistent thread pool whose workers claim
-    /// chunk indices in ascending order (PFPL_OMP analogue).
+    /// The chunk loop on [`rayon::current_num_threads`] threads of the
+    /// persistent pool, which claim chunk indices in ascending order
+    /// (PFPL_OMP analogue). At one thread it is the `Serial` loop.
     #[default]
     Parallel,
+}
+
+impl Mode {
+    /// The number of threads that run the chunk loop.
+    pub(crate) fn threads(self) -> usize {
+        match self {
+            Mode::Serial => 1,
+            Mode::Parallel => rayon::current_num_threads(),
+        }
+    }
 }

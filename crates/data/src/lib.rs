@@ -61,14 +61,6 @@ impl FieldData {
             FieldData::F64(_) => panic!("field is double precision"),
         }
     }
-
-    /// Borrow as `f64` values (panics on precision mismatch).
-    pub fn as_f64(&self) -> &[f64] {
-        match self {
-            FieldData::F64(v) => v,
-            FieldData::F32(_) => panic!("field is single precision"),
-        }
-    }
 }
 
 /// One input file: a named (possibly multi-dimensional) array of floats.

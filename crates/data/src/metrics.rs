@@ -147,5 +147,7 @@ mod tests {
         // Of-geomeans weights suites equally regardless of file counts.
         let suites = vec![vec![2.0, 2.0, 2.0, 2.0], vec![8.0]];
         assert!((geomean_of_geomeans(&suites) - 4.0).abs() < 1e-12);
+        let suites = vec![vec![4.0, 4.0, 4.0], vec![16.0]];
+        assert!((geomean_of_geomeans(&suites) - 8.0).abs() < 1e-12);
     }
 }

@@ -29,11 +29,6 @@ pub fn throughput_gbs(bytes: usize, seconds: f64) -> f64 {
     bytes as f64 / seconds / 1e9
 }
 
-/// Measure median-of-`runs` throughput of `f` over `bytes` of input.
-pub fn measure_gbs<F: FnMut()>(bytes: usize, runs: usize, f: F) -> f64 {
-    throughput_gbs(bytes, median_seconds(runs, f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -74,11 +74,6 @@ impl<'a> BitReader<'a> {
         self.buf.len() * 8 - self.pos
     }
 
-    /// Current bit position.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
-
     /// Read `nbits` bits MSB-first.
     pub fn read_bits(&mut self, nbits: u32) -> Result<u64> {
         if nbits as usize > self.remaining_bits() {

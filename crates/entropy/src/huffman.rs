@@ -144,11 +144,6 @@ impl HuffmanEncoder {
         Self { lens, codes }
     }
 
-    /// Code length for `sym` (0 if unused).
-    pub fn len_of(&self, sym: usize) -> u8 {
-        self.lens[sym]
-    }
-
     /// Serialize the code-length table (RLE: 5-bit length + 16-bit run).
     pub fn write_table(&self, w: &mut BitWriter) {
         w.write_bits(self.lens.len() as u64, 32);

@@ -2,14 +2,11 @@
 //! bound types, with the paper's headline properties asserted end-to-end:
 //! bit-identical archives everywhere, guaranteed bounds everywhere.
 
+use pfpl::container::Toc;
+use pfpl::float::PfplFloat;
 use pfpl::types::{ErrorBound, Mode};
-use pfpl_data::metrics::{max_abs_err, max_noa_err, max_rel_err};
 use pfpl_data::{all_suites, FieldData, SizeClass};
 use pfpl_device_sim::{configs, GpuDevice};
-
-fn widen(v: &[f32]) -> Vec<f64> {
-    v.iter().map(|&x| x as f64).collect()
-}
 
 /// The full grid: every suite, every bound type, one bound magnitude,
 /// asserting ratio sanity, the error bound, and cross-implementation
@@ -38,14 +35,14 @@ fn all_suites_all_bounds_guaranteed_and_identical() {
                             .iter()
                             .zip(&recon_gpu)
                             .all(|(a, b)| a.to_bits() == b.to_bits()));
-                        check_bound(&widen(data), &widen(&recon), bound, suite.name, &field.name);
+                        check_bound(&serial, data, &recon, bound, suite.name, &field.name);
                     }
                     FieldData::F64(data) => {
                         let serial = pfpl::compress(data, bound, Mode::Serial).unwrap();
                         let gpu_arch = gpu.compress(data, bound).unwrap();
                         assert_eq!(serial, gpu_arch);
                         let recon: Vec<f64> = pfpl::decompress(&serial, Mode::Serial).unwrap();
-                        check_bound(data, &recon, bound, suite.name, &field.name);
+                        check_bound(&serial, data, &recon, bound, suite.name, &field.name);
                     }
                 }
             }
@@ -53,22 +50,19 @@ fn all_suites_all_bounds_guaranteed_and_identical() {
     }
 }
 
-fn check_bound(orig: &[f64], recon: &[f64], bound: ErrorBound, suite: &str, field: &str) {
-    let ctx = format!("{suite}/{field} {bound:?}");
-    match bound {
-        ErrorBound::Abs(eb) => {
-            let err = max_abs_err(orig, recon);
-            assert!(err <= eb, "{ctx}: abs err {err}");
-        }
-        ErrorBound::Rel(eb) => {
-            let err = max_rel_err(orig, recon);
-            // The metric itself divides (rounded); allow 1 ulp of metric slack.
-            assert!(err <= eb * (1.0 + 1e-12), "{ctx}: rel err {err}");
-        }
-        ErrorBound::Noa(eb) => {
-            let err = max_noa_err(orig, recon);
-            assert!(err <= eb * (1.0 + 1e-12), "{ctx}: noa err {err}");
-        }
+/// Every value of `recon` within `bound` of `orig`, decided exactly
+/// against `archive`'s header ([`pfpl::exact::check_bound`]).
+fn check_bound<F: PfplFloat>(
+    archive: &[u8],
+    orig: &[F],
+    recon: &[F],
+    bound: ErrorBound,
+    suite: &str,
+    field: &str,
+) {
+    let header = Toc::read(archive).unwrap().header;
+    if let Err(e) = pfpl::exact::check_bound(bound, &header, orig, recon) {
+        panic!("{suite}/{field} {bound:?}: {e}");
     }
 }
 

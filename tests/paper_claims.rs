@@ -1,7 +1,8 @@
 //! Assertions tied to specific claims in the paper's text, as executable
 //! documentation of what the reproduction reproduces.
 
-use pfpl::container::{Header, Toc};
+use pfpl::container::Toc;
+use pfpl::exact::check_bound;
 use pfpl::types::{ErrorBound, Mode, Precision};
 use pfpl_data::golden::{golden_specs, golden_values_f32, golden_values_f64};
 use pfpl_data::{suite_by_name, FieldData, SizeClass};
@@ -119,42 +120,43 @@ fn golden_decodes_respect_their_bound() {
             )
         });
         let header = Toc::read(&archive).unwrap().header;
-        match spec.precision {
+        let verdict = match spec.precision {
             Precision::Single => {
                 let orig = golden_values_f32(&spec);
                 let back: Vec<f32> = pfpl::decompress(&archive, Mode::Parallel).unwrap();
-                check_bound(spec.name, spec.bound, &header, &orig, &back);
+                check_bound(spec.bound, &header, &orig, &back)
             }
             Precision::Double => {
                 let orig = golden_values_f64(&spec);
                 let back: Vec<f64> = pfpl::decompress(&archive, Mode::Parallel).unwrap();
-                check_bound(spec.name, spec.bound, &header, &orig, &back);
+                check_bound(spec.bound, &header, &orig, &back)
             }
-        }
+        };
+        verdict.unwrap_or_else(|e| panic!("{}: {e}", spec.name));
     }
 }
 
-fn check_bound<F: pfpl::float::PfplFloat>(
-    name: &str,
-    bound: ErrorBound,
-    header: &Header,
-    orig: &[F],
-    back: &[F],
-) {
-    assert_eq!(orig.len(), back.len(), "{name}: length");
-    for (i, (a, b)) in orig.iter().zip(back).enumerate() {
-        if a.to_bits() == b.to_bits() {
-            continue;
-        }
-        let (av, bv) = (a.to_f64(), b.to_f64());
-        let within = match bound {
-            ErrorBound::Abs(eb) => (av - bv).abs() <= eb,
-            ErrorBound::Rel(eb) => (av - bv).abs() <= eb * av.abs(),
-            // NOA: the header's derived bound is the ABS bound the
-            // quantizer actually enforced (user bound × value range).
-            ErrorBound::Noa(_) => (av - bv).abs() <= header.derived_bound,
-        };
-        assert!(within, "{name}: value {i}: {av} -> {bv} violates {bound:?}");
+/// §II: NOA bounds every error by `eb * (max - min)`, exactly. Rounding
+/// the range and the product to nearest can land above that; the derived
+/// bound the archive records must not.
+#[test]
+fn noa_derived_bound_within_exact_range_bound() {
+    let data = [-1.5 * 2f32.powi(-24), 1.0, f32::from_bits(0x3F00_0001)];
+    let bound = ErrorBound::Noa(0.5);
+    let exact = 0.5 + 0.75 * 2f64.powi(-24);
+    for mode in [Mode::Serial, Mode::Parallel] {
+        let archive = pfpl::compress(&data, bound, mode).unwrap();
+        let mut header = Toc::read(&archive).unwrap().header;
+        let back: Vec<f32> = pfpl::decompress(&archive, mode).unwrap();
+        let derived = header.derived_bound;
+        assert!(derived <= exact, "{mode:?}: {derived}");
+        check_bound(bound, &header, &data, &back).unwrap();
+        // The nearest-rounded bound, and the decode it allowed (value 2
+        // as 1.0000001, an error of 0.5 + 2^-24), are rejected.
+        header.derived_bound = 0.5 + 2f64.powi(-24);
+        let loose = [data[0], data[1], f32::from_bits(0x3F80_0001)];
+        assert!(check_bound(bound, &header, &data, &loose).is_err());
+        assert!(check_bound(bound, &header, &data, &data).is_err());
     }
 }
 

@@ -1,8 +1,22 @@
 //! Property tests over the whole public surface: arbitrary inputs, all
 //! bound types, archive fuzzing.
 
+use pfpl::container::Toc;
+use pfpl::float::PfplFloat;
 use pfpl::types::{ErrorBound, Mode};
 use proptest::prelude::*;
+
+/// [`pfpl::exact::check_bound`]'s verdict on `back`, the decode of
+/// `archive`, which compressed `orig` under `bound`.
+fn verdict<F: PfplFloat>(
+    bound: ErrorBound,
+    archive: &[u8],
+    orig: &[F],
+    back: &[F],
+) -> Result<(), String> {
+    let header = Toc::read(archive).map_err(|e| e.to_string())?.header;
+    pfpl::exact::check_bound(bound, &header, orig, back)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -13,13 +27,10 @@ proptest! {
         data in prop::collection::vec(-1e6f32..1e6, 0..20_000),
         eb_exp in -6i32..0,
     ) {
-        let eb = 10f64.powi(eb_exp);
-        let arch = pfpl::compress(&data, ErrorBound::Abs(eb), Mode::Parallel).unwrap();
+        let bound = ErrorBound::Abs(10f64.powi(eb_exp));
+        let arch = pfpl::compress(&data, bound, Mode::Parallel).unwrap();
         let back: Vec<f32> = pfpl::decompress(&arch, Mode::Parallel).unwrap();
-        prop_assert_eq!(back.len(), data.len());
-        for (a, b) in data.iter().zip(&back) {
-            prop_assert!((*a as f64 - *b as f64).abs() <= eb);
-        }
+        prop_assert_eq!(verdict(bound, &arch, &data, &back), Ok(()));
     }
 
     /// REL bound + sign preservation for arbitrary bit patterns
@@ -29,21 +40,11 @@ proptest! {
         bits in prop::collection::vec(any::<u32>(), 0..8_192),
         eb_exp in -5i32..-1,
     ) {
-        let eb = 10f64.powi(eb_exp);
+        let bound = ErrorBound::Rel(10f64.powi(eb_exp));
         let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        let arch = pfpl::compress(&data, ErrorBound::Rel(eb), Mode::Serial).unwrap();
+        let arch = pfpl::compress(&data, bound, Mode::Serial).unwrap();
         let back: Vec<f32> = pfpl::decompress(&arch, Mode::Serial).unwrap();
-        for (a, b) in data.iter().zip(&back) {
-            if a.is_nan() {
-                prop_assert!(b.is_nan());
-            } else if !a.is_finite() || *a == 0.0 {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            } else {
-                prop_assert_eq!(a.is_sign_negative(), b.is_sign_negative());
-                let rel = ((*a as f64 - *b as f64) / *a as f64).abs();
-                prop_assert!(rel <= eb, "a={} b={} rel={}", a, b, rel);
-            }
-        }
+        prop_assert_eq!(verdict(bound, &arch, &data, &back), Ok(()));
     }
 
     /// f64 ABS with arbitrary bit patterns.
@@ -52,20 +53,11 @@ proptest! {
         bits in prop::collection::vec(any::<u64>(), 0..4_096),
         eb_exp in -12i32..0,
     ) {
-        let eb = 10f64.powi(eb_exp);
+        let bound = ErrorBound::Abs(10f64.powi(eb_exp));
         let data: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-        let arch = pfpl::compress(&data, ErrorBound::Abs(eb), Mode::Parallel).unwrap();
+        let arch = pfpl::compress(&data, bound, Mode::Parallel).unwrap();
         let back: Vec<f64> = pfpl::decompress(&arch, Mode::Parallel).unwrap();
-        for (a, b) in data.iter().zip(&back) {
-            if a.is_nan() {
-                prop_assert!(b.is_nan());
-            } else if !a.is_finite() {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            } else {
-                prop_assert!(pfpl::exact::abs_within_f64(*a, *b, eb),
-                    "a={} b={}", a, b);
-            }
-        }
+        prop_assert_eq!(verdict(bound, &arch, &data, &back), Ok(()));
     }
 
     /// Serial / parallel / GPU produce identical archives on random data.
