@@ -352,9 +352,7 @@ fn decompress_fused<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     for out_t in vals.chunks_exact_mut(shuffle::TILE_WORDS) {
         shuffle::decode_tile(&mut tile, |p, line| sink.next_line(payload, p, line));
         carry = delta::decode_carry(&mut tile, carry);
-        for (v, &w) in out_t.iter_mut().zip(tile.iter()) {
-            *v = q.decode(w);
-        }
+        q.decode_slice(&tile, out_t);
     }
     Ok(())
 }

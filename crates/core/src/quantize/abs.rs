@@ -189,6 +189,7 @@ impl<F: PfplFloat> Quantizer<F> for AbsQuantizer<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::{abs_within_f32, abs_within_f64};
     use proptest::prelude::*;
 
     fn roundtrip_f32(v: f32, eb: f32) -> f32 {
@@ -264,7 +265,7 @@ mod tests {
         let q = AbsQuantizer::<f64>::new(1e-6).unwrap();
         for &v in &[0.0, 1.0, -1.0, std::f64::consts::PI, 1e-5, -2.5e-6, 1e12] {
             let r = q.decode(q.encode(v));
-            assert!((v - r).abs() <= 1e-6, "v={v} r={r}");
+            assert!(abs_within_f64(v, r, 1e-6), "v={v} r={r}");
         }
     }
 
@@ -285,9 +286,7 @@ mod tests {
             } else if !v.is_finite() {
                 prop_assert_eq!(r.to_bits(), bits);
             } else {
-                // Exact check in f64 (exact promotion).
-                let err = (v as f64 - r as f64).abs();
-                prop_assert!(err <= eb as f64, "v={} r={} eb={} err={}", v, r, eb, err);
+                prop_assert!(abs_within_f32(v, r, eb), "v={} r={} eb={}", v, r, eb);
             }
         }
 
@@ -300,10 +299,7 @@ mod tests {
             if !v.is_finite() {
                 prop_assert_eq!(r.to_bits(), bits);
             } else {
-                // Conservative f64 check (rounding slack one ulp).
-                let err = (v - r).abs();
-                prop_assert!(err <= eb * (1.0 + 1e-15) || crate::exact::abs_within_f64(v, r, eb),
-                    "v={} r={} eb={} err={}", v, r, eb, err);
+                prop_assert!(abs_within_f64(v, r, eb), "v={} r={} eb={}", v, r, eb);
             }
         }
 

@@ -53,6 +53,19 @@ pub trait Quantizer<F: PfplFloat>: Send + Sync {
         }
         lossless
     }
+
+    /// Decode a whole slice into pre-sized `out` (`out.len() ==
+    /// words.len()`).
+    ///
+    /// Semantics are exactly `out[i] = decode(words[i])` for *every* word,
+    /// emitted or not (decode stays total over arbitrary bits); batched
+    /// implementations must stay bit-identical to the scalar path.
+    fn decode_slice(&self, words: &[F::Bits], out: &mut [F]) {
+        debug_assert_eq!(words.len(), out.len());
+        for (v, &w) in out.iter_mut().zip(words) {
+            *v = self.decode(w);
+        }
+    }
 }
 
 /// Identity codec used when NOA derives an unusably small absolute bound

@@ -10,6 +10,14 @@
 //! [`crate::float::portable`]; their tiny inaccuracies are absorbed by the
 //! exact verification + lossless fallback (§III-C).
 //!
+//! **Lanes.** `encode_slice` and `decode_slice` run the quantizer
+//! [`LANES`] values at a time through `log2_lanes` / `exp2_lanes`, which
+//! map the one branch-free body of the scalar functions over the lanes.
+//! Each lane repeats the scalar IEEE operations in order, and every lane
+//! that the in-lane fast test cannot decide re-runs the scalar
+//! `encode` / `decode`, so the batched words and values are bit-identical
+//! to the scalar ones by construction.
+//!
 //! **Bin storage (§III-B).** The denormal-range trick used by ABS does not
 //! work for REL (denormals need high relative precision), so bins live in
 //! the *negative NaN* range instead: sign bit set, exponent all ones,
@@ -32,7 +40,9 @@
 
 use super::Quantizer;
 use crate::error::{Error, Result};
-use crate::float::{portable, PfplFloat, Word};
+use crate::float::portable::{self, LANES};
+use crate::float::{PfplFloat, Word};
+use std::array;
 
 /// REL quantizer: guarantees `|v - v'| <= eb * |v|` and `sign(v') == sign(v)`.
 #[derive(Debug, Clone)]
@@ -113,6 +123,35 @@ impl<F: PfplFloat> RelQuantizer<F> {
         Self::xor_mask() | mant
     }
 
+    /// True if `raw` (a pre-XOR word) is a negative-NaN bin pattern: sign
+    /// set, exponent all ones, mantissa nonzero.
+    #[inline(always)]
+    fn is_bin(raw: F::Bits) -> bool {
+        (raw & Self::xor_mask() == Self::xor_mask()) & (raw & F::MANT_MASK != F::Bits::ZERO)
+    }
+
+    /// Split the payload of a bin pattern into (value sign, zero code, bin).
+    /// Total over any word: a zero mantissa wraps instead of panicking.
+    #[inline(always)]
+    fn unpack(raw: F::Bits) -> (bool, bool, i64) {
+        let payload = (raw & F::MANT_MASK).to_u64().wrapping_sub(1);
+        let vsign = payload >> (F::MANT_BITS - 1) & 1 == 1;
+        let bsign = payload >> Self::mag_bits() & 1 == 1;
+        let mag = payload & ((1u64 << Self::mag_bits()) - 1);
+        let zero = (mag == Self::zero_mag()) & !bsign;
+        (vsign, zero, if bsign { -(mag as i64) } else { mag as i64 })
+    }
+
+    /// `a` with its sign bit set when `negative`.
+    #[inline(always)]
+    fn with_sign(a: F, negative: bool) -> F {
+        if negative {
+            F::from_bits(a.to_bits() | F::SIGN_MASK)
+        } else {
+            a
+        }
+    }
+
     /// Reconstruct the magnitude of bin `bin` (deterministic; shared by the
     /// encoder's verification and the decoder).
     #[inline]
@@ -121,17 +160,21 @@ impl<F: PfplFloat> RelQuantizer<F> {
     }
 }
 
-impl<F: PfplFloat> RelQuantizer<F> {
-    /// Encode one *plain* value: finite and nonzero (callers have already
-    /// dispatched NaN/±∞/±0). This is the branch-heavy tail of
-    /// [`Quantizer::encode`], factored out so the batched path can run it
-    /// on prefiltered groups without re-testing the specials per value.
+impl<F: PfplFloat> Quantizer<F> for RelQuantizer<F> {
     #[inline]
-    fn encode_plain(&self, v: F) -> F::Bits {
+    fn encode(&self, v: F) -> F::Bits {
         let xm = Self::xor_mask();
         let bits = v.to_bits();
-        debug_assert!(v.is_finite() && bits & !F::SIGN_MASK != F::Bits::ZERO);
-        let vsign = v.is_sign_negative();
+        if v.is_nan() {
+            // Negative NaNs become positive to vacate the bin range.
+            return (bits & !F::SIGN_MASK) ^ xm;
+        }
+        if !v.is_finite() {
+            return bits ^ xm; // ±∞ lossless
+        }
+        if bits & !F::SIGN_MASK == F::Bits::ZERO {
+            return Self::pack(v.is_sign_negative(), false, Self::zero_mag()) ^ xm;
+        }
         let a = v.abs();
         let lb = portable::log2(a.to_f64());
         let bin = (lb * self.inv_binw).round_away_i64();
@@ -159,52 +202,63 @@ impl<F: PfplFloat> RelQuantizer<F> {
         if !ok {
             return bits ^ xm;
         }
-        Self::pack(vsign, bin < 0, bin.unsigned_abs()) ^ xm
-    }
-}
-
-impl<F: PfplFloat> Quantizer<F> for RelQuantizer<F> {
-    #[inline]
-    fn encode(&self, v: F) -> F::Bits {
-        let xm = Self::xor_mask();
-        let bits = v.to_bits();
-        if v.is_nan() {
-            // Negative NaNs become positive to vacate the bin range.
-            return (bits & !F::SIGN_MASK) ^ xm;
-        }
-        if !v.is_finite() {
-            return bits ^ xm; // ±∞ lossless
-        }
-        if bits & !F::SIGN_MASK == F::Bits::ZERO {
-            return Self::pack(v.is_sign_negative(), false, Self::zero_mag()) ^ xm;
-        }
-        self.encode_plain(v)
+        Self::pack(v.is_sign_negative(), bin < 0, bin.unsigned_abs()) ^ xm
     }
 
-    /// Batched encode: groups of 8 are prefiltered with one branchless
-    /// pass (`finite && nonzero` per lane); an all-plain group runs the
-    /// factored `encode_plain` body with no special-case tests,
-    /// any other group re-runs the full scalar [`Quantizer::encode`].
-    /// Both paths call the exact same code for each value class, so the
-    /// output is bit-identical to the scalar path by construction.
+    /// Batched encode, [`LANES`] values at a time. Every lane computes
+    /// `log2`, the bin, `exp2` and the fast-accept test (`t = eb·|v|`
+    /// normal and finite, `|v − recon| < t·fast_lo`, `|bin| <= max_mag`)
+    /// with the lane forms of the portable functions, which repeat the
+    /// scalar IEEE operations in order. Lanes that pass emit their bin
+    /// word; the lanes that fail, and the specials (NaN, ±∞, ±0, which
+    /// enter the lanes as the neutral 1.0), re-run the scalar
+    /// [`Quantizer::encode`], so every undecided value still reaches the
+    /// exact `rel_within_mag` check and the output is bit-identical to the
+    /// scalar path by construction.
     fn encode_slice(&self, vals: &[F], out: &mut [F::Bits]) -> u64 {
         debug_assert_eq!(vals.len(), out.len());
+        let xm = Self::xor_mask();
+        let max_mag = Self::max_mag();
         let mut lossless = 0u64;
-        let mut groups = vals.chunks_exact(8);
-        let mut outs = out.chunks_exact_mut(8);
+        let mut groups = vals.chunks_exact(LANES);
+        let mut outs = out.chunks_exact_mut(LANES);
         for (vs, ws) in (&mut groups).zip(&mut outs) {
-            let mut plain = true;
-            for &v in vs {
-                plain &= v.is_finite() && v.to_bits() & !F::SIGN_MASK != F::Bits::ZERO;
-            }
-            if plain {
-                for (w, &v) in ws.iter_mut().zip(vs) {
-                    let e = self.encode_plain(v);
-                    lossless += self.is_lossless_word(e) as u64;
-                    *w = e;
+            let plain: [bool; LANES] = array::from_fn(|i| {
+                vs[i].is_finite() & (vs[i].to_bits() & !F::SIGN_MASK != F::Bits::ZERO)
+            });
+            let lb = portable::log2_lanes(array::from_fn(|i| {
+                if plain[i] {
+                    vs[i].abs().to_f64()
+                } else {
+                    1.0
                 }
-            } else {
-                for (w, &v) in ws.iter_mut().zip(vs) {
+            }));
+            let bin = lb.map(|lb| (lb * self.inv_binw).round_away_i64());
+            let in_range = bin.map(|b| b.unsigned_abs() <= max_mag);
+            let recon = portable::exp2_lanes(array::from_fn(|i| {
+                if in_range[i] {
+                    bin[i] as f64 * self.binw
+                } else {
+                    0.0
+                }
+            }));
+            let mut fast = [false; LANES];
+            for i in 0..LANES {
+                let a = vs[i].abs();
+                let recon = F::from_f64(recon[i]);
+                let t = self.eb.mul(a);
+                let ad = a.add(F::from_bits(recon.to_bits() ^ F::SIGN_MASK)).abs();
+                fast[i] = plain[i]
+                    & in_range[i]
+                    & (t >= F::MIN_NORMAL)
+                    & t.is_finite()
+                    & (ad < t.mul(self.fast_lo));
+                // Out-of-range bins pack as 0: the word is overwritten below.
+                let mag = if in_range[i] { bin[i].unsigned_abs() } else { 0 };
+                ws[i] = Self::pack(vs[i].is_sign_negative(), bin[i] < 0, mag) ^ xm;
+            }
+            if fast.contains(&false) {
+                for ((w, &v), _) in ws.iter_mut().zip(vs).zip(&fast).filter(|(_, &f)| !f) {
                     let e = self.encode(v);
                     lossless += self.is_lossless_word(e) as u64;
                     *w = e;
@@ -221,44 +275,72 @@ impl<F: PfplFloat> Quantizer<F> for RelQuantizer<F> {
 
     #[inline]
     fn decode(&self, w: F::Bits) -> F {
+        let raw = w ^ Self::xor_mask();
+        if !Self::is_bin(raw) {
+            return F::from_bits(raw);
+        }
+        let (vsign, zero, bin) = Self::unpack(raw);
+        let a = if zero { F::ZERO } else { self.recon_mag(bin) };
+        Self::with_sign(a, vsign)
+    }
+
+    /// Batched decode, [`LANES`] words at a time: every bin word other
+    /// than the zero code reconstructs in-lane through
+    /// [`portable::exp2_lanes`]; lossless words and the zero code re-run
+    /// the scalar [`Quantizer::decode`]. Bit-identical to the scalar path.
+    fn decode_slice(&self, words: &[F::Bits], out: &mut [F]) {
+        debug_assert_eq!(words.len(), out.len());
         let xm = Self::xor_mask();
-        let raw = w ^ xm;
-        // Negative NaN pattern = sign set, exponent all ones, mantissa != 0.
-        if raw & xm == xm && raw & F::MANT_MASK != F::Bits::ZERO {
-            let payload = (raw & F::MANT_MASK).to_u64() - 1;
-            let vsign = payload >> (F::MANT_BITS - 1) & 1 == 1;
-            let bsign = payload >> Self::mag_bits() & 1 == 1;
-            let mag = payload & ((1u64 << Self::mag_bits()) - 1);
-            let a = if mag == Self::zero_mag() && !bsign {
-                F::ZERO
-            } else {
-                let bin = if bsign { -(mag as i64) } else { mag as i64 };
-                self.recon_mag(bin)
-            };
-            if vsign {
-                F::from_bits(a.to_bits() | F::SIGN_MASK)
-            } else {
-                a
+        let mut groups = words.chunks_exact(LANES);
+        let mut outs = out.chunks_exact_mut(LANES);
+        for (ws, vs) in (&mut groups).zip(&mut outs) {
+            let mut fast = [false; LANES];
+            let mut vsign = [false; LANES];
+            let mut y = [0.0; LANES];
+            for i in 0..LANES {
+                let raw = ws[i] ^ xm;
+                let (s, zero, bin) = Self::unpack(raw);
+                fast[i] = Self::is_bin(raw) & !zero;
+                vsign[i] = s;
+                y[i] = if fast[i] { bin as f64 * self.binw } else { 0.0 };
             }
-        } else {
-            F::from_bits(raw)
+            let a = portable::exp2_lanes(y);
+            for i in 0..LANES {
+                vs[i] = Self::with_sign(F::from_f64(a[i]), vsign[i]);
+            }
+            if fast.contains(&false) {
+                for ((v, &w), _) in vs.iter_mut().zip(ws).zip(&fast).filter(|(_, &f)| !f) {
+                    *v = self.decode(w);
+                }
+            }
+        }
+        for (v, &w) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
+            *v = self.decode(w);
         }
     }
 
     #[inline(always)]
     fn is_lossless_word(&self, w: F::Bits) -> bool {
-        let raw = w ^ Self::xor_mask();
-        !(raw & Self::xor_mask() == Self::xor_mask() && raw & F::MANT_MASK != F::Bits::ZERO)
+        !Self::is_bin(w ^ Self::xor_mask())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::{rel_within_mag_f32, rel_within_mag_f64};
     use proptest::prelude::*;
 
     fn q32(eb: f32) -> RelQuantizer<f32> {
         RelQuantizer::new(eb).unwrap()
+    }
+
+    /// The exact REL predicate on f64 magnitudes, after the exact 2^-600
+    /// rescale `exact::check_bound` applies above 2^500, where
+    /// `rel_within_mag_f64` alone turns conservative.
+    fn rel_exact_f64(a: f64, b: f64, eb: f64) -> bool {
+        let s = if a > 2f64.powi(500) { 2f64.powi(-600) } else { 1.0 };
+        rel_within_mag_f64(a * s, b * s, eb)
     }
 
     #[test]
@@ -311,8 +393,7 @@ mod tests {
             let q = q32(eb);
             for &v in &[1.0f32, -1.0, 3.7e8, -2.2e-12, 6.02e23, 0.5] {
                 let r = q.decode(q.encode(v));
-                let rel = ((v as f64 - r as f64) / v as f64).abs();
-                assert!(rel <= eb as f64, "v={v} eb={eb} r={r} rel={rel}");
+                assert!(rel_within_mag_f32(v.abs(), r.abs(), eb), "v={v} eb={eb} r={r}");
                 assert_eq!(r.is_sign_negative(), v.is_sign_negative());
             }
         }
@@ -324,8 +405,8 @@ mod tests {
         for bits in [1u32, 0x0000_1000, 0x007F_FFFF, 0x8000_0001] {
             let v = f32::from_bits(bits);
             let r = q.decode(q.encode(v));
-            let rel = ((v as f64 - r as f64) / v as f64).abs();
-            assert!(rel <= 1e-2, "denormal {bits:#x}: rel={rel}");
+            assert!(rel_within_mag_f32(v.abs(), r.abs(), 1e-2), "denormal {bits:#x}: r={r}");
+            assert_eq!(r.is_sign_negative(), v.is_sign_negative());
         }
     }
 
@@ -334,8 +415,8 @@ mod tests {
         let q = RelQuantizer::<f64>::new(1e-4).unwrap();
         for &v in &[1.0f64, -1e300, 1e-300, std::f64::consts::E, -42.0] {
             let r = q.decode(q.encode(v));
-            let rel = ((v - r) / v).abs();
-            assert!(rel <= 1e-4, "v={v} r={r} rel={rel}");
+            assert!(rel_exact_f64(v.abs(), r.abs(), 1e-4), "v={v} r={r}");
+            assert_eq!(r.is_sign_negative(), v.is_sign_negative());
         }
     }
 
@@ -355,8 +436,7 @@ mod tests {
                 prop_assert_eq!(r.to_bits(), bits);
             } else {
                 prop_assert_eq!(r.is_sign_negative(), v.is_sign_negative());
-                let rel = ((v as f64 - r as f64) / (v as f64)).abs();
-                prop_assert!(rel <= eb as f64, "v={} eb={} r={} rel={}", v, eb, r, rel);
+                prop_assert!(rel_within_mag_f32(v.abs(), r.abs(), eb), "v={} eb={} r={}", v, eb, r);
             }
         }
 
@@ -371,10 +451,7 @@ mod tests {
                 if v == 0.0 { prop_assert_eq!(r.to_bits(), bits); }
             } else {
                 prop_assert_eq!(r.is_sign_negative(), v.is_sign_negative());
-                // rel check with one-ulp slack for the division in the test
-                // itself (the quantizer's internal check is exact).
-                let rel = ((v - r) / v).abs();
-                prop_assert!(rel <= eb * (1.0 + 1e-15), "v={} eb={} r={}", v, eb, r);
+                prop_assert!(rel_exact_f64(v.abs(), r.abs(), eb), "v={} eb={} r={}", v, eb, r);
             }
         }
 
