@@ -6,8 +6,8 @@
 //! fused kernel — "the most important optimization is fusing all four
 //! stages": the quantizer produces 512-word tiles on the stack, each tile
 //! is delta+negabinary-coded as produced (the predecessor carries across
-//! tile boundaries), bit-transposed in place, and every emitted 64-byte
-//! plane line streams straight into zero-elimination
+//! tile boundaries), bit-transposed into one 64-byte line per bit plane,
+//! and every line streams straight into zero-elimination
 //! ([`zeroelim::Scratch`]). The intermediate 16 KiB shuffled byte buffer
 //! of the staged pipeline is never materialized; decompression runs the
 //! same fusion in reverse (plane lines are expanded on demand,
@@ -116,8 +116,8 @@ fn encode_stages_fused<F: PfplFloat, Q: Quantizer<F>>(
     // assembled here in one burst and consumed whole by the sink, which
     // keeps the narrow lane stores and the sink's 64-byte vector loads out
     // of each other's store-forwarding window.
-    let mut lines = [0u8; 64 * 64];
-    let lines = &mut lines[..planes * 64];
+    let mut lines = [[0u8; 64]; 64];
+    let lines = &mut lines[..planes];
     let mut carry = F::Bits::ZERO;
     let mut lossless = 0u64;
     for tv in vals.chunks_exact(shuffle::TILE_WORDS) {
@@ -129,12 +129,12 @@ fn encode_stages_fused<F: PfplFloat, Q: Quantizer<F>>(
         // Stage 1: delta + negabinary, predecessor carried across tiles so
         // the codes equal a whole-chunk pass.
         carry = delta::encode_carry(&mut tile, carry);
-        // Stages 2+3: transpose in place; every 64-byte plane line goes
-        // straight into zero-elimination — the 16 KiB shuffled buffer of
-        // the staged path is never written.
-        shuffle::encode_tile_into(&mut tile, lines, 64);
-        for (p, line) in lines.chunks_exact(64).enumerate() {
-            sink.push_line64(p, line.try_into().unwrap());
+        // Stages 2+3: transpose into the plane lines; every 64-byte line
+        // goes straight into zero-elimination — the 16 KiB shuffled buffer
+        // of the staged path is never written.
+        shuffle::encode_tile_into(&tile, lines);
+        for (p, line) in lines.iter().enumerate() {
+            sink.push_line64(p, line);
         }
     }
     (sink.finish_encode(), lossless)
@@ -192,8 +192,10 @@ pub fn compress_chunk<F: PfplFloat, Q: Quantizer<F>>(
 /// [`compress_chunk`], but forcing the staged four-pass reference pipeline
 /// even for whole-tile chunks. The archive bytes and [`ChunkInfo`] are
 /// identical to the fused path by construction — this entry point exists
-/// so `tests/fused_equivalence.rs` and the `fused_vs_staged` benchmarks
-/// can assert/measure that.
+/// so `tests/fused_equivalence.rs` can assert that,
+/// `tests/alloc_steady_state.rs` can count the staged path's allocations,
+/// and `profile_stages` can time it head-to-head against the fused kernel
+/// (`chunk_kernel_gbs`).
 pub fn compress_chunk_staged<F: PfplFloat, Q: Quantizer<F>>(
     q: &Q,
     vals: &[F],
@@ -348,9 +350,14 @@ fn decompress_fused<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     let sink = &mut scratch.sink;
     sink.begin_decode(payload, planes, vals.len() / 8)?;
     let mut tile = [F::Bits::ZERO; shuffle::TILE_WORDS];
+    let mut lines = [[0u8; 64]; 64];
+    let lines = &mut lines[..planes];
     let mut carry = F::Bits::ZERO;
     for out_t in vals.chunks_exact_mut(shuffle::TILE_WORDS) {
-        shuffle::decode_tile(&mut tile, |p, line| sink.next_line(payload, p, line));
+        for (p, line) in lines.iter_mut().enumerate() {
+            sink.next_line(payload, p, line);
+        }
+        shuffle::decode_tile(lines, &mut tile);
         carry = delta::decode_carry(&mut tile, carry);
         q.decode_slice(&tile, out_t);
     }

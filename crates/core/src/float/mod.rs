@@ -56,17 +56,6 @@ pub trait Word:
     /// Append the word to `out` in little-endian order.
     fn push_le(self, out: &mut Vec<u8>);
 
-    /// Write `words` into `out` in little-endian order
-    /// (`out.len() == words.len() * BITS/8`). The fixed-stride loop
-    /// compiles to a straight memcpy on little-endian targets.
-    fn write_slice_le(words: &[Self], out: &mut [u8]) {
-        let wb = Self::BITS as usize / 8;
-        debug_assert_eq!(out.len(), words.len() * wb);
-        for (dst, &w) in out.chunks_exact_mut(wb).zip(words) {
-            w.write_le(dst);
-        }
-    }
-
     /// Read `out.len()` words from little-endian `src`
     /// (`src.len() == out.len() * BITS/8`).
     fn read_slice_le(src: &[u8], out: &mut [Self]) {

@@ -5,14 +5,34 @@
 //! bits in the same positions (which stage 1 manufactures) become long runs
 //! of zero bits — and, after 8+ words, zero *bytes* for stage 3 to delete.
 //!
-//! The one fast kernel transposes a [`TILE_WORDS`]-word tile: `BITS`-word
-//! groups go through a masked-swap bit-matrix transpose (log2(wordsize)
-//! steps — the same step count as the paper's warp-shuffle GPU
-//! implementation), and each bit plane leaves the tile as one 64-byte
-//! line. The fused chunk kernel streams those lines into zero-elimination;
-//! [`encode`] / [`decode`] run the same tile kernel over whole-tile
-//! buffers and a scalar reference for every other length, with identical
-//! output.
+//! The fast path transposes a [`TILE_WORDS`]-word tile as `BITS×BITS`
+//! bit-matrix blocks, and each bit plane leaves the tile as one 64-byte
+//! line. Two block kernels produce identical rows:
+//!
+//! * AVX2 (x86-64): 32 rows in 4 ymm registers are regrouped by
+//!   `pshufb` + `vpermd` + a 4×4 qword transpose into 4 vectors whose byte
+//!   `k` is byte `c` of row `k`; 8 rounds of `movemask_epi8` +
+//!   `add_epi8(v, v)` per vector then peel off output rows `8c+7 … 8c`.
+//!   u64 blocks run it on their four 32×32 dword sub-blocks.
+//! * The masked-swap transpose ([`Transpose::transpose_block`], log2(word
+//!   size) steps — the step count of the paper's warp-shuffle GPU
+//!   implementation): the portable kernel and the reference the AVX2
+//!   kernel is tested against.
+//!
+//! The transpose is an involution, so decoding runs the same block kernel:
+//! lane `b` of every plane line is a row of block `b`'s transpose, and
+//! [`decode_tile`] regroups the lanes into rows (8×8 dword or 4×4 qword
+//! transposes on AVX2) before transposing them back.
+//!
+//! The kernel is chosen at run time, per tile, by
+//! `is_x86_feature_detected!("avx2")` ([`tile_kernel`] names the choice),
+//! so builds for the x86-64 baseline keep the AVX2 kernel. Both are
+//! exact bit permutations: archives are byte-identical whichever runs.
+//!
+//! The fused chunk kernel streams the tile's plane lines into
+//! zero-elimination; [`encode`] / [`decode`] run the same tile kernel over
+//! whole-tile buffers and a bit-at-a-time reference for every other
+//! length, with identical output.
 
 use crate::float::Word;
 
@@ -22,10 +42,30 @@ pub trait Transpose: Word {
     /// afterwards `block[j]` bit `i` equals the old `block[i]` bit `j`.
     /// The transform is an involution.
     fn transpose_block(block: &mut [Self]);
+
+    /// AVX2 transpose of every `BITS`-word block of `tile`: `emit(b, j,
+    /// row)` receives row `j` of block `b` as [`Transpose::transpose_block`]
+    /// would leave it. `tile` is not modified.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn transpose_tile_avx2(tile: &[Self; TILE_WORDS], emit: impl FnMut(usize, usize, Self));
+
+    /// AVX2 regrouping of a tile's `BITS` plane lines into the blocks
+    /// [`decode_tile`] transposes: `rows[b * BITS + BITS - 1 - p]` is lane
+    /// `b` (little-endian word `b`) of `lines[p]`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn lanes_to_rows_avx2(lines: &[[u8; 64]], rows: &mut [Self; TILE_WORDS]);
 }
 
 macro_rules! impl_transpose {
-    ($ty:ty, $bits:expr, [$(($s:expr, $m:expr)),+]) => {
+    ($ty:ty, $bits:expr, $tile:path, $rows:path, [$(($s:expr, $m:expr)),+]) => {
         impl Transpose for $ty {
             fn transpose_block(block: &mut [Self]) {
                 debug_assert_eq!(block.len(), $bits);
@@ -48,6 +88,23 @@ macro_rules! impl_transpose {
                     }
                 )+
             }
+
+            #[cfg(target_arch = "x86_64")]
+            #[inline]
+            unsafe fn transpose_tile_avx2(
+                tile: &[Self; TILE_WORDS],
+                emit: impl FnMut(usize, usize, Self),
+            ) {
+                // SAFETY: the caller guarantees AVX2.
+                unsafe { $tile(tile, emit) }
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[inline]
+            unsafe fn lanes_to_rows_avx2(lines: &[[u8; 64]], rows: &mut [Self; TILE_WORDS]) {
+                // SAFETY: the caller guarantees AVX2.
+                unsafe { $rows(lines, rows) }
+            }
         }
     };
 }
@@ -55,6 +112,8 @@ macro_rules! impl_transpose {
 impl_transpose!(
     u32,
     32,
+    avx2::tile32,
+    avx2::rows32,
     [
         (16usize, 0x0000_FFFFu32),
         (8, 0x00FF_00FF),
@@ -66,6 +125,8 @@ impl_transpose!(
 impl_transpose!(
     u64,
     64,
+    avx2::tile64,
+    avx2::rows64,
     [
         (32usize, 0x0000_0000_FFFF_FFFFu64),
         (16, 0x0000_FFFF_0000_FFFF),
@@ -76,58 +137,325 @@ impl_transpose!(
     ]
 );
 
+/// The AVX2 block kernels. Every function here is compiled for AVX2
+/// whatever the build's target CPU; callers check for it at run time.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::TILE_WORDS;
+    use std::arch::x86_64::*;
+
+    /// Regroup the 32×32 bit matrix whose row `k` is dword `k` of `r`
+    /// (`r[0]` holds rows 0–7) into 4 vectors: byte `k` of vector `c` is
+    /// byte `c` of row `k`. `movemask_epi8` of vector `c` is then output
+    /// row `8c + 7`, and each `add_epi8(v, v)` moves the next lower bit of
+    /// every byte to the top.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn byte_planes(r: [__m256i; 4]) -> [__m256i; 4] {
+        // Within each 128-bit lane: dword c = byte c of the lane's 4 rows.
+        let bytes = _mm256_setr_epi8(
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, //
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+        );
+        // Across lanes: qword c = byte c of the vector's 8 rows, in order.
+        let dwords = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let g0 = _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(r[0], bytes), dwords);
+        let g1 = _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(r[1], bytes), dwords);
+        let g2 = _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(r[2], bytes), dwords);
+        let g3 = _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(r[3], bytes), dwords);
+        // 4×4 qword transpose: vector c = qword c of g0, g1, g2, g3.
+        let lo01 = _mm256_unpacklo_epi64(g0, g1);
+        let hi01 = _mm256_unpackhi_epi64(g0, g1);
+        let lo23 = _mm256_unpacklo_epi64(g2, g3);
+        let hi23 = _mm256_unpackhi_epi64(g2, g3);
+        [
+            _mm256_permute2x128_si256::<0x20>(lo01, lo23),
+            _mm256_permute2x128_si256::<0x20>(hi01, hi23),
+            _mm256_permute2x128_si256::<0x31>(lo01, lo23),
+            _mm256_permute2x128_si256::<0x31>(hi01, hi23),
+        ]
+    }
+
+    /// Load `N` consecutive 32-byte vectors from `words`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load<T, const N: usize>(words: &[T]) -> [__m256i; N] {
+        // Hard assert: it guards the unsafe loads below.
+        assert!(size_of_val(words) >= N * 32);
+        let p = words.as_ptr().cast::<__m256i>();
+        // SAFETY: the assert above keeps all `N` unaligned 32-byte loads
+        // inside `words`.
+        std::array::from_fn(|i| unsafe { _mm256_loadu_si256(p.add(i)) })
+    }
+
+    /// [`super::Transpose::transpose_tile_avx2`] for u32 tiles.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn tile32(tile: &[u32; TILE_WORDS], mut emit: impl FnMut(usize, usize, u32)) {
+        for (b, block) in tile.as_chunks::<32>().0.iter().enumerate() {
+            let mut v = byte_planes(load(block));
+            for s in 0..8 {
+                for (c, x) in v.iter_mut().enumerate() {
+                    emit(b, 8 * c + 7 - s, _mm256_movemask_epi8(*x) as u32);
+                    *x = _mm256_add_epi8(*x, *x);
+                }
+            }
+        }
+    }
+
+    /// [`super::Transpose::transpose_tile_avx2`] for u64 tiles. A 64×64
+    /// block is four 32×32 dword sub-blocks: the transpose of dword `h`
+    /// of rows `32g … 32g+31` is dword `g` of output rows `32h …`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn tile64(tile: &[u64; TILE_WORDS], mut emit: impl FnMut(usize, usize, u64)) {
+        for (b, block) in tile.as_chunks::<64>().0.iter().enumerate() {
+            // Rows 32g … 32g+31 as 8 vectors of 4 words each.
+            let rows: [[__m256i; 8]; 2] = [load(&block[..32]), load(&block[32..])];
+            for h in 0..2 {
+                // Dword h of every row, in row order: shuffle_ps picks it
+                // from two vectors per lane, vpermq restores the order.
+                let half = |g: usize| -> [__m256i; 4] {
+                    std::array::from_fn(|i| {
+                        let (a, b) = (
+                            _mm256_castsi256_ps(rows[g][2 * i]),
+                            _mm256_castsi256_ps(rows[g][2 * i + 1]),
+                        );
+                        let d = if h == 0 {
+                            _mm256_shuffle_ps::<0x88>(a, b)
+                        } else {
+                            _mm256_shuffle_ps::<0xDD>(a, b)
+                        };
+                        _mm256_permute4x64_epi64::<0xD8>(_mm256_castps_si256(d))
+                    })
+                };
+                let mut lo = byte_planes(half(0));
+                let mut hi = byte_planes(half(1));
+                for s in 0..8 {
+                    for c in 0..4 {
+                        let row = _mm256_movemask_epi8(lo[c]) as u32 as u64
+                            | (_mm256_movemask_epi8(hi[c]) as u32 as u64) << 32;
+                        emit(b, 32 * h + 8 * c + 7 - s, row);
+                        lo[c] = _mm256_add_epi8(lo[c], lo[c]);
+                        hi[c] = _mm256_add_epi8(hi[c], hi[c]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Store `v` at `rows[at..at + 32 / size_of::<T>()]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store<T>(rows: &mut [T], at: usize, v: __m256i) {
+        // Hard assert: it guards the unsafe store below.
+        assert!(at * size_of::<T>() + 32 <= size_of_val(rows));
+        // SAFETY: the assert above keeps the 32-byte store inside `rows`.
+        unsafe { _mm256_storeu_si256(rows.as_mut_ptr().add(at).cast(), v) }
+    }
+
+    /// [`super::Transpose::lanes_to_rows_avx2`] for u32 tiles: 8×8 dword
+    /// transposes of 8 lines × 8 lanes; column `m` holds rows `8q …
+    /// 8q+7` of block `m`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn rows32(lines: &[[u8; 64]], rows: &mut [u32; TILE_WORDS]) {
+        assert_eq!(lines.len(), 32);
+        for h in 0..2 {
+            for q in 0..4 {
+                // x[i] = lanes 8h … 8h+7 of plane 31 - 8q - i.
+                let x: [__m256i; 8] =
+                    std::array::from_fn(|i| load::<u8, 1>(&lines[31 - 8 * q - i][32 * h..])[0]);
+                let t: [__m256i; 8] = std::array::from_fn(|i| {
+                    let (a, b) = (x[i & !1], x[i | 1]);
+                    if i & 1 == 0 {
+                        _mm256_unpacklo_epi32(a, b)
+                    } else {
+                        _mm256_unpackhi_epi32(a, b)
+                    }
+                });
+                // u[4k + 2r + e]: dwords 2r+e (lane 0) and 2r+e+4 (lane 1)
+                // of x[4k … 4k+3].
+                let u: [__m256i; 8] = std::array::from_fn(|i| {
+                    let (k, r, e) = (i / 4, i / 2 % 2, i % 2);
+                    let (a, b) = (t[4 * k + r], t[4 * k + 2 + r]);
+                    if e == 0 {
+                        _mm256_unpacklo_epi64(a, b)
+                    } else {
+                        _mm256_unpackhi_epi64(a, b)
+                    }
+                });
+                for m in 0..4 {
+                    let col = _mm256_permute2x128_si256::<0x20>(u[m], u[4 + m]);
+                    store(rows, (8 * h + m) * 32 + 8 * q, col);
+                    let col = _mm256_permute2x128_si256::<0x31>(u[m], u[4 + m]);
+                    store(rows, (8 * h + m + 4) * 32 + 8 * q, col);
+                }
+            }
+        }
+    }
+
+    /// [`super::Transpose::lanes_to_rows_avx2`] for u64 tiles: 4×4 qword
+    /// transposes of 4 lines × 4 lanes; column `m` holds rows `4q …
+    /// 4q+3` of block `m`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn rows64(lines: &[[u8; 64]], rows: &mut [u64; TILE_WORDS]) {
+        assert_eq!(lines.len(), 64);
+        for h in 0..2 {
+            for q in 0..16 {
+                // x[i] = lanes 4h … 4h+3 of plane 63 - 4q - i.
+                let x: [__m256i; 4] =
+                    std::array::from_fn(|i| load::<u8, 1>(&lines[63 - 4 * q - i][32 * h..])[0]);
+                let lo01 = _mm256_unpacklo_epi64(x[0], x[1]);
+                let hi01 = _mm256_unpackhi_epi64(x[0], x[1]);
+                let lo23 = _mm256_unpacklo_epi64(x[2], x[3]);
+                let hi23 = _mm256_unpackhi_epi64(x[2], x[3]);
+                let m0 = 4 * h;
+                store(
+                    rows,
+                    m0 * 64 + 4 * q,
+                    _mm256_permute2x128_si256::<0x20>(lo01, lo23),
+                );
+                store(
+                    rows,
+                    (m0 + 1) * 64 + 4 * q,
+                    _mm256_permute2x128_si256::<0x20>(hi01, hi23),
+                );
+                store(
+                    rows,
+                    (m0 + 2) * 64 + 4 * q,
+                    _mm256_permute2x128_si256::<0x31>(lo01, lo23),
+                );
+                store(
+                    rows,
+                    (m0 + 3) * 64 + 4 * q,
+                    _mm256_permute2x128_si256::<0x31>(hi01, hi23),
+                );
+            }
+        }
+    }
+}
+
 /// Words per tile: `batch` cache-line groups of `BITS` words each — always
 /// 512 (= 64 output bytes × 8 bit-planes-per-byte), independent of word
 /// width. One tile contributes exactly one 64-byte
 /// line to every bit plane.
 pub const TILE_WORDS: usize = 512;
 
-/// Forward transpose of one [`TILE_WORDS`] tile, in place (the tile's
-/// contents are destroyed). Plane `p`'s 64-byte line (MSB plane, `p == 0`,
-/// first) is written at `out[p * stride..][..64]`. With `stride` equal to
-/// the plane size of a whole buffer and `out` starting at tile `t`'s
-/// offset `t * 64`, this stores exactly the bytes [`encode`] stores for
-/// the tile.
-///
-/// The fused chunk kernel passes `stride == 64` and stages one tile's
-/// lines in a 2–4 KiB L1-resident buffer, handing them to the
-/// zero-elimination sink whole, which keeps the line stores and the sink's
-/// 64-byte vector loads out of each other's store-forwarding window.
+/// Whether this CPU runs the AVX2 block kernel.
 #[inline]
-pub fn encode_tile_into<W: Transpose>(tile: &mut [W; TILE_WORDS], out: &mut [u8], stride: usize) {
-    let bits = W::BITS as usize;
-    let batch = TILE_WORDS / bits;
-    debug_assert!(out.len() >= (bits - 1) * stride + 64);
-    for b in 0..batch {
-        W::transpose_block(&mut tile[b * bits..(b + 1) * bits]);
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx2")
     }
-    let mut lane = [W::ZERO; 16];
-    for p in 0..bits {
-        for b in 0..batch {
-            lane[b] = tile[b * bits + bits - 1 - p];
-        }
-        W::write_slice_le(&lane[..batch], &mut out[p * stride..][..64]);
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
-/// Inverse of [`encode_tile_into`]: `fetch(plane, line)` must fill each
-/// plane's next 64-byte line; the 512 original words are reconstructed
-/// into `tile`.
+/// The block kernel [`encode_tile_into`] and [`decode_tile`] (and so
+/// [`encode`] / [`decode`] and the fused chunk kernels) run on this CPU:
+/// `"avx2"` or the portable `"masked-swap"`.
+pub fn tile_kernel() -> &'static str {
+    if avx2() { "avx2" } else { "masked-swap" }
+}
+
+/// Transpose every `BITS`-word block of `tile`, handing row `j` of block
+/// `b` to `emit(b, j, row)`. Runs the AVX2 kernel when `allow_avx2` is set
+/// and the CPU has it, else the masked swap on a copy of the tile.
 #[inline]
-pub fn decode_tile<W: Transpose>(tile: &mut [W; TILE_WORDS], mut fetch: impl FnMut(usize, &mut [u8; 64])) {
-    let bits = W::BITS as usize;
-    let batch = TILE_WORDS / bits;
-    let mut lane = [W::ZERO; 16];
-    let mut line = [0u8; 64];
-    for p in 0..bits {
-        fetch(p, &mut line);
-        W::read_slice_le(&line, &mut lane[..batch]);
-        for b in 0..batch {
-            tile[b * bits + bits - 1 - p] = lane[b];
+fn transpose_tile<W: Transpose>(
+    allow_avx2: bool,
+    tile: &[W; TILE_WORDS],
+    mut emit: impl FnMut(usize, usize, W),
+) {
+    if allow_avx2 && avx2() {
+        // SAFETY: AVX2 support was detected just above (`avx2()` is
+        // false off x86-64).
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { W::transpose_tile_avx2(tile, emit) };
+    }
+    let mut tile = *tile;
+    for (b, block) in tile.chunks_exact_mut(W::BITS as usize).enumerate() {
+        W::transpose_block(block);
+        for (j, &row) in block.iter().enumerate() {
+            emit(b, j, row);
         }
     }
-    for b in 0..batch {
-        W::transpose_block(&mut tile[b * bits..(b + 1) * bits]);
+}
+
+/// Forward transpose of one [`TILE_WORDS`] tile: `lines[p]` receives
+/// plane `p`'s 64-byte line (MSB plane, `p == 0`, first); `lines.len()`
+/// must be `BITS`. Tile `t` of a buffer owns bytes `t * 64 ..` of every
+/// plane.
+///
+/// The caller keeps `lines` (2–4 KiB, L1-resident) across tiles and
+/// consumes each tile's lines whole: the fused chunk kernel hands them to
+/// the zero-elimination sink, [`encode`] copies them to the plane-major
+/// buffer.
+#[inline]
+pub fn encode_tile_into<W: Transpose>(tile: &[W; TILE_WORDS], lines: &mut [[u8; 64]]) {
+    encode_tile(true, tile, lines);
+}
+
+/// [`encode_tile_into`] on the kernel `allow_avx2` selects.
+#[inline]
+fn encode_tile<W: Transpose>(allow_avx2: bool, tile: &[W; TILE_WORDS], lines: &mut [[u8; 64]]) {
+    let bits = W::BITS as usize;
+    let wb = bits / 8;
+    assert_eq!(lines.len(), bits, "one line per bit plane");
+    // Row j of block b is lane b of plane `bits - 1 - j`'s line.
+    // Captured by value: by reference, every store reloads them.
+    transpose_tile(allow_avx2, tile, move |b, j, row| {
+        row.write_le(&mut lines[bits - 1 - j][b * wb..][..wb]);
+    });
+}
+
+/// Inverse of [`encode_tile_into`]: the 512 words whose plane `p` line
+/// is `lines[p]` are reconstructed into `tile` (`lines.len()` must be
+/// `BITS`). The caller fills `lines` (a buffer it keeps across tiles, so
+/// no tile pays for zeroing it): the fused chunk kernel from the
+/// zero-elimination source, [`decode`] from the plane-major buffer.
+#[inline]
+pub fn decode_tile<W: Transpose>(lines: &[[u8; 64]], tile: &mut [W; TILE_WORDS]) {
+    decode_tile_with(true, lines, tile);
+}
+
+/// [`decode_tile`] on the kernel `allow_avx2` selects.
+#[inline]
+fn decode_tile_with<W: Transpose>(
+    allow_avx2: bool,
+    lines: &[[u8; 64]],
+    tile: &mut [W; TILE_WORDS],
+) {
+    let bits = W::BITS as usize;
+    assert_eq!(lines.len(), bits, "one line per bit plane");
+    // Lane b of plane p is row `bits - 1 - p` of block b's transpose; the
+    // transpose is an involution, so transposing the rows again gives the
+    // original words.
+    let mut rows = [W::ZERO; TILE_WORDS];
+    lanes_to_rows(allow_avx2, lines, &mut rows);
+    transpose_tile(allow_avx2, &rows, move |b, j, row| tile[b * bits + j] = row);
+}
+
+/// `rows[b * BITS + BITS - 1 - p] = ` lane `b` of `lines[p]`, on the kernel
+/// `allow_avx2` selects.
+#[inline]
+fn lanes_to_rows<W: Transpose>(allow_avx2: bool, lines: &[[u8; 64]], rows: &mut [W; TILE_WORDS]) {
+    if allow_avx2 && avx2() {
+        // SAFETY: AVX2 support was detected just above (`avx2()` is
+        // false off x86-64).
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { W::lanes_to_rows_avx2(lines, rows) };
+    }
+    let bits = W::BITS as usize;
+    for (p, line) in lines.iter().enumerate() {
+        for (b, lane) in line.chunks_exact(bits / 8).enumerate() {
+            rows[b * bits + bits - 1 - p] = W::read_le(lane);
+        }
     }
 }
 
@@ -140,9 +468,13 @@ pub fn encode<W: Transpose>(words: &[W], out: &mut [u8]) {
         // The tile kernel stores every output byte exactly once — no
         // zero-fill pass needed.
         let plane_bytes = n / 8;
+        let mut lines = [[0u8; 64]; 64];
+        let lines = &mut lines[..W::BITS as usize];
         for (t, tw) in words.as_chunks::<TILE_WORDS>().0.iter().enumerate() {
-            let mut tile = *tw;
-            encode_tile_into(&mut tile, &mut out[t * 64..], plane_bytes);
+            encode_tile_into(tw, lines);
+            for (p, line) in lines.iter().enumerate() {
+                out[p * plane_bytes + t * 64..][..64].copy_from_slice(line);
+            }
         }
     } else {
         out.fill(0);
@@ -172,10 +504,13 @@ pub fn decode<W: Transpose>(bytes: &[u8], words: &mut [W]) {
     assert_eq!(bytes.len(), n * W::BITS as usize / 8, "input buffer size");
     if n > 0 && n.is_multiple_of(TILE_WORDS) {
         let plane_bytes = n / 8;
+        let mut lines = [[0u8; 64]; 64];
+        let lines = &mut lines[..W::BITS as usize];
         for (t, tw) in words.as_chunks_mut::<TILE_WORDS>().0.iter_mut().enumerate() {
-            decode_tile(tw, |p, line| {
+            for (p, line) in lines.iter_mut().enumerate() {
                 line.copy_from_slice(&bytes[p * plane_bytes + t * 64..][..64]);
-            });
+            }
+            decode_tile(lines, tw);
         }
     } else {
         decode_scalar(bytes, words);
@@ -294,6 +629,164 @@ mod tests {
         }
     }
 
+    /// `n` xorshift words from `seed`.
+    fn random_words<W: Word>(seed: u64, n: usize) -> Vec<W> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                W::from_u64(x)
+            })
+            .collect()
+    }
+
+    /// Whether this CPU runs the AVX2 kernel. Without it the AVX2 cases
+    /// say so and return early rather than pass having tested nothing.
+    fn have_avx2(case: &str) -> bool {
+        if !avx2() {
+            eprintln!("{case}: this CPU has no AVX2; the AVX2 kernel was not tested");
+        }
+        avx2()
+    }
+
+    /// Every block of `tile` transposed by the kernel `allow_avx2`
+    /// selects, block-major.
+    fn transposed<W: Transpose>(allow_avx2: bool, tile: &[W; TILE_WORDS]) -> Vec<W> {
+        let bits = W::BITS as usize;
+        let mut rows = vec![W::ZERO; TILE_WORDS];
+        transpose_tile(allow_avx2, tile, |b, j, row| rows[b * bits + j] = row);
+        rows
+    }
+
+    /// One-hot `BITS×BITS` blocks, one per (row, bit) position, packed
+    /// `TILE_WORDS / BITS` to a tile: block `k` sets bit `k % BITS` of
+    /// row `k / BITS`.
+    fn one_hot_tiles<W: Word>() -> Vec<[W; TILE_WORDS]> {
+        let bits = W::BITS as usize;
+        let per_tile = TILE_WORDS / bits;
+        (0..bits * bits / per_tile)
+            .map(|t| {
+                std::array::from_fn(|i| {
+                    let k = t * per_tile + i / bits;
+                    if k / bits == i % bits {
+                        W::ONE << (k % bits) as u32
+                    } else {
+                        W::ZERO
+                    }
+                })
+            })
+            .collect()
+    }
+
+    fn avx2_equals_masked_swap_one_hot<W: Transpose>() {
+        let bits = W::BITS as usize;
+        let tiles = one_hot_tiles::<W>();
+        assert_eq!(tiles.len() * TILE_WORDS / bits, bits * bits);
+        for (t, tile) in tiles.iter().enumerate() {
+            let swapped = transposed(false, tile);
+            assert_eq!(transposed(true, tile), swapped, "one-hot tile {t}");
+            // And the masked swap really moved each bit across the diagonal.
+            for (i, &row) in swapped.iter().enumerate() {
+                let k = t * (TILE_WORDS / bits) + i / bits;
+                let want = if k % bits == i % bits {
+                    W::ONE << (k / bits) as u32
+                } else {
+                    W::ZERO
+                };
+                assert_eq!(row, want, "one-hot tile {t}, row {i}");
+            }
+        }
+    }
+
+    /// The AVX2 kernel equals [`Transpose::transpose_block`] on all 1 024
+    /// one-hot 32×32 and all 4 096 one-hot 64×64 blocks.
+    #[test]
+    fn avx2_kernel_matches_masked_swap_one_hot() {
+        if !have_avx2("avx2_kernel_matches_masked_swap_one_hot") {
+            return;
+        }
+        avx2_equals_masked_swap_one_hot::<u32>();
+        avx2_equals_masked_swap_one_hot::<u64>();
+    }
+
+    /// ... and on all-ones and random blocks.
+    #[test]
+    fn avx2_kernel_matches_masked_swap_dense() {
+        if !have_avx2("avx2_kernel_matches_masked_swap_dense") {
+            return;
+        }
+        fn check<W: Transpose>() {
+            let ones = [!W::ZERO; TILE_WORDS];
+            assert_eq!(transposed(true, &ones), transposed(false, &ones));
+            assert!(transposed(true, &ones).iter().all(|&w| w == !W::ZERO));
+            for seed in 1..=64 {
+                let tile: [W; TILE_WORDS] = random_words(seed, TILE_WORDS).try_into().unwrap();
+                assert_eq!(
+                    transposed(true, &tile),
+                    transposed(false, &tile),
+                    "seed {seed}"
+                );
+            }
+        }
+        check::<u32>();
+        check::<u64>();
+    }
+
+    /// The tile path on the kernel `allow_avx2` selects against the
+    /// bit-at-a-time reference, for a whole-tile `words`: each tile's lines
+    /// at stride 64 (the fused kernel's line buffer) equal the scalar
+    /// shuffle of that tile alone, placed at the plane-size stride they
+    /// equal the scalar shuffle of the buffer, and decoding them gives the
+    /// words back.
+    fn tile_path_matches_scalar<W: Transpose>(allow_avx2: bool, words: &[W]) {
+        let (n, bits) = (words.len(), W::BITS as usize);
+        assert!(n > 0 && n.is_multiple_of(TILE_WORDS));
+        let plane_bytes = n / 8;
+        let mut staged = vec![0u8; n * bits / 8];
+        encode_scalar(words, &mut staged);
+
+        let mut streamed = vec![0u8; staged.len()];
+        let mut lines = vec![[0u8; 64]; bits];
+        let mut one = vec![0u8; TILE_WORDS * bits / 8];
+        for (t, tw) in words.as_chunks::<TILE_WORDS>().0.iter().enumerate() {
+            encode_tile(allow_avx2, tw, &mut lines);
+            one.fill(0);
+            encode_scalar(tw, &mut one);
+            assert_eq!(lines.as_flattened(), &one[..], "tile {t} at stride 64");
+            for (p, line) in lines.iter().enumerate() {
+                streamed[p * plane_bytes + t * 64..][..64].copy_from_slice(line);
+            }
+        }
+        assert_eq!(streamed, staged, "plane-size stride");
+
+        let mut back = vec![W::ZERO; n];
+        for (t, tw) in back.as_chunks_mut::<TILE_WORDS>().0.iter_mut().enumerate() {
+            for (p, line) in lines.iter_mut().enumerate() {
+                line.copy_from_slice(&staged[p * plane_bytes + t * 64..][..64]);
+            }
+            decode_tile_with(allow_avx2, &lines, tw);
+        }
+        let mut back_scalar = vec![W::ZERO; n];
+        decode_scalar(&staged, &mut back_scalar);
+        assert_eq!(back, back_scalar);
+        assert_eq!(back, words);
+    }
+
+    /// The AVX2 kernel is chosen at run time, so a build for any x86-64
+    /// target keeps it and selects it wherever the CPU has AVX2.
+    #[test]
+    fn tile_path_selects_avx2_when_detected() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            assert_eq!(tile_kernel(), "avx2");
+            return;
+        }
+        eprintln!("tile_path_selects_avx2_when_detected: no AVX2 on this CPU");
+        assert_eq!(tile_kernel(), "masked-swap");
+    }
+
     #[test]
     fn fast_matches_scalar() {
         let words: Vec<u32> = (0..4096u32).map(|i| i.wrapping_mul(0x9E3779B9)).collect();
@@ -319,50 +812,18 @@ mod tests {
             roundtrip_u32(&words);
         }
 
-        /// Tile-at-a-time emission into a line buffer (the fused kernel's
-        /// stride) must concatenate, per plane in tile order, to exactly
-        /// the scalar plane-major layout, and `decode_tile` must invert it
-        /// — for both word widths.
+        /// Both tile kernels, on both word widths, against the scalar
+        /// plane-major layout (see [`tile_path_matches_scalar`]). The
+        /// masked-swap path is called directly: on AVX2 hosts [`encode`] /
+        /// [`decode`] never reach it. Without AVX2, `true` runs it again
+        /// (the AVX2 kernel cases above say so).
         #[test]
         fn tile_stream_equals_staged(seed: u64, tiles in 1usize..5) {
             let n = tiles * TILE_WORDS;
-            let mut x = seed | 1;
-            let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
-
-            macro_rules! check {
-                ($w:ty) => {{
-                    let words: Vec<$w> = (0..n).map(|_| next() as $w).collect();
-                    let bits = <$w>::BITS as usize;
-                    let plane_bytes = n / 8;
-                    let mut staged = vec![0u8; n * bits / 8];
-                    encode_scalar(&words, &mut staged);
-
-                    let mut streamed = vec![0u8; staged.len()];
-                    let mut tile = [0 as $w; TILE_WORDS];
-                    let mut lines = vec![0u8; bits * 64];
-                    for (t, tw) in words.chunks_exact(TILE_WORDS).enumerate() {
-                        tile.copy_from_slice(tw);
-                        encode_tile_into(&mut tile, &mut lines, 64);
-                        for (p, line) in lines.chunks_exact(64).enumerate() {
-                            let off = p * plane_bytes + t * 64;
-                            streamed[off..off + 64].copy_from_slice(line);
-                        }
-                    }
-                    prop_assert_eq!(&streamed, &staged);
-
-                    let mut back = vec![0 as $w; n];
-                    for (t, tw) in back.chunks_exact_mut(TILE_WORDS).enumerate() {
-                        decode_tile(&mut tile, |p, line| {
-                            let off = p * plane_bytes + t * 64;
-                            line.copy_from_slice(&staged[off..off + 64]);
-                        });
-                        tw.copy_from_slice(&tile);
-                    }
-                    prop_assert_eq!(&back, &words);
-                }};
+            for allow_avx2 in [false, true] {
+                tile_path_matches_scalar(allow_avx2, &random_words::<u32>(seed, n));
+                tile_path_matches_scalar(allow_avx2, &random_words::<u64>(seed, n));
             }
-            check!(u32);
-            check!(u64);
         }
 
         #[test]
