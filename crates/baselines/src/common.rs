@@ -101,7 +101,9 @@ impl<'a> ByteReader<'a> {
     pub fn block(&mut self) -> Result<&'a [u8]> {
         let n = self.u64()? as usize;
         if n > self.buf.len() {
-            return Err(BaselineError::Corrupt(format!("block length {n} exceeds archive")));
+            return Err(BaselineError::Corrupt(format!(
+                "block length {n} exceeds archive"
+            )));
         }
         self.take(n)
     }
@@ -213,7 +215,11 @@ pub fn lorenzo_predict<F: PfplFloat>(recon: &[F], idx: usize, dims: &[usize]) ->
             let (y, x) = (idx / nx, idx % nx);
             let a = if x > 0 { recon[idx - 1] } else { zero };
             let b = if y > 0 { recon[idx - nx] } else { zero };
-            let c = if x > 0 && y > 0 { recon[idx - nx - 1] } else { zero };
+            let c = if x > 0 && y > 0 {
+                recon[idx - nx - 1]
+            } else {
+                zero
+            };
             // a + b - c
             F::from_f64(a.to_f64() + b.to_f64() - c.to_f64())
         }
@@ -232,8 +238,7 @@ pub fn lorenzo_predict<F: PfplFloat>(recon: &[F], idx: usize, dims: &[usize]) ->
                 }
             };
             // 7-point Lorenzo
-            let p = g(0, 0, 1) + g(0, 1, 0) + g(1, 0, 0) - g(0, 1, 1) - g(1, 0, 1)
-                - g(1, 1, 0)
+            let p = g(0, 0, 1) + g(0, 1, 0) + g(1, 0, 0) - g(0, 1, 1) - g(1, 0, 1) - g(1, 1, 0)
                 + g(1, 1, 1);
             F::from_f64(p)
         }

@@ -205,7 +205,9 @@ mod tests {
         let mut data = vec![0.0f32; 64];
         data[10] = 1e10; // 1e10 / 2e-3 = 5e12 >> i32::MAX
         let eb = 1e-3;
-        let arch = CuSzp.compress_f32(&data, &[64], ErrorBound::Abs(eb)).unwrap();
+        let arch = CuSzp
+            .compress_f32(&data, &[64], ErrorBound::Abs(eb))
+            .unwrap();
         let back = CuSzp.decompress_f32(&arch).unwrap();
         let err = (data[10] as f64 - back[10] as f64).abs();
         assert!(err > 1.5 * eb, "expected a major violation, err={err}");
@@ -218,12 +220,18 @@ mod tests {
             .compress_f32(&data, &[data.len()], ErrorBound::Abs(1e-3))
             .unwrap();
         assert!(arch.len() < 300, "{}", arch.len());
-        assert!(CuSzp.decompress_f32(&arch).unwrap().iter().all(|&v| v == 0.0));
+        assert!(CuSzp
+            .decompress_f32(&arch)
+            .unwrap()
+            .iter()
+            .all(|&v| v == 0.0));
     }
 
     #[test]
     fn f64_and_noa() {
-        let data: Vec<f64> = (0..5_000).map(|i| (i as f64 * 0.002).cos() * 10.0).collect();
+        let data: Vec<f64> = (0..5_000)
+            .map(|i| (i as f64 * 0.002).cos() * 10.0)
+            .collect();
         let arch = CuSzp
             .compress_f64(&data, &[data.len()], ErrorBound::Noa(1e-4))
             .unwrap();

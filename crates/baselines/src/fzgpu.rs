@@ -78,7 +78,10 @@ impl Compressor for FzGpu {
 
         let inv = 1.0 / (2.0 * abs);
         // Unverified prequantization (the minor-violation source).
-        let quants: Vec<i64> = data.iter().map(|&v| (v as f64 * inv).round() as i64).collect();
+        let quants: Vec<i64> = data
+            .iter()
+            .map(|&v| (v as f64 * inv).round() as i64)
+            .collect();
         let mut codes: Vec<u16> = Vec::with_capacity(data.len());
         let mut outliers: Vec<u32> = Vec::new();
         let mut prev = 0i64;
@@ -189,7 +192,9 @@ mod tests {
         let dims = [8usize, 32, 32];
         let data = smooth_3d(dims);
         let eb = 1e-3;
-        let arch = FzGpu.compress_f32(&data, &dims, ErrorBound::Noa(eb)).unwrap();
+        let arch = FzGpu
+            .compress_f32(&data, &dims, ErrorBound::Noa(eb))
+            .unwrap();
         let back = FzGpu.decompress_f32(&arch).unwrap();
         let range = {
             let lo = data.iter().cloned().fold(f32::MAX, f32::min);
@@ -202,7 +207,11 @@ mod tests {
                 "a={a} b={b}"
             );
         }
-        assert!(arch.len() < data.len() * 4 / 2, "should compress ≥2x: {}", arch.len());
+        assert!(
+            arch.len() < data.len() * 4 / 2,
+            "should compress ≥2x: {}",
+            arch.len()
+        );
     }
 
     #[test]

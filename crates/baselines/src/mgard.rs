@@ -16,8 +16,7 @@
 
 use crate::common::{
     entropy_backend, entropy_backend_decode, finite_range, ladder_walk, predict_ladder,
-    read_outliers, write_outliers, BaseHeader, ByteReader, ByteWriter, OUTLIER_SYM,
-    QUANT_RADIUS,
+    read_outliers, write_outliers, BaseHeader, ByteReader, ByteWriter, OUTLIER_SYM, QUANT_RADIUS,
 };
 use crate::{BaselineError, Capabilities, Compressor, ErrorBound, Result, Support};
 use pfpl::float::PfplFloat;

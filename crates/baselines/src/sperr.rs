@@ -15,8 +15,8 @@
 //! excludes non-3D suites for it) and only the ABS bound type (Table III).
 
 use crate::common::{
-    entropy_backend, entropy_backend_decode, read_outliers, write_outliers, BaseHeader,
-    ByteReader, ByteWriter, OUTLIER_SYM, QUANT_RADIUS,
+    entropy_backend, entropy_backend_decode, read_outliers, write_outliers, BaseHeader, ByteReader,
+    ByteWriter, OUTLIER_SYM, QUANT_RADIUS,
 };
 use crate::{BaselineError, Capabilities, Compressor, ErrorBound, Result, Support};
 use pfpl::float::{PfplFloat, Word};
@@ -45,7 +45,13 @@ fn fwd_dwt97(v: &mut [f64]) {
     // Symmetric extension accessor.
     let at = |v: &[f64], i: isize| -> f64 {
         let n = v.len() as isize;
-        let i = if i < 0 { -i } else if i >= n { 2 * n - 2 - i } else { i };
+        let i = if i < 0 {
+            -i
+        } else if i >= n {
+            2 * n - 2 - i
+        } else {
+            i
+        };
         v[i.clamp(0, n - 1) as usize]
     };
     // Predict/update lifting on interleaved signal.
@@ -91,7 +97,13 @@ fn inv_dwt97(v: &mut [f64]) {
     }
     let at = |v: &[f64], i: isize| -> f64 {
         let n = v.len() as isize;
-        let i = if i < 0 { -i } else if i >= n { 2 * n - 2 - i } else { i };
+        let i = if i < 0 {
+            -i
+        } else if i >= n {
+            2 * n - 2 - i
+        } else {
+            i
+        };
         v[i.clamp(0, n - 1) as usize]
     };
     for i in (0..n).step_by(2) {
@@ -260,7 +272,9 @@ fn decompress_impl<F: PfplFloat>(archive: &[u8]) -> Result<Vec<F>> {
     let mut out: Vec<F> = deq.into_iter().map(F::from_f64).collect();
     for (idx, bits) in corrections {
         if idx >= out.len() {
-            return Err(BaselineError::Corrupt("correction index out of range".into()));
+            return Err(BaselineError::Corrupt(
+                "correction index out of range".into(),
+            ));
         }
         out[idx] = F::from_bits(bits);
     }
@@ -347,7 +361,9 @@ mod tests {
         let dims = [8usize, 24, 24];
         let data = smooth_3d(dims);
         let eb = 1e-3;
-        let arch = Sperr.compress_f32(&data, &dims, ErrorBound::Abs(eb)).unwrap();
+        let arch = Sperr
+            .compress_f32(&data, &dims, ErrorBound::Abs(eb))
+            .unwrap();
         let back = Sperr.decompress_f32(&arch).unwrap();
         for (a, b) in data.iter().zip(&back) {
             // Corrections replace violators with exact values, so the
@@ -360,7 +376,9 @@ mod tests {
     #[test]
     fn only_abs_3d() {
         let d = smooth_3d([4, 4, 4]);
-        assert!(Sperr.compress_f32(&d, &[64], ErrorBound::Abs(1e-3)).is_err());
+        assert!(Sperr
+            .compress_f32(&d, &[64], ErrorBound::Abs(1e-3))
+            .is_err());
         assert!(Sperr
             .compress_f32(&d, &[4, 4, 4], ErrorBound::Rel(1e-3))
             .is_err());

@@ -256,14 +256,20 @@ mod tests {
         for (a, b) in data.iter().zip(&back) {
             assert!((*a as f64 - *b as f64).abs() <= eb, "a={a} b={b}");
         }
-        assert!(arch.len() < data.len() * 4 / 4, "ratio: {}", data.len() * 4 / arch.len());
+        assert!(
+            arch.len() < data.len() * 4 / 4,
+            "ratio: {}",
+            data.len() * 4 / arch.len()
+        );
     }
 
     #[test]
     fn abs_compresses_smooth_data_well() {
         let dims = [8usize, 64, 64];
         let data = smooth_3d(dims);
-        let arch = Sz2.compress_f32(&data, &dims, ErrorBound::Abs(1e-2)).unwrap();
+        let arch = Sz2
+            .compress_f32(&data, &dims, ErrorBound::Abs(1e-2))
+            .unwrap();
         let ratio = (data.len() * 4) as f64 / arch.len() as f64;
         assert!(ratio > 8.0, "Lorenzo+Huffman should excel here: {ratio:.1}");
     }
@@ -306,7 +312,9 @@ mod tests {
 
     #[test]
     fn f64_roundtrip() {
-        let data: Vec<f64> = (0..10_000).map(|i| (i as f64 * 0.001).cos() * 42.0).collect();
+        let data: Vec<f64> = (0..10_000)
+            .map(|i| (i as f64 * 0.001).cos() * 42.0)
+            .collect();
         let arch = Sz2
             .compress_f64(&data, &[data.len()], ErrorBound::Abs(1e-8))
             .unwrap();

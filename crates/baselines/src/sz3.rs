@@ -510,7 +510,10 @@ mod tests {
         let omp = Sz3::omp()
             .compress_f32(&data, &[data.len()], ErrorBound::Abs(eb))
             .unwrap();
-        assert_ne!(serial, omp, "the two variants produce different files (§IV)");
+        assert_ne!(
+            serial, omp,
+            "the two variants produce different files (§IV)"
+        );
         assert!(
             omp.len() >= serial.len(),
             "per-slab tables cost ratio: omp={} serial={}",
@@ -563,7 +566,9 @@ mod tests {
 
     #[test]
     fn f64_noa_roundtrip() {
-        let data: Vec<f64> = (0..30_000).map(|i| (i as f64 * 0.001).sin() * 7.0).collect();
+        let data: Vec<f64> = (0..30_000)
+            .map(|i| (i as f64 * 0.001).sin() * 7.0)
+            .collect();
         let arch = Sz3::serial()
             .compress_f64(&data, &[data.len()], ErrorBound::Noa(1e-4))
             .unwrap();

@@ -232,7 +232,12 @@ fn encode_planes(coeffs: &[u64], intprec: u32, kmin: u32, w: &mut BitWriter) {
 }
 
 /// Inverse of [`encode_planes`].
-fn decode_planes(size: usize, intprec: u32, kmin: u32, r: &mut BitReader) -> crate::Result<Vec<u64>> {
+fn decode_planes(
+    size: usize,
+    intprec: u32,
+    kmin: u32,
+    r: &mut BitReader,
+) -> crate::Result<Vec<u64>> {
     let mut coeffs = vec![0u64; size];
     let mut n = 0usize;
     for k in (kmin..intprec).rev() {
@@ -313,7 +318,13 @@ impl<'a> BlockIter<'a> {
 
     /// Gather block `b` into `out` (4^rank values), clamping reads at the
     /// edges (zfp-style padding by replication).
-    fn gather<F: PfplFloat>(&self, data: &[F], b: usize, out: &mut [i64], emax_scale: F) -> [usize; 3] {
+    fn gather<F: PfplFloat>(
+        &self,
+        data: &[F],
+        b: usize,
+        out: &mut [i64],
+        emax_scale: F,
+    ) -> [usize; 3] {
         let (_nbz, nby, nbx) = (self.bdims[0], self.bdims[1], self.bdims[2]);
         let bx = b % nbx;
         let by = (b / nbx) % nby;
@@ -570,7 +581,24 @@ mod tests {
 
     #[test]
     fn plane_coder_roundtrip() {
-        let coeffs: Vec<u64> = vec![0, 5, 1000, 0, 3, u32::MAX as u64, 0, 0, 42, 7, 0, 0, 0, 0, 1, 2];
+        let coeffs: Vec<u64> = vec![
+            0,
+            5,
+            1000,
+            0,
+            3,
+            u32::MAX as u64,
+            0,
+            0,
+            42,
+            7,
+            0,
+            0,
+            0,
+            0,
+            1,
+            2,
+        ];
         let mut w = BitWriter::new();
         encode_planes(&coeffs, 36, 0, &mut w);
         let bytes = w.into_bytes();
@@ -653,8 +681,12 @@ mod tests {
     fn coarse_bound_compresses_more() {
         let dims = [16usize, 16, 16];
         let data = smooth_3d(dims);
-        let coarse = Zfp.compress_f32(&data, &dims, ErrorBound::Abs(1e-1)).unwrap();
-        let fine = Zfp.compress_f32(&data, &dims, ErrorBound::Abs(1e-5)).unwrap();
+        let coarse = Zfp
+            .compress_f32(&data, &dims, ErrorBound::Abs(1e-1))
+            .unwrap();
+        let fine = Zfp
+            .compress_f32(&data, &dims, ErrorBound::Abs(1e-5))
+            .unwrap();
         assert!(coarse.len() < fine.len());
     }
 
@@ -695,13 +727,17 @@ mod tests {
     #[test]
     fn one_and_two_d() {
         let d1: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.05).sin()).collect();
-        let a = Zfp.compress_f32(&d1, &[1000], ErrorBound::Abs(1e-3)).unwrap();
+        let a = Zfp
+            .compress_f32(&d1, &[1000], ErrorBound::Abs(1e-3))
+            .unwrap();
         let b1 = Zfp.decompress_f32(&a).unwrap();
         for (x, y) in d1.iter().zip(&b1) {
             assert!((x - y).abs() < 1e-2);
         }
         let d2: Vec<f32> = (0..30 * 40).map(|i| (i as f32 * 0.01).cos()).collect();
-        let a2 = Zfp.compress_f32(&d2, &[30, 40], ErrorBound::Abs(1e-3)).unwrap();
+        let a2 = Zfp
+            .compress_f32(&d2, &[30, 40], ErrorBound::Abs(1e-3))
+            .unwrap();
         let b2 = Zfp.decompress_f32(&a2).unwrap();
         for (x, y) in d2.iter().zip(&b2) {
             assert!((x - y).abs() < 1e-2);

@@ -133,9 +133,19 @@ mod tests {
     #[test]
     fn parses_flags() {
         let a = Args::parse_from(
-            ["--size", "tiny", "--op", "decomp", "--precision", "double", "--runs", "9", "--csv"]
-                .iter()
-                .map(|s| s.to_string()),
+            [
+                "--size",
+                "tiny",
+                "--op",
+                "decomp",
+                "--precision",
+                "double",
+                "--runs",
+                "9",
+                "--csv",
+            ]
+            .iter()
+            .map(|s| s.to_string()),
         );
         assert_eq!(a.size, SizeClass::Tiny);
         assert_eq!(a.op, Op::Decompress);

@@ -15,9 +15,7 @@ use pfpl_data::{Field, FieldData};
 pub fn audit_fields() -> Vec<Field> {
     let mut fields = Vec::new();
     // Smooth baseline.
-    let smooth: Vec<f32> = (0..4096)
-        .map(|i| (i as f32 * 0.01).sin() * 10.0)
-        .collect();
+    let smooth: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin() * 10.0).collect();
     fields.push(Field {
         name: "smooth".into(),
         dims: vec![16, 16, 16],
@@ -137,10 +135,7 @@ mod tests {
 
     #[test]
     fn cuszp_audit_flags_abs_overflow() {
-        let p = Participant::baseline(
-            Box::new(pfpl_baselines::cuszp::CuSzp),
-            Side::Gpu,
-        );
+        let p = Participant::baseline(Box::new(pfpl_baselines::cuszp::CuSzp), Side::Gpu);
         let out = audit(&p, BoundKind::Abs, &[1e-3]);
         assert!(
             matches!(
@@ -153,7 +148,10 @@ mod tests {
 
     #[test]
     fn sz3_audit_clean_on_abs() {
-        let p = Participant::baseline(Box::new(pfpl_baselines::sz3::Sz3::serial()), Side::CpuSerial);
+        let p = Participant::baseline(
+            Box::new(pfpl_baselines::sz3::Sz3::serial()),
+            Side::CpuSerial,
+        );
         assert_eq!(
             audit(&p, BoundKind::Abs, &[1e-2, 1e-3]),
             Some(BoundAdherence::Respected)

@@ -75,7 +75,10 @@ fn main() {
         .filter(|s| !s.double)
         .collect();
     println!("§III-D ablation at ABS eb = {eb} (geo-mean ratio over single-precision suites)\n");
-    println!("{:<46} {:>10} {:>18}", "variant", "ratio", "vs full pipeline");
+    println!(
+        "{:<46} {:>10} {:>18}",
+        "variant", "ratio", "vs full pipeline"
+    );
     let mut full_ratio = 0.0;
     for variant in [
         Variant::Full,
@@ -90,7 +93,9 @@ fn main() {
                 .fields
                 .iter()
                 .map(|f| {
-                    let FieldData::F32(data) = &f.data else { unreachable!() };
+                    let FieldData::F32(data) = &f.data else {
+                        unreachable!()
+                    };
                     f.byte_len() as f64 / compressed_size(data, eb, variant) as f64
                 })
                 .collect();

@@ -21,19 +21,45 @@ fn main() {
         .collect();
 
     let mut parts = pfpl_bench::participants::pfpl_trio(args.system);
-    parts.push(Participant::baseline(Box::new(bl::zfp::Zfp), Side::CpuSerial));
-    parts.push(Participant::baseline(Box::new(bl::sz2::Sz2), Side::CpuSerial));
-    parts.push(Participant::baseline(Box::new(bl::sz3::Sz3::serial()), Side::CpuSerial));
-    parts.push(Participant::baseline(Box::new(bl::sz3::Sz3::omp()), Side::CpuParallel));
+    parts.push(Participant::baseline(
+        Box::new(bl::zfp::Zfp),
+        Side::CpuSerial,
+    ));
+    parts.push(Participant::baseline(
+        Box::new(bl::sz2::Sz2),
+        Side::CpuSerial,
+    ));
+    parts.push(Participant::baseline(
+        Box::new(bl::sz3::Sz3::serial()),
+        Side::CpuSerial,
+    ));
+    parts.push(Participant::baseline(
+        Box::new(bl::sz3::Sz3::omp()),
+        Side::CpuParallel,
+    ));
     parts.push(Participant::baseline(Box::new(bl::mgard::Mgard), Side::Gpu));
     if !args.double {
         // SPERR is excluded from the double-precision charts (§V-B).
-        parts.push(Participant::baseline(Box::new(bl::sperr::Sperr), Side::CpuSerial));
+        parts.push(Participant::baseline(
+            Box::new(bl::sperr::Sperr),
+            Side::CpuSerial,
+        ));
     }
     parts.push(Participant::baseline(Box::new(bl::cuszp::CuSzp), Side::Gpu));
 
     let rows = run_matrix(&suites, &parts, &PAPER_BOUNDS, ErrorBound::Abs, &args);
-    let fig = if args.op == pfpl_bench::args::Op::Compress { "Fig. 6" } else { "Fig. 7" };
+    let fig = if args.op == pfpl_bench::args::Op::Compress {
+        "Fig. 6"
+    } else {
+        "Fig. 7"
+    };
     let sub = if args.double { "double" } else { "single" };
-    print_rows(&format!("{fig} — ABS, {sub} precision, {:?} op, System {}", args.op, args.system), &rows, &args);
+    print_rows(
+        &format!(
+            "{fig} — ABS, {sub} precision, {:?} op, System {}",
+            args.op, args.system
+        ),
+        &rows,
+        &args,
+    );
 }

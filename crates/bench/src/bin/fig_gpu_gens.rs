@@ -15,7 +15,9 @@ fn main() {
     let suites = all_suites(args.size);
     let cesm = suites.iter().find(|s| s.name == "CESM-ATM").unwrap();
     let field = &cesm.fields[0];
-    let FieldData::F32(data) = &field.data else { unreachable!() };
+    let FieldData::F32(data) = &field.data else {
+        unreachable!()
+    };
     let bytes = field.byte_len();
     let bound = ErrorBound::Abs(1e-3);
 

@@ -17,9 +17,18 @@ fn main() {
         .collect();
 
     let mut parts = pfpl_bench::participants::pfpl_trio(args.system);
-    parts.push(Participant::baseline(Box::new(bl::sz2::Sz2), Side::CpuSerial));
-    parts.push(Participant::baseline(Box::new(bl::sz3::Sz3::serial()), Side::CpuSerial));
-    parts.push(Participant::baseline(Box::new(bl::sz3::Sz3::omp()), Side::CpuParallel));
+    parts.push(Participant::baseline(
+        Box::new(bl::sz2::Sz2),
+        Side::CpuSerial,
+    ));
+    parts.push(Participant::baseline(
+        Box::new(bl::sz3::Sz3::serial()),
+        Side::CpuSerial,
+    ));
+    parts.push(Participant::baseline(
+        Box::new(bl::sz3::Sz3::omp()),
+        Side::CpuParallel,
+    ));
     parts.push(Participant::baseline(Box::new(bl::mgard::Mgard), Side::Gpu));
     parts.push(Participant::baseline(Box::new(bl::cuszp::CuSzp), Side::Gpu));
     if !args.double {

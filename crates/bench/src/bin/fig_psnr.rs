@@ -5,8 +5,8 @@ use pfpl::types::{BoundKind, ErrorBound};
 use pfpl_baselines as bl;
 use pfpl_bench::participants::{Participant, Side};
 use pfpl_bench::{Args, PAPER_BOUNDS};
-use pfpl_data::metrics::{geomean, psnr};
 use pfpl_data::all_suites;
+use pfpl_data::metrics::{geomean, psnr};
 
 fn main() {
     let args = Args::parse();
@@ -19,18 +19,36 @@ fn main() {
         let mut parts = pfpl_bench::participants::pfpl_trio(args.system);
         match kind {
             BoundKind::Abs => {
-                parts.push(Participant::baseline(Box::new(bl::zfp::Zfp), Side::CpuSerial));
-                parts.push(Participant::baseline(Box::new(bl::sz3::Sz3::serial()), Side::CpuSerial));
-                parts.push(Participant::baseline(Box::new(bl::sperr::Sperr), Side::CpuSerial));
+                parts.push(Participant::baseline(
+                    Box::new(bl::zfp::Zfp),
+                    Side::CpuSerial,
+                ));
+                parts.push(Participant::baseline(
+                    Box::new(bl::sz3::Sz3::serial()),
+                    Side::CpuSerial,
+                ));
+                parts.push(Participant::baseline(
+                    Box::new(bl::sperr::Sperr),
+                    Side::CpuSerial,
+                ));
                 parts.push(Participant::baseline(Box::new(bl::mgard::Mgard), Side::Gpu));
                 parts.push(Participant::baseline(Box::new(bl::cuszp::CuSzp), Side::Gpu));
             }
             BoundKind::Rel => {
-                parts.push(Participant::baseline(Box::new(bl::sz2::Sz2), Side::CpuSerial));
-                parts.push(Participant::baseline(Box::new(bl::zfp::Zfp), Side::CpuSerial));
+                parts.push(Participant::baseline(
+                    Box::new(bl::sz2::Sz2),
+                    Side::CpuSerial,
+                ));
+                parts.push(Participant::baseline(
+                    Box::new(bl::zfp::Zfp),
+                    Side::CpuSerial,
+                ));
             }
             BoundKind::Noa => {
-                parts.push(Participant::baseline(Box::new(bl::sz3::Sz3::serial()), Side::CpuSerial));
+                parts.push(Participant::baseline(
+                    Box::new(bl::sz3::Sz3::serial()),
+                    Side::CpuSerial,
+                ));
                 parts.push(Participant::baseline(Box::new(bl::mgard::Mgard), Side::Gpu));
                 parts.push(Participant::baseline(Box::new(bl::cuszp::CuSzp), Side::Gpu));
                 parts.push(Participant::baseline(Box::new(bl::fzgpu::FzGpu), Side::Gpu));
@@ -42,7 +60,10 @@ fn main() {
             BoundKind::Noa => "Fig. 16c — NOA",
         };
         println!("== {sub} (ratio vs PSNR, single precision) ==");
-        println!("{:<16} {:>8} {:>10} {:>10}", "compressor", "eb", "ratio", "PSNR dB");
+        println!(
+            "{:<16} {:>8} {:>10} {:>10}",
+            "compressor", "eb", "ratio", "PSNR dB"
+        );
         for p in &parts {
             for &eb in &PAPER_BOUNDS {
                 let bound = match kind {
@@ -56,8 +77,12 @@ fn main() {
                     let mut ratios = Vec::new();
                     let mut psnrs = Vec::new();
                     for field in &suite.fields {
-                        let Ok(Some(arch)) = p.compress(field, bound) else { continue };
-                        let Ok(recon) = p.decompress(&arch, false) else { continue };
+                        let Ok(Some(arch)) = p.compress(field, bound) else {
+                            continue;
+                        };
+                        let Ok(recon) = p.decompress(&arch, false) else {
+                            continue;
+                        };
                         let orig: Vec<f64> =
                             field.data.as_f32().iter().map(|&v| v as f64).collect();
                         let snr = psnr(&orig, &recon);

@@ -15,8 +15,14 @@ fn main() {
         .collect();
 
     let mut parts = pfpl_bench::participants::pfpl_trio(args.system);
-    parts.push(Participant::baseline(Box::new(bl::sz2::Sz2), Side::CpuSerial));
-    parts.push(Participant::baseline(Box::new(bl::zfp::Zfp), Side::CpuSerial));
+    parts.push(Participant::baseline(
+        Box::new(bl::sz2::Sz2),
+        Side::CpuSerial,
+    ));
+    parts.push(Participant::baseline(
+        Box::new(bl::zfp::Zfp),
+        Side::CpuSerial,
+    ));
 
     let rows = run_matrix(&suites, &parts, &PAPER_BOUNDS, ErrorBound::Rel, &args);
     let fig = match (args.op, args.double) {

@@ -57,7 +57,10 @@ fn main() {
     println!();
     for (bi, &eb) in PAPER_BOUNDS.iter().enumerate() {
         let avg = per_bound[bi].iter().sum::<f64>() / per_bound[bi].len().max(1) as f64;
-        println!("average unquantizable fraction @ {eb:>5.0e}: {:.3}%", avg * 100.0);
+        println!(
+            "average unquantizable fraction @ {eb:>5.0e}: {:.3}%",
+            avg * 100.0
+        );
     }
     println!(
         "maximum on a single input: {:.2}% ({})  [paper: 0.7% avg, 11.2% max @1e-3]",

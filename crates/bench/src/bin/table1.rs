@@ -11,11 +11,26 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(0);
     let rows = [
-        ("CPU", "Threadripper 2950X", "Xeon Gold 6226R", format!("{host_threads} hw threads")),
+        (
+            "CPU",
+            "Threadripper 2950X",
+            "Xeon Gold 6226R",
+            format!("{host_threads} hw threads"),
+        ),
         ("Cores/Socket", "16", "16", "-".into()),
-        ("GPU", "RTX 4090", "A100", "simulated (pfpl-device-sim)".into()),
+        (
+            "GPU",
+            "RTX 4090",
+            "A100",
+            "simulated (pfpl-device-sim)".into(),
+        ),
         ("Compute Capability", "8.9", "8.0", "-".into()),
-        ("GPU SMs", "128", "108", "worker threads model SM residency".into()),
+        (
+            "GPU SMs",
+            "128",
+            "108",
+            "worker threads model SM residency".into(),
+        ),
     ];
     for (k, s1, s2, host) in rows {
         println!("{k:<22} {s1:<22} {s2:<18} {host}");

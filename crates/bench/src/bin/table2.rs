@@ -6,7 +6,10 @@ use pfpl_data::all_suites;
 fn main() {
     let args = Args::parse();
     let suites = all_suites(args.size);
-    println!("Table II: input suites at --size {:?} (synthetic stand-ins; see DESIGN.md)\n", args.size);
+    println!(
+        "Table II: input suites at --size {:?} (synthetic stand-ins; see DESIGN.md)\n",
+        args.size
+    );
     println!(
         "{:<18} {:<16} {:<8} {:>6} {:<20} {:>10}",
         "Name", "Description", "Format", "Files", "Dimensions", "Size (MB)"

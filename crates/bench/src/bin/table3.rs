@@ -17,7 +17,11 @@ fn main() {
 
     for c in all_baselines() {
         let caps = c.capabilities();
-        let side = if caps.gpu && !caps.cpu { Side::Gpu } else { Side::CpuSerial };
+        let side = if caps.gpu && !caps.cpu {
+            Side::Gpu
+        } else {
+            Side::CpuSerial
+        };
         let p = Participant::baseline(c, side);
         let cell = |kind: BoundKind, declared: Support| -> &'static str {
             if declared == Support::No {
@@ -55,5 +59,9 @@ fn main() {
 }
 
 fn yn(b: bool) -> &'static str {
-    if b { "✓" } else { "✗" }
+    if b {
+        "✓"
+    } else {
+        "✗"
+    }
 }

@@ -103,7 +103,11 @@ pub fn print_rows(title: &str, rows: &[Row], args: &Args) {
         return;
     }
     println!("== {title} ==");
-    if std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) == 1 {
+    if std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        == 1
+    {
         println!(
             "(note: single-core host — PFPL_Serial / PFPL_OMP / GPU(sim) wall-clock \
              cannot separate; compare per-core speeds across compressors instead)"
@@ -130,8 +134,7 @@ pub fn print_rows(title: &str, rows: &[Row], args: &Args) {
 /// True when no other row at the same bound dominates `r`.
 pub fn pareto(rows: &[Row], r: &Row) -> bool {
     !rows.iter().any(|o| {
-        o.eb == r.eb
-            && (o.ratio > r.ratio && o.gbs >= r.gbs || o.ratio >= r.ratio && o.gbs > r.gbs)
+        o.eb == r.eb && (o.ratio > r.ratio && o.gbs >= r.gbs || o.ratio >= r.ratio && o.gbs > r.gbs)
     })
 }
 

@@ -63,7 +63,11 @@ impl Participant {
     /// PFPL on the simulated GPU (PFPL_CUDA analogue). `system` selects
     /// Table I's System 1 (RTX 4090) or System 2 (A100).
     pub fn pfpl_gpu(system: u8) -> Self {
-        let cfg = if system == 2 { configs::A100 } else { configs::RTX_4090 };
+        let cfg = if system == 2 {
+            configs::A100
+        } else {
+            configs::RTX_4090
+        };
         Self {
             name: "PFPL_CUDA".into(),
             side: Side::Gpu,
@@ -91,18 +95,14 @@ impl Participant {
     /// Compress `field` under `bound`. `Ok(None)` means the combination is
     /// unsupported (the compressor is simply absent from that figure, as
     /// in the paper); `Err` is a real failure.
-    pub fn compress(
-        &self,
-        field: &Field,
-        bound: ErrorBound,
-    ) -> Result<Option<Vec<u8>>, String> {
+    pub fn compress(&self, field: &Field, bound: ErrorBound) -> Result<Option<Vec<u8>>, String> {
         match (&self.engine, &field.data) {
-            (Engine::Pfpl(mode), FieldData::F32(v)) => {
-                pfpl::compress(v, bound, *mode).map(Some).map_err(|e| e.to_string())
-            }
-            (Engine::Pfpl(mode), FieldData::F64(v)) => {
-                pfpl::compress(v, bound, *mode).map(Some).map_err(|e| e.to_string())
-            }
+            (Engine::Pfpl(mode), FieldData::F32(v)) => pfpl::compress(v, bound, *mode)
+                .map(Some)
+                .map_err(|e| e.to_string()),
+            (Engine::Pfpl(mode), FieldData::F64(v)) => pfpl::compress(v, bound, *mode)
+                .map(Some)
+                .map_err(|e| e.to_string()),
             (Engine::PfplGpu(dev), FieldData::F32(v)) => {
                 dev.compress(v, bound).map(Some).map_err(|e| e.to_string())
             }
@@ -151,9 +151,7 @@ impl Participant {
                 .decompress_f32(archive)
                 .map(|v| v.into_iter().map(|x| x as f64).collect())
                 .map_err(|e| e.to_string()),
-            (Engine::Baseline(c), true) => {
-                c.decompress_f64(archive).map_err(|e| e.to_string())
-            }
+            (Engine::Baseline(c), true) => c.decompress_f64(archive).map_err(|e| e.to_string()),
         }
     }
 

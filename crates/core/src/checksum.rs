@@ -122,13 +122,19 @@ mod tests {
     fn every_single_bit_flip_changes_the_digest() {
         // Exhaustive over a buffer long enough to cover the 16-byte-lane
         // loop, both tail loops, and every lane position.
-        let data: Vec<u8> = (0..77u32).map(|i| (i.wrapping_mul(37) >> 2) as u8).collect();
+        let data: Vec<u8> = (0..77u32)
+            .map(|i| (i.wrapping_mul(37) >> 2) as u8)
+            .collect();
         let clean = checksum32(1, &data);
         let mut m = data.clone();
         for i in 0..m.len() {
             for bit in 0..8 {
                 m[i] ^= 1 << bit;
-                assert_ne!(checksum32(1, &m), clean, "flip of byte {i} bit {bit} undetected");
+                assert_ne!(
+                    checksum32(1, &m),
+                    clean,
+                    "flip of byte {i} bit {bit} undetected"
+                );
                 m[i] ^= 1 << bit;
             }
         }

@@ -298,7 +298,9 @@ mod tests {
 
     #[test]
     fn f64_all_bounds_roundtrip() {
-        let data: Vec<f64> = (0..30_000).map(|i| (i as f64 * 0.01).cos() * 100.0).collect();
+        let data: Vec<f64> = (0..30_000)
+            .map(|i| (i as f64 * 0.01).cos() * 100.0)
+            .collect();
         for bound in [
             ErrorBound::Abs(1e-6),
             ErrorBound::Rel(1e-6),

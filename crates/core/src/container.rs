@@ -299,9 +299,7 @@ impl Header {
         let start = out.len();
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&VERSION.to_le_bytes());
-        let flags = self.precision.tag()
-            | (self.kind.tag() << 1)
-            | ((self.passthrough as u8) << 3);
+        let flags = self.precision.tag() | (self.kind.tag() << 1) | ((self.passthrough as u8) << 3);
         out.push(flags);
         out.push(0);
         out.extend_from_slice(&self.user_bound.to_bits().to_le_bytes());
@@ -436,8 +434,7 @@ mod tests {
     fn write_v1(h: &Header, sizes: &[u32], out: &mut Vec<u8>) {
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&1u16.to_le_bytes());
-        let flags =
-            h.precision.tag() | (h.kind.tag() << 1) | ((h.passthrough as u8) << 3);
+        let flags = h.precision.tag() | (h.kind.tag() << 1) | ((h.passthrough as u8) << 3);
         out.push(flags);
         out.push(0);
         out.extend_from_slice(&h.user_bound.to_bits().to_le_bytes());
@@ -473,7 +470,10 @@ mod tests {
     fn new_derives_the_chunk_count_and_caps_it_at_31_bits() {
         let new = |count| Header::new(Precision::Single, ErrorBound::Rel(1e-3), 1e-3, false, count);
         let h = new(12_000).unwrap();
-        assert_eq!((h.kind, h.count, h.chunk_count), (BoundKind::Rel, 12_000, 3));
+        assert_eq!(
+            (h.kind, h.count, h.chunk_count),
+            (BoundKind::Rel, 12_000, 3)
+        );
         assert_eq!((h.user_bound, h.derived_bound), (1e-3, 1e-3));
         let max = (RAW_FLAG - 1) as u64 * 4096;
         assert_eq!(new(max).unwrap().chunk_count, RAW_FLAG - 1);
@@ -580,7 +580,10 @@ mod tests {
         h.write_fixed(&mut buf);
         let res = Toc::read(&buf);
         assert!(
-            matches!(res, Err(Error::CountMismatch { .. }) | Err(Error::Truncated { .. })),
+            matches!(
+                res,
+                Err(Error::CountMismatch { .. }) | Err(Error::Truncated { .. })
+            ),
             "{res:?}"
         );
     }

@@ -456,7 +456,7 @@ mod tests {
         let r = v - eb; // exact: both integers in f64 range
         assert!(abs_within_f64(v, r, eb));
         let r2 = f64::from_bits(r.to_bits() - 1); // further from v
-        // true diff = eb + ulp > eb
+                                                  // true diff = eb + ulp > eb
         assert!(!abs_within_f64(v, r2, eb));
         // Naive check would wrongly accept:
         assert!((v - r2).abs() <= eb + 2.0); // sanity that we're near boundary

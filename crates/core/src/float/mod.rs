@@ -420,16 +420,10 @@ mod tests {
 
     #[test]
     fn masks_partition_the_word() {
-        assert_eq!(
-            f32::SIGN_MASK | f32::EXP_MASK | f32::MANT_MASK,
-            u32::MAX
-        );
+        assert_eq!(f32::SIGN_MASK | f32::EXP_MASK | f32::MANT_MASK, u32::MAX);
         assert_eq!(f32::SIGN_MASK & f32::EXP_MASK, 0);
         assert_eq!(f32::EXP_MASK & f32::MANT_MASK, 0);
-        assert_eq!(
-            f64::SIGN_MASK | f64::EXP_MASK | f64::MANT_MASK,
-            u64::MAX
-        );
+        assert_eq!(f64::SIGN_MASK | f64::EXP_MASK | f64::MANT_MASK, u64::MAX);
         assert_eq!(f64::SIGN_MASK & f64::EXP_MASK, 0);
         assert_eq!(f64::EXP_MASK & f64::MANT_MASK, 0);
     }

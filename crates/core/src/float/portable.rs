@@ -208,10 +208,7 @@ mod tests {
         for e in -1022..=1023i32 {
             let x = 2f64.powi(e);
             let l = log2(x);
-            assert!(
-                (l - e as f64).abs() < 1e-12,
-                "log2(2^{e}) = {l}"
-            );
+            assert!((l - e as f64).abs() < 1e-12, "log2(2^{e}) = {l}");
         }
     }
 
@@ -311,7 +308,9 @@ mod tests {
             assert_log2_lanes(std::array::from_fn(|i| f64::from_bits(s + i as u64 - 4)));
         }
         // Round-away ties and the edges of the in-lane normal range.
-        for base in [0.0, 0.5, -0.5, -1022.5, -1023.0, -1075.0, -1080.0, 1023.5, 1025.0] {
+        for base in [
+            0.0, 0.5, -0.5, -1022.5, -1023.0, -1075.0, -1080.0, 1023.5, 1025.0,
+        ] {
             assert_exp2_lanes(std::array::from_fn(|i| base + (i as f64 - 4.0) * 0.125));
             // One ulp apart around `base` (around +0.0: the smallest denormals).
             let b = base.to_bits().max(4);

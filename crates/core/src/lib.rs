@@ -80,9 +80,7 @@ pub use compress::{
 pub use engine::ChunkDecoder;
 pub use error::{Error, Result};
 pub use float::PfplFloat;
-pub use salvage::{
-    decompress_salvage, verify_archive, ChunkReport, ChunkStatus, SalvageReport,
-};
+pub use salvage::{decompress_salvage, verify_archive, ChunkReport, ChunkStatus, SalvageReport};
 pub use stats::CompressStats;
 pub use stream::{decompress_chunks, StreamCompressor};
 pub use types::{BoundKind, ErrorBound, Mode, Precision};

@@ -97,7 +97,9 @@ mod tests {
     fn carry_splits_match_whole() {
         // Encoding tile-by-tile with carries must equal one whole pass,
         // for any split points; same for decoding.
-        let orig: Vec<u32> = (0..1000u32).map(|i| i.wrapping_mul(0x9E3779B9) >> 7).collect();
+        let orig: Vec<u32> = (0..1000u32)
+            .map(|i| i.wrapping_mul(0x9E3779B9) >> 7)
+            .collect();
         let mut whole = orig.clone();
         encode_in_place(&mut whole);
         let mut split = orig.clone();

@@ -360,7 +360,11 @@ fn avx2() -> bool {
 /// [`encode`] / [`decode`] and the fused chunk kernels) run on this CPU:
 /// `"avx2"` or the portable `"masked-swap"`.
 pub fn tile_kernel() -> &'static str {
-    if avx2() { "avx2" } else { "masked-swap" }
+    if avx2() {
+        "avx2"
+    } else {
+        "masked-swap"
+    }
 }
 
 /// Transpose every `BITS`-word block of `tile`, handing row `j` of block

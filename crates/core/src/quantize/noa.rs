@@ -45,10 +45,7 @@ pub fn derive_noa_bound<F: PfplFloat>(data: &[F], eb: F, mode: Mode) -> NoaBound
     let ident = (F::from_f64(f64::INFINITY), F::from_f64(f64::NEG_INFINITY));
     let fold = |(lo, hi): (F, F), v: &F| {
         let v = *v;
-        (
-            if v < lo { v } else { lo },
-            if v > hi { v } else { hi },
-        )
+        (if v < lo { v } else { lo }, if v > hi { v } else { hi })
     };
     let combine = |a: (F, F), b: (F, F)| {
         (

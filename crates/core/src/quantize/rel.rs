@@ -77,7 +77,11 @@ impl<F: PfplFloat> RelQuantizer<F> {
         // If eb is so tiny that 1+eb rounds to 1, binw is 0 and inv_binw is
         // infinite: every bin overflows the range check and all values fall
         // back to lossless storage — correct, just incompressible.
-        let inv_binw = if binw > 0.0 { 1.0 / binw } else { f64::INFINITY };
+        let inv_binw = if binw > 0.0 {
+            1.0 / binw
+        } else {
+            f64::INFINITY
+        };
         Ok(Self {
             eb,
             binw,
@@ -113,9 +117,8 @@ impl<F: PfplFloat> RelQuantizer<F> {
     /// Pack (value sign, bin) into a negative-NaN word, pre-XOR.
     #[inline]
     fn pack(vsign: bool, bsign: bool, mag: u64) -> F::Bits {
-        let payload = ((vsign as u64) << (F::MANT_BITS - 1))
-            | ((bsign as u64) << Self::mag_bits())
-            | mag;
+        let payload =
+            ((vsign as u64) << (F::MANT_BITS - 1)) | ((bsign as u64) << Self::mag_bits()) | mag;
         let mant = F::Bits::from_u64(payload + 1); // keep mantissa nonzero
         debug_assert!((mant & !F::MANT_MASK) == F::Bits::ZERO);
         // Full negative-NaN pattern; the caller's XOR with the sign+exponent
@@ -254,7 +257,11 @@ impl<F: PfplFloat> Quantizer<F> for RelQuantizer<F> {
                     & t.is_finite()
                     & (ad < t.mul(self.fast_lo));
                 // Out-of-range bins pack as 0: the word is overwritten below.
-                let mag = if in_range[i] { bin[i].unsigned_abs() } else { 0 };
+                let mag = if in_range[i] {
+                    bin[i].unsigned_abs()
+                } else {
+                    0
+                };
                 ws[i] = Self::pack(vs[i].is_sign_negative(), bin[i] < 0, mag) ^ xm;
             }
             if fast.contains(&false) {
@@ -339,7 +346,11 @@ mod tests {
     /// rescale `exact::check_bound` applies above 2^500, where
     /// `rel_within_mag_f64` alone turns conservative.
     fn rel_exact_f64(a: f64, b: f64, eb: f64) -> bool {
-        let s = if a > 2f64.powi(500) { 2f64.powi(-600) } else { 1.0 };
+        let s = if a > 2f64.powi(500) {
+            2f64.powi(-600)
+        } else {
+            1.0
+        };
         rel_within_mag_f64(a * s, b * s, eb)
     }
 
@@ -393,7 +404,10 @@ mod tests {
             let q = q32(eb);
             for &v in &[1.0f32, -1.0, 3.7e8, -2.2e-12, 6.02e23, 0.5] {
                 let r = q.decode(q.encode(v));
-                assert!(rel_within_mag_f32(v.abs(), r.abs(), eb), "v={v} eb={eb} r={r}");
+                assert!(
+                    rel_within_mag_f32(v.abs(), r.abs(), eb),
+                    "v={v} eb={eb} r={r}"
+                );
                 assert_eq!(r.is_sign_negative(), v.is_sign_negative());
             }
         }
@@ -405,7 +419,10 @@ mod tests {
         for bits in [1u32, 0x0000_1000, 0x007F_FFFF, 0x8000_0001] {
             let v = f32::from_bits(bits);
             let r = q.decode(q.encode(v));
-            assert!(rel_within_mag_f32(v.abs(), r.abs(), 1e-2), "denormal {bits:#x}: r={r}");
+            assert!(
+                rel_within_mag_f32(v.abs(), r.abs(), 1e-2),
+                "denormal {bits:#x}: r={r}"
+            );
             assert_eq!(r.is_sign_negative(), v.is_sign_negative());
         }
     }

@@ -227,7 +227,9 @@ mod tests {
     use crate::types::ErrorBound;
 
     fn archive_5_chunks() -> (Vec<f32>, Vec<u8>) {
-        let data: Vec<f32> = (0..18_000).map(|i| (i as f32 * 0.003).sin() * 7.0).collect();
+        let data: Vec<f32> = (0..18_000)
+            .map(|i| (i as f32 * 0.003).sin() * 7.0)
+            .collect();
         let archive = crate::compress(&data, ErrorBound::Abs(1e-3), Mode::Serial).unwrap();
         (data, archive)
     }
@@ -342,10 +344,7 @@ mod tests {
         bad[last] ^= 0x01; // damages the final chunk's payload
         let report = verify_archive::<f32>(&bad).unwrap();
         assert_eq!(report.damaged(), 1);
-        assert_eq!(
-            report.chunks.last().unwrap().chunk,
-            toc.sizes.len() - 1
-        );
+        assert_eq!(report.chunks.last().unwrap().chunk, toc.sizes.len() - 1);
         let (_, salvage_report) = decompress_salvage::<f32>(&bad, Mode::Serial, 0.0f32).unwrap();
         assert_eq!(report, salvage_report);
         assert!(report.summary().contains("4/5 chunks intact"));

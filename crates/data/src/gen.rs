@@ -46,7 +46,11 @@ impl Lattice {
     /// Trilinearly interpolated noise at continuous coords.
     fn sample(&self, x: f64, y: f64, z: f64, octave: u32) -> f64 {
         let (x0, y0, z0) = (x.floor() as i64, y.floor() as i64, z.floor() as i64);
-        let (fx, fy, fz) = (smooth(x - x0 as f64), smooth(y - y0 as f64), smooth(z - z0 as f64));
+        let (fx, fy, fz) = (
+            smooth(x - x0 as f64),
+            smooth(y - y0 as f64),
+            smooth(z - z0 as f64),
+        );
         let mut acc = 0.0;
         for (dz, wz) in [(0i64, 1.0 - fz), (1, fz)] {
             for (dy, wy) in [(0i64, 1.0 - fy), (1, fy)] {
@@ -105,7 +109,13 @@ pub fn fractal_field_2d(
 }
 
 /// 1D variant.
-pub fn fractal_field_1d(seed: u64, n: usize, base_freq: f64, octaves: u32, persistence: f64) -> Vec<f64> {
+pub fn fractal_field_1d(
+    seed: u64,
+    n: usize,
+    base_freq: f64,
+    octaves: u32,
+    persistence: f64,
+) -> Vec<f64> {
     fractal_field_3d(seed, [1, 1, n], base_freq, octaves, persistence)
 }
 
@@ -200,8 +210,8 @@ mod tests {
     #[test]
     fn smooth_fields_have_small_neighbor_deltas() {
         let f = fractal_field_3d(1, [4, 32, 32], 3.0, 4, 0.5);
-        let range = f.iter().cloned().fold(f64::MIN, f64::max)
-            - f.iter().cloned().fold(f64::MAX, f64::min);
+        let range =
+            f.iter().cloned().fold(f64::MIN, f64::max) - f.iter().cloned().fold(f64::MAX, f64::min);
         // Neighboring values along the fastest axis (within a row) move much
         // less than the full range — the smoothness the compressor exploits.
         let max_delta = f
@@ -209,7 +219,10 @@ mod tests {
             .flat_map(|row| row.windows(2))
             .map(|w| (w[1] - w[0]).abs())
             .fold(0.0, f64::max);
-        assert!(max_delta < range * 0.4, "max_delta={max_delta} range={range}");
+        assert!(
+            max_delta < range * 0.4,
+            "max_delta={max_delta} range={range}"
+        );
     }
 
     #[test]
@@ -225,9 +238,12 @@ mod tests {
     fn brownian_is_a_walk() {
         let w = brownian(3, 10_000, 0.01);
         // Steps are small relative to the excursion.
-        let excursion = w.iter().cloned().fold(f64::MIN, f64::max)
-            - w.iter().cloned().fold(f64::MAX, f64::min);
-        let max_step = w.windows(2).map(|p| (p[1] - p[0]).abs()).fold(0.0, f64::max);
+        let excursion =
+            w.iter().cloned().fold(f64::MIN, f64::max) - w.iter().cloned().fold(f64::MAX, f64::min);
+        let max_step = w
+            .windows(2)
+            .map(|p| (p[1] - p[0]).abs())
+            .fold(0.0, f64::max);
         assert!(max_step < excursion / 5.0);
     }
 

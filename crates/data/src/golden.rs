@@ -31,14 +31,54 @@ pub fn golden_specs() -> Vec<GoldenSpec> {
     use ErrorBound::{Abs, Noa, Rel};
     use Precision::{Double, Single};
     vec![
-        GoldenSpec { name: "f32_abs_smooth", precision: Single, bound: Abs(1e-3), noise: false },
-        GoldenSpec { name: "f32_rel_smooth", precision: Single, bound: Rel(1e-4), noise: false },
-        GoldenSpec { name: "f32_noa_smooth", precision: Single, bound: Noa(1e-4), noise: false },
-        GoldenSpec { name: "f64_abs_smooth", precision: Double, bound: Abs(1e-6), noise: false },
-        GoldenSpec { name: "f64_rel_smooth", precision: Double, bound: Rel(1e-7), noise: false },
-        GoldenSpec { name: "f64_noa_smooth", precision: Double, bound: Noa(1e-6), noise: false },
-        GoldenSpec { name: "f32_raw_noise", precision: Single, bound: Rel(1e-9), noise: true },
-        GoldenSpec { name: "f64_raw_noise", precision: Double, bound: Rel(1e-16), noise: true },
+        GoldenSpec {
+            name: "f32_abs_smooth",
+            precision: Single,
+            bound: Abs(1e-3),
+            noise: false,
+        },
+        GoldenSpec {
+            name: "f32_rel_smooth",
+            precision: Single,
+            bound: Rel(1e-4),
+            noise: false,
+        },
+        GoldenSpec {
+            name: "f32_noa_smooth",
+            precision: Single,
+            bound: Noa(1e-4),
+            noise: false,
+        },
+        GoldenSpec {
+            name: "f64_abs_smooth",
+            precision: Double,
+            bound: Abs(1e-6),
+            noise: false,
+        },
+        GoldenSpec {
+            name: "f64_rel_smooth",
+            precision: Double,
+            bound: Rel(1e-7),
+            noise: false,
+        },
+        GoldenSpec {
+            name: "f64_noa_smooth",
+            precision: Double,
+            bound: Noa(1e-6),
+            noise: false,
+        },
+        GoldenSpec {
+            name: "f32_raw_noise",
+            precision: Single,
+            bound: Rel(1e-9),
+            noise: true,
+        },
+        GoldenSpec {
+            name: "f64_raw_noise",
+            precision: Double,
+            bound: Rel(1e-16),
+            noise: true,
+        },
     ]
 }
 
@@ -75,7 +115,12 @@ fn golden_len(precision: Precision) -> usize {
 /// [`Precision::Double`] specs; single-precision specs use
 /// [`golden_values_f32`] so their noise spans f32's own exponent range).
 pub fn golden_values_f64(spec: &GoldenSpec) -> Vec<f64> {
-    assert_eq!(spec.precision, Precision::Double, "{} is single precision", spec.name);
+    assert_eq!(
+        spec.precision,
+        Precision::Double,
+        "{} is single precision",
+        spec.name
+    );
     let n = golden_len(spec.precision);
     let seed = seed_of(spec.name);
     if spec.noise {
@@ -102,7 +147,12 @@ pub fn golden_values_f64(spec: &GoldenSpec) -> Vec<f64> {
 /// The single-precision source dataset for a spec (only valid for
 /// [`Precision::Single`] specs).
 pub fn golden_values_f32(spec: &GoldenSpec) -> Vec<f32> {
-    assert_eq!(spec.precision, Precision::Single, "{} is double precision", spec.name);
+    assert_eq!(
+        spec.precision,
+        Precision::Single,
+        "{} is double precision",
+        spec.name
+    );
     let n = golden_len(spec.precision);
     let seed = seed_of(spec.name);
     if spec.noise {
@@ -131,14 +181,18 @@ pub fn golden_values_f32(spec: &GoldenSpec) -> Vec<f32> {
 /// generation itself single-threaded and reproducible everywhere).
 pub fn golden_archive(spec: &GoldenSpec) -> Vec<u8> {
     match spec.precision {
-        Precision::Single => {
-            pfpl::compress(&golden_values_f32(spec), spec.bound, pfpl::types::Mode::Serial)
-                .expect("golden compression must succeed")
-        }
-        Precision::Double => {
-            pfpl::compress(&golden_values_f64(spec), spec.bound, pfpl::types::Mode::Serial)
-                .expect("golden compression must succeed")
-        }
+        Precision::Single => pfpl::compress(
+            &golden_values_f32(spec),
+            spec.bound,
+            pfpl::types::Mode::Serial,
+        )
+        .expect("golden compression must succeed"),
+        Precision::Double => pfpl::compress(
+            &golden_values_f64(spec),
+            spec.bound,
+            pfpl::types::Mode::Serial,
+        )
+        .expect("golden compression must succeed"),
     }
 }
 
@@ -159,7 +213,12 @@ mod tests {
     #[test]
     fn archives_are_deterministic() {
         for spec in golden_specs() {
-            assert_eq!(golden_archive(&spec), golden_archive(&spec), "{}", spec.name);
+            assert_eq!(
+                golden_archive(&spec),
+                golden_archive(&spec),
+                "{}",
+                spec.name
+            );
         }
     }
 

@@ -59,7 +59,11 @@ pub fn max_noa_err(orig: &[f64], recon: &[f64]) -> f64 {
     }
     let range = hi - lo;
     if range == 0.0 {
-        return if max_abs_err(orig, recon) == 0.0 { 0.0 } else { f64::INFINITY };
+        return if max_abs_err(orig, recon) == 0.0 {
+            0.0
+        } else {
+            f64::INFINITY
+        };
     }
     max_abs_err(orig, recon) / range
 }

@@ -170,7 +170,11 @@ fn hacc(size: SizeClass) -> Suite {
                 // velocity components: rougher noise
                 gen::fractal_field_1d(0x4ACC + i as u64, len, 2000.0, 4, 0.8)
             };
-            f32_field(format!("HACC_{}", ["xx", "yy", "zz", "vx", "vy", "vz"][i]), vec![len], v)
+            f32_field(
+                format!("HACC_{}", ["xx", "yy", "zz", "vx", "vy", "vz"][i]),
+                vec![len],
+                v,
+            )
         })
         .collect();
     Suite {
@@ -316,11 +320,7 @@ mod tests {
     fn ten_suites_match_table_two() {
         let suites = all_suites(SizeClass::Tiny);
         assert_eq!(suites.len(), 10);
-        let doubles: Vec<&str> = suites
-            .iter()
-            .filter(|s| s.double)
-            .map(|s| s.name)
-            .collect();
+        let doubles: Vec<&str> = suites.iter().filter(|s| s.double).map(|s| s.name).collect();
         assert_eq!(doubles, vec!["NWChem", "Miranda", "Brown Samples"]);
     }
 
@@ -334,7 +334,10 @@ mod tests {
         assert!(by_name("SCALE").all_3d());
         assert!(by_name("QMCPACK").all_3d());
         assert!(by_name("Miranda").all_3d());
-        assert!(!by_name("HACC").all_3d(), "HACC is 1D (excluded from 3D-only figures)");
+        assert!(
+            !by_name("HACC").all_3d(),
+            "HACC is 1D (excluded from 3D-only figures)"
+        );
         assert!(!by_name("EXAALT Copper").all_3d(), "EXAALT is 2D");
     }
 
@@ -349,8 +352,12 @@ mod tests {
 
     #[test]
     fn sizes_scale() {
-        let tiny = suite_by_name("Miranda", SizeClass::Tiny).unwrap().byte_len();
-        let small = suite_by_name("Miranda", SizeClass::Small).unwrap().byte_len();
+        let tiny = suite_by_name("Miranda", SizeClass::Tiny)
+            .unwrap()
+            .byte_len();
+        let small = suite_by_name("Miranda", SizeClass::Small)
+            .unwrap()
+            .byte_len();
         assert!(small > tiny * 4, "small={small} tiny={tiny}");
     }
 

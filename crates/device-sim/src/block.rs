@@ -42,8 +42,9 @@ pub fn exclusive_scan_wrapping_u64(vals: &mut [u64], vals_per_thread: usize) -> 
     // Phase 2: warp-level inclusive scans of the per-thread sums.
     let mut warp_aggregates = vec![0u64; num_warps]; // "shared memory"
     for w in 0..num_warps {
-        let lane_vals: [u64; WARP_SIZE] =
-            thread_sums[w * WARP_SIZE..(w + 1) * WARP_SIZE].try_into().unwrap();
+        let lane_vals: [u64; WARP_SIZE] = thread_sums[w * WARP_SIZE..(w + 1) * WARP_SIZE]
+            .try_into()
+            .unwrap();
         let scanned = warp::inclusive_scan_wrapping_u64(&lane_vals);
         warp_aggregates[w] = scanned[WARP_SIZE - 1];
         thread_sums[w * WARP_SIZE..(w + 1) * WARP_SIZE].copy_from_slice(&scanned);
@@ -66,9 +67,7 @@ pub fn exclusive_scan_wrapping_u64(vals: &mut [u64], vals_per_thread: usize) -> 
         let w = t / WARP_SIZE;
         let lo = t * vals_per_thread;
         let hi = (lo + vals_per_thread).min(n);
-        let local_sum: u64 = vals[lo..hi]
-            .iter()
-            .fold(0u64, |a, &v| a.wrapping_add(v));
+        let local_sum: u64 = vals[lo..hi].iter().fold(0u64, |a, &v| a.wrapping_add(v));
         let mut running = warp_offsets[w]
             .wrapping_add(inclusive)
             .wrapping_sub(local_sum);

@@ -36,7 +36,11 @@ impl DeviceConfig {
     /// and the paper's observation that lower max-threads-per-block reduces
     /// resident blocks (the RTX 2070 Super discussion), capped by the host.
     pub fn resident_blocks(&self) -> usize {
-        let per_sm = if self.max_threads_per_block >= 1536 { 2 } else { 1 };
+        let per_sm = if self.max_threads_per_block >= 1536 {
+            2
+        } else {
+            1
+        };
         (self.sm_count as usize * per_sm).min(
             std::thread::available_parallelism()
                 .map(|n| n.get())

@@ -243,8 +243,13 @@ where
     // snapshot (no scan needed when encoding).
     s.deltas.clear();
     for i in 0..s.words.len() {
-        let prev = if i == 0 { F::Bits::ZERO } else { s.words[i - 1] };
-        s.deltas.push(negabinary::encode(s.words[i].wrapping_sub(prev)));
+        let prev = if i == 0 {
+            F::Bits::ZERO
+        } else {
+            s.words[i - 1]
+        };
+        s.deltas
+            .push(negabinary::encode(s.words[i].wrapping_sub(prev)));
     }
 
     // Bit shuffle at warp granularity (scalar for a partial final chunk
@@ -563,7 +568,9 @@ mod tests {
 
     #[test]
     fn gpu_archive_identical_f64() {
-        let data: Vec<f64> = (0..60_000).map(|i| (i as f64 * 0.001).sin() * 100.0).collect();
+        let data: Vec<f64> = (0..60_000)
+            .map(|i| (i as f64 * 0.001).sin() * 100.0)
+            .collect();
         for bound in [
             ErrorBound::Abs(1e-6),
             ErrorBound::Rel(1e-5),
@@ -609,7 +616,9 @@ mod tests {
     #[test]
     fn empty_input_identical() {
         let cpu = pfpl::compress::<f32>(&[], ErrorBound::Abs(1e-3), Mode::Serial).unwrap();
-        let gpu = device().compress::<f32>(&[], ErrorBound::Abs(1e-3)).unwrap();
+        let gpu = device()
+            .compress::<f32>(&[], ErrorBound::Abs(1e-3))
+            .unwrap();
         assert_eq!(cpu, gpu);
         assert!(device().decompress::<f32>(&gpu).unwrap().is_empty());
     }
@@ -638,7 +647,7 @@ mod tests {
         let mut bad = archive.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x55; // damages the final chunk's payload
-        // Strict device decode refuses, naming the damaged chunk.
+                           // Strict device decode refuses, naming the damaged chunk.
         assert!(matches!(
             device().decompress::<f32>(&bad),
             Err(Error::ChecksumMismatch { chunk: 7, .. })

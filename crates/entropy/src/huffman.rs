@@ -344,14 +344,21 @@ mod tests {
         let lens = code_lengths(&freqs, 15);
         assert!(lens.iter().all(|&l| l <= 15));
         // Still a valid prefix code.
-        let kraft: f64 = lens.iter().map(|&l| if l > 0 { 2f64.powi(-(l as i32)) } else { 0.0 }).sum();
+        let kraft: f64 = lens
+            .iter()
+            .map(|&l| if l > 0 { 2f64.powi(-(l as i32)) } else { 0.0 })
+            .sum();
         assert!(kraft <= 1.0 + 1e-12);
     }
 
     #[test]
     fn single_symbol_alphabet() {
         let out = compress_u16(&[7u16; 1000]);
-        assert!(out.len() < 200, "1000 identical symbols → tiny: {}", out.len());
+        assert!(
+            out.len() < 200,
+            "1000 identical symbols → tiny: {}",
+            out.len()
+        );
         assert_eq!(decompress_u16(&out).unwrap(), vec![7u16; 1000]);
     }
 
@@ -368,7 +375,11 @@ mod tests {
             *s = if i % 100 == 0 { (i % 7) as u16 + 1 } else { 0 };
         }
         let out = compress_u16(&syms);
-        assert!(out.len() < 10_000 / 4, "skewed data must compress: {}", out.len());
+        assert!(
+            out.len() < 10_000 / 4,
+            "skewed data must compress: {}",
+            out.len()
+        );
         assert_eq!(decompress_u16(&out).unwrap(), syms);
     }
 

@@ -177,7 +177,12 @@ mod tests {
 
     #[test]
     fn repetitive_data_compresses_hard() {
-        let input: Vec<u8> = b"the quick brown fox ".iter().cycle().take(20_000).copied().collect();
+        let input: Vec<u8> = b"the quick brown fox "
+            .iter()
+            .cycle()
+            .take(20_000)
+            .copied()
+            .collect();
         let c = compress(&input);
         assert!(c.len() < input.len() / 20, "got {} bytes", c.len());
         assert_eq!(decompress(&c).unwrap(), input);

@@ -94,7 +94,9 @@ fn read_table(r: &mut std::slice::Iter<u8>) -> Result<[u32; 256]> {
             0x00 => {
                 let run = next()? as usize + 1;
                 if i + run > 256 {
-                    return Err(EntropyError::Malformed("rANS table zero-run overflow".into()));
+                    return Err(EntropyError::Malformed(
+                        "rANS table zero-run overflow".into(),
+                    ));
                 }
                 i += run;
             }
@@ -213,9 +215,8 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>> {
                 return Err(EntropyError::Malformed("rANS word underrun".into()));
             }
             wpos -= 1;
-            let w = u16::from_le_bytes(
-                words_bytes[wpos * 2..wpos * 2 + 2].try_into().unwrap(),
-            ) as u64;
+            let w =
+                u16::from_le_bytes(words_bytes[wpos * 2..wpos * 2 + 2].try_into().unwrap()) as u64;
             state = state << 16 | w;
         }
         out.push(sym);
@@ -258,7 +259,10 @@ mod tests {
     fn empty_and_single() {
         assert_eq!(decompress(&compress(&[])).unwrap(), Vec::<u8>::new());
         assert_eq!(decompress(&compress(&[42])).unwrap(), vec![42]);
-        assert_eq!(decompress(&compress(&[7; 100_000])).unwrap(), vec![7; 100_000]);
+        assert_eq!(
+            decompress(&compress(&[7; 100_000])).unwrap(),
+            vec![7; 100_000]
+        );
     }
 
     #[test]

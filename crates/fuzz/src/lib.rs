@@ -267,7 +267,10 @@ where
     let checksum = errors.find(|e| matches!(e, Error::ChecksumMismatch { .. }));
     let gate = ArchiveReader::<F>::open(archive).and_then(|r| r.offsets());
     if let Some(want) = gate.err().or_else(|| checksum.cloned()) {
-        for (path, got) in verdicts.iter().filter(|(_, got)| got.as_ref() != Some(&want)) {
+        for (path, got) in verdicts
+            .iter()
+            .filter(|(_, got)| got.as_ref() != Some(&want))
+        {
             report.mismatches += 1;
             report.fail(format!(
                 "{path} returned {got:?}, every path must return the pre-kernel \
@@ -535,7 +538,10 @@ where
         }
         Err(p) => {
             report.panics += 1;
-            report.fail(format!("PANIC salvaging clean archive: {}", panic_message(&p)));
+            report.fail(format!(
+                "PANIC salvaging clean archive: {}",
+                panic_message(&p)
+            ));
         }
     }
 
@@ -556,7 +562,10 @@ where
     touched.sort_unstable();
     let mut m = archive.clone();
     for &c in &touched {
-        let (lo, hi) = (toc.payload_start + offsets[c], toc.payload_start + offsets[c + 1]);
+        let (lo, hi) = (
+            toc.payload_start + offsets[c],
+            toc.payload_start + offsets[c + 1],
+        );
         loop {
             let off = rng.range(lo, hi);
             let mask = rng.nonzero_byte();
@@ -596,16 +605,24 @@ where
         }
         Outcome::Panic(msg) => {
             report.panics += 1;
-            report.fail(format!("PANIC on strict decode of corrupted archive: {msg}"));
+            report.fail(format!(
+                "PANIC on strict decode of corrupted archive: {msg}"
+            ));
         }
     }
 
     // All three salvage backends must succeed and agree exactly.
     type SalvageRun<'a, F> = &'a dyn Fn() -> pfpl::Result<(Vec<F>, SalvageReport)>;
     let runs: [(&'static str, SalvageRun<F>); 3] = [
-        ("salvage-serial", &|| pfpl::decompress_salvage::<F>(&m, Mode::Serial, fill)),
-        ("salvage-parallel", &|| pfpl::decompress_salvage::<F>(&m, Mode::Parallel, fill)),
-        ("salvage-device", &|| device.decompress_salvage::<F>(&m, fill)),
+        ("salvage-serial", &|| {
+            pfpl::decompress_salvage::<F>(&m, Mode::Serial, fill)
+        }),
+        ("salvage-parallel", &|| {
+            pfpl::decompress_salvage::<F>(&m, Mode::Parallel, fill)
+        }),
+        ("salvage-device", &|| {
+            device.decompress_salvage::<F>(&m, fill)
+        }),
     ];
     let mut results: Vec<(&'static str, (Vec<F>, SalvageReport))> = Vec::new();
     for (path, run) in runs {
@@ -659,7 +676,10 @@ where
                     cr.status
                 ));
             }
-            if ref_vals[lo..hi].iter().any(|v| v.to_bits() != fill.to_bits()) {
+            if ref_vals[lo..hi]
+                .iter()
+                .any(|v| v.to_bits() != fill.to_bits())
+            {
                 report.mismatches += 1;
                 report.fail(format!("corrupted chunk {c} was not filled"));
             }

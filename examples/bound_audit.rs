@@ -24,7 +24,9 @@ fn adversarial() -> Vec<f32> {
 fn main() {
     let eb = 1e-3;
     let data = adversarial();
-    println!("adversarial input: 4096 values incl. bin-boundary points, a 2.7e12 spike, denormals\n");
+    println!(
+        "adversarial input: 4096 values incl. bin-boundary points, a 2.7e12 spike, denormals\n"
+    );
 
     // PFPL (with NaN/Inf added — the baselines cannot even ingest those).
     let mut with_specials = data.clone();
@@ -42,12 +44,16 @@ fn main() {
     report("PFPL (ABS)", finite_err, eb);
 
     // SZ2 ABS: verified quantizer → adheres.
-    let arch = Sz2.compress_f32(&data, &[4096], ErrorBound::Abs(eb)).unwrap();
+    let arch = Sz2
+        .compress_f32(&data, &[4096], ErrorBound::Abs(eb))
+        .unwrap();
     let back = Sz2.decompress_f32(&arch).unwrap();
     report("SZ2 (ABS)", pair_abs_err(&data, &back), eb);
 
     // SZ2 REL: unverified log transform → violations (as in the paper).
-    let arch = Sz2.compress_f32(&data, &[4096], ErrorBound::Rel(eb)).unwrap();
+    let arch = Sz2
+        .compress_f32(&data, &[4096], ErrorBound::Rel(eb))
+        .unwrap();
     let back = Sz2.decompress_f32(&arch).unwrap();
     let orig: Vec<f64> = data.iter().map(|&v| v as f64).collect();
     let recon: Vec<f64> = back.iter().map(|&v| v as f64).collect();
@@ -60,7 +66,9 @@ fn main() {
     report("PFPL (REL)", max_rel_err(&orig, &recon), eb);
 
     // cuSZp ABS: prequantization overflows on the spike → major violation.
-    let arch = CuSzp.compress_f32(&data, &[4096], ErrorBound::Abs(eb)).unwrap();
+    let arch = CuSzp
+        .compress_f32(&data, &[4096], ErrorBound::Abs(eb))
+        .unwrap();
     let back = CuSzp.decompress_f32(&arch).unwrap();
     report("cuSZp (ABS)", pair_abs_err(&data, &back), eb);
 }

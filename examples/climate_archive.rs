@@ -30,7 +30,9 @@ fn main() {
     let mut total_in = 0usize;
     let mut total_out = 0usize;
     for field in &suite.fields {
-        let FieldData::F32(data) = &field.data else { unreachable!() };
+        let FieldData::F32(data) = &field.data else {
+            unreachable!()
+        };
         let (archive, stats) =
             compress_with_stats(data, ErrorBound::Noa(eb), Mode::Parallel).expect("compress");
         let restored = decompress_f32(&archive, Mode::Parallel).expect("decompress");

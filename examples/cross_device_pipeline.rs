@@ -15,7 +15,9 @@ use pfpl_device_sim::{configs, GpuDevice};
 fn main() {
     let suite = suite_by_name("NYX", SizeClass::Small).expect("suite");
     let field = &suite.fields[0]; // baryon-density-like, high dynamic range
-    let FieldData::F32(data) = &field.data else { unreachable!() };
+    let FieldData::F32(data) = &field.data else {
+        unreachable!()
+    };
     let bound = ErrorBound::Rel(1e-3); // REL suits multi-decade densities
     println!(
         "snapshot: {} ({} values, {:.1} MB), bound {bound:?}\n",
@@ -37,9 +39,14 @@ fn main() {
     // different GPU generation must produce the *same bytes*.
     let serial = pfpl::compress(data, bound, Mode::Serial).unwrap();
     let parallel = pfpl::compress(data, bound, Mode::Parallel).unwrap();
-    let other_gpu = GpuDevice::new(configs::TITAN_XP).compress(data, bound).unwrap();
+    let other_gpu = GpuDevice::new(configs::TITAN_XP)
+        .compress(data, bound)
+        .unwrap();
     assert_eq!(gpu_archive, serial, "GPU vs CPU-serial archives differ!");
-    assert_eq!(gpu_archive, parallel, "GPU vs CPU-parallel archives differ!");
+    assert_eq!(
+        gpu_archive, parallel,
+        "GPU vs CPU-parallel archives differ!"
+    );
     assert_eq!(gpu_archive, other_gpu, "A100 vs TITAN Xp archives differ!");
     println!("archives identical across CPU-serial / CPU-parallel / 2 GPU generations ✓");
 

@@ -104,7 +104,10 @@ fn steady_state_allocation_accounting() {
             chunk::compress_chunk_into(&q, c, &mut scratch, slot);
         }
     });
-    assert_eq!(n, 0, "compress_chunk_into allocated {n} times in steady state");
+    assert_eq!(
+        n, 0,
+        "compress_chunk_into allocated {n} times in steady state"
+    );
 
     // --- decompress_chunk: zero allocations after warmup ----------------
     let payloads: Vec<Vec<u8>> = chunks
@@ -117,7 +120,8 @@ fn steady_state_allocation_accounting() {
         .collect();
     let mut vals = vec![0f32; vpc];
     for (p, info) in payloads.iter().zip(&infos) {
-        chunk::decompress_chunk(&q, p, info.raw, &mut vals, &mut scratch).unwrap(); // warmup
+        chunk::decompress_chunk(&q, p, info.raw, &mut vals, &mut scratch).unwrap();
+        // warmup
     }
     let n = count_min(3, || {
         for (p, info) in payloads.iter().zip(&infos) {
@@ -138,12 +142,17 @@ fn steady_state_allocation_accounting() {
             chunk::decompress_chunk_staged(&q, p, info.raw, &mut vals, &mut scratch).unwrap();
         }
     });
-    assert_eq!(n, 0, "staged chunk paths allocated {n} times in steady state");
+    assert_eq!(
+        n, 0,
+        "staged chunk paths allocated {n} times in steady state"
+    );
 
     // --- zeroelim decode direction: zero allocations after warmup --------
     // (decode_into is what every decompression path uses since the last
     // allocating `zeroelim::decode` caller was migrated)
-    let shuffled: Vec<u8> = (0..CHUNK_BYTES).map(|i| ((i * 31) % 256) as u8 & 0x0F).collect();
+    let shuffled: Vec<u8> = (0..CHUNK_BYTES)
+        .map(|i| ((i * 31) % 256) as u8 & 0x0F)
+        .collect();
     let mut ze = pfpl::lossless::zeroelim::Scratch::default();
     let mut enc = Vec::new();
     let total = pfpl::lossless::zeroelim::encode_to_scratch(&shuffled, &mut ze);
@@ -154,7 +163,10 @@ fn steady_state_allocation_accounting() {
     let n = count_min(3, || {
         pfpl::lossless::zeroelim::decode_into(&enc, CHUNK_BYTES, &mut ze, &mut back).unwrap();
     });
-    assert_eq!(n, 0, "zeroelim::decode_into allocated {n} times in steady state");
+    assert_eq!(
+        n, 0,
+        "zeroelim::decode_into allocated {n} times in steady state"
+    );
     assert_eq!(back, shuffled);
 
     // --- whole-archive serial path: O(1) allocations in the chunk count -

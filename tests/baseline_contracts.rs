@@ -16,7 +16,16 @@ fn table_three_has_eight_rows() {
         .collect();
     assert_eq!(
         names,
-        vec!["ZFP", "SZ2", "SZ3_Serial", "SZ3_OMP", "MGARD-X", "SPERR", "FZ-GPU", "cuSZp"]
+        vec![
+            "ZFP",
+            "SZ2",
+            "SZ3_Serial",
+            "SZ3_OMP",
+            "MGARD-X",
+            "SPERR",
+            "FZ-GPU",
+            "cuSZp"
+        ]
     );
 }
 
@@ -31,7 +40,9 @@ fn guaranteed_abs_baselines_hold_the_bound() {
             continue;
         }
         for field in &suite.fields {
-            let FieldData::F32(data) = &field.data else { unreachable!() };
+            let FieldData::F32(data) = &field.data else {
+                unreachable!()
+            };
             let arch = match c.compress_f32(data, &field.dims, ErrorBound::Abs(eb)) {
                 Ok(a) => a,
                 Err(BaselineError::Unsupported(_)) => continue,
@@ -56,7 +67,9 @@ fn guaranteed_abs_baselines_hold_the_bound() {
 fn all_baselines_roundtrip_on_3d_suite() {
     let suite = suite_by_name("SCALE", SizeClass::Tiny).unwrap();
     let field = &suite.fields[0];
-    let FieldData::F32(data) = &field.data else { unreachable!() };
+    let FieldData::F32(data) = &field.data else {
+        unreachable!()
+    };
     let eb = 1e-2;
     for c in all_baselines() {
         let caps = c.capabilities();
@@ -120,7 +133,9 @@ fn unsupported_combinations_are_reported() {
 fn truncated_archives_error_not_panic() {
     let suite = suite_by_name("SCALE", SizeClass::Tiny).unwrap();
     let field = &suite.fields[0];
-    let FieldData::F32(data) = &field.data else { unreachable!() };
+    let FieldData::F32(data) = &field.data else {
+        unreachable!()
+    };
     for c in all_baselines() {
         let caps = c.capabilities();
         let bound = if caps.abs != Support::No {
@@ -145,7 +160,9 @@ fn ratio_ordering_matches_paper_shape() {
     use pfpl::types::Mode;
     let suite = suite_by_name("CESM-ATM", SizeClass::Tiny).unwrap();
     let field = &suite.fields[0];
-    let FieldData::F32(data) = &field.data else { unreachable!() };
+    let FieldData::F32(data) = &field.data else {
+        unreachable!()
+    };
     let eb = ErrorBound::Abs(1e-2);
 
     let pfpl_len = pfpl::compress(data, eb, Mode::Parallel).unwrap().len();

@@ -26,7 +26,11 @@ fn base_archives() -> Vec<(&'static str, Precision, Vec<u8>)> {
             x ^= x >> 33;
             x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
             let v = f32::from_bits(x as u32);
-            if v.is_finite() { v } else { i as f32 }
+            if v.is_finite() {
+                v
+            } else {
+                i as f32
+            }
         })
         .collect();
     let constant_f32 = vec![3.25f32; 500];
@@ -140,8 +144,9 @@ fn every_single_byte_flip_is_total() {
 #[test]
 fn every_truncation_is_rejected() {
     fn expect_err<F: PfplFloat>(name: &str, bytes: &[u8], cut: usize) {
-        let result =
-            catch_unwind(AssertUnwindSafe(|| pfpl::decompress::<F>(bytes, Mode::Serial)));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pfpl::decompress::<F>(bytes, Mode::Serial)
+        }));
         match result {
             Err(_) => panic!("{name}: panicked at truncation {cut}"),
             Ok(Ok(_)) => panic!("{name}: accepted a truncated archive (len {cut})"),
@@ -210,7 +215,10 @@ fn every_payload_flip_names_the_damaged_chunk() {
             let what = format!("{name}: payload flip at byte {i} (chunk {expected})");
             match pfpl::decompress::<F>(&mutant, Mode::Serial) {
                 Err(pfpl::Error::ChecksumMismatch { chunk, offset, .. }) => {
-                    assert_eq!(chunk, expected, "{what}: strict decode blamed chunk {chunk}");
+                    assert_eq!(
+                        chunk, expected,
+                        "{what}: strict decode blamed chunk {chunk}"
+                    );
                     assert_eq!(offset, toc.payload_start + offsets[expected], "{what}");
                 }
                 other => panic!("{what}: expected a checksum mismatch, got {other:?}"),
@@ -289,8 +297,7 @@ fn v1_archives_keep_the_totality_contract() {
             );
             // Salvage still runs on v1 — it just can't checksum-verify, so a
             // clean v1 archive reports all chunks intact with the caveat.
-            let (vals, report) =
-                pfpl::decompress_salvage::<F>(v1, Mode::Serial, F::ZERO).unwrap();
+            let (vals, report) = pfpl::decompress_salvage::<F>(v1, Mode::Serial, F::ZERO).unwrap();
             assert!(report.is_clean(), "{name}: {}", report.summary());
             assert!(
                 vals.iter().zip(&a).all(|(x, y)| x.to_bits() == y.to_bits()),
@@ -322,8 +329,16 @@ fn v1_archives_keep_the_totality_contract() {
 fn forged_counts_never_allocate_unboundedly() {
     for (name, precision, archive) in base_archives() {
         for (off, len, values) in [
-            (24usize, 8usize, vec![0u64, 1, u64::MAX, u64::MAX - 1, 1 << 40]),
-            (32, 4, vec![0, 1, u32::MAX as u64, (u32::MAX - 1) as u64, 1 << 20]),
+            (
+                24usize,
+                8usize,
+                vec![0u64, 1, u64::MAX, u64::MAX - 1, 1 << 40],
+            ),
+            (
+                32,
+                4,
+                vec![0, 1, u32::MAX as u64, (u32::MAX - 1) as u64, 1 << 20],
+            ),
         ] {
             for v in values {
                 let mut mutant = archive.clone();

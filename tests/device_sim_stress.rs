@@ -27,7 +27,11 @@ fn lookback_heavy_contention() {
         });
         let mut acc = 0u64;
         for b in 0..n {
-            assert_eq!(out[b].load(Ordering::SeqCst), acc, "block {b} round {round}");
+            assert_eq!(
+                out[b].load(Ordering::SeqCst),
+                acc,
+                "block {b} round {round}"
+            );
             acc += sizes[b];
         }
     }

@@ -80,7 +80,22 @@ fn noise_f32(n: usize) -> Vec<f32> {
 fn lengths(vpc: usize) -> Vec<usize> {
     // `vpc - 32`, 32 and 544 are whole transpose groups but not whole
     // tiles: the staged shuffle runs its scalar path for them.
-    vec![vpc, vpc - 512, 512, 1024, 0, 1, 7, 123, 511, 513, vpc - 1, vpc - 32, 32, 544]
+    vec![
+        vpc,
+        vpc - 512,
+        512,
+        1024,
+        0,
+        1,
+        7,
+        123,
+        511,
+        513,
+        vpc - 1,
+        vpc - 32,
+        32,
+        544,
+    ]
 }
 
 #[test]
@@ -175,7 +190,9 @@ fn device_sim_archives_match_fused_cpu() {
         ErrorBound::Noa(1e-4),
     ] {
         let cpu = pfpl::compress(&data, bound, Mode::Serial).unwrap();
-        let gpu = GpuDevice::new(configs::RTX_4090).compress(&data, bound).unwrap();
+        let gpu = GpuDevice::new(configs::RTX_4090)
+            .compress(&data, bound)
+            .unwrap();
         assert_eq!(cpu, gpu, "device-sim vs fused CPU archive ({bound:?})");
         let back: Vec<f32> = pfpl::decompress(&cpu, Mode::Serial).unwrap();
         assert_eq!(back.len(), data.len());

@@ -72,8 +72,8 @@ fn golden_archives_are_byte_stable() {
 fn golden_archives_decode_identically_on_all_paths() {
     for spec in golden_specs() {
         for path in [v1_fixture_path(spec.name), v2_fixture_path(spec.name)] {
-            let archive = std::fs::read(&path)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let archive =
+                std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
             match spec.precision {
                 Precision::Single => assert_paths_agree::<f32>(&archive, spec.name),
                 Precision::Double => assert_paths_agree::<f64>(&archive, spec.name),
@@ -96,7 +96,11 @@ fn v1_fixtures_decode_unchanged_and_match_v2() {
         assert_eq!(toc1.version, 1, "{}: v1 fixture was rewritten", spec.name);
         assert_eq!(toc2.version, 2, "{}", spec.name);
         assert!(toc1.checksums.is_empty(), "{}", spec.name);
-        assert_eq!(toc1.sizes, toc2.sizes, "{}: payload layout changed", spec.name);
+        assert_eq!(
+            toc1.sizes, toc2.sizes,
+            "{}: payload layout changed",
+            spec.name
+        );
         assert_eq!(
             &v1[toc1.payload_start..],
             &v2[toc2.payload_start..],

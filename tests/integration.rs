@@ -117,7 +117,9 @@ fn gpu_generations_bit_identical() {
     };
     let reference = pfpl::compress(data, ErrorBound::Abs(1e-2), Mode::Serial).unwrap();
     for cfg in configs::ALL_DEVICES {
-        let arch = GpuDevice::new(cfg).compress(data, ErrorBound::Abs(1e-2)).unwrap();
+        let arch = GpuDevice::new(cfg)
+            .compress(data, ErrorBound::Abs(1e-2))
+            .unwrap();
         assert_eq!(arch, reference, "{}", cfg.name);
     }
 }

@@ -36,12 +36,12 @@ fn rel_satisfies_both_formulations() {
 fn special_values_bit_exact_under_abs() {
     let specials: Vec<f32> = vec![
         f32::NAN,
-        f32::from_bits(0x7FC1_2345),  // NaN with payload
-        f32::from_bits(0xFFC5_4321),  // negative NaN with payload
+        f32::from_bits(0x7FC1_2345), // NaN with payload
+        f32::from_bits(0xFFC5_4321), // negative NaN with payload
         f32::INFINITY,
         f32::NEG_INFINITY,
-        f32::from_bits(0x0000_0001),  // smallest denormal
-        f32::from_bits(0x807F_FFFF),  // largest negative denormal
+        f32::from_bits(0x0000_0001), // smallest denormal
+        f32::from_bits(0x807F_FFFF), // largest negative denormal
         0.0,
         -0.0,
         f32::MAX,
@@ -57,7 +57,11 @@ fn special_values_bit_exact_under_abs() {
     for (k, &s) in specials.iter().enumerate() {
         let got = back[k * 17 + 5];
         if s.is_nan() {
-            assert_eq!(got.to_bits(), s.to_bits(), "NaN payload preserved under ABS");
+            assert_eq!(
+                got.to_bits(),
+                s.to_bits(),
+                "NaN payload preserved under ABS"
+            );
         } else if !s.is_finite() {
             assert_eq!(got.to_bits(), s.to_bits());
         } else {
@@ -193,7 +197,9 @@ fn ratio_monotone_across_suites() {
 fn unquantizable_fraction_small_on_smooth_data() {
     let suite = suite_by_name("SCALE", SizeClass::Tiny).unwrap();
     for field in &suite.fields {
-        let FieldData::F32(v) = &field.data else { unreachable!() };
+        let FieldData::F32(v) = &field.data else {
+            unreachable!()
+        };
         let (_, stats) =
             pfpl::compress_with_stats(v, ErrorBound::Abs(1e-3), Mode::Parallel).unwrap();
         assert!(

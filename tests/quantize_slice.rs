@@ -10,9 +10,7 @@
 //! `decode_slice` must equal `decode` on every word — the emitted ones and
 //! arbitrary bit patterns alike, because decode stays total.
 
-use pfpl::quantize::{
-    derive_noa_bound, AbsQuantizer, NoaBound, PassthroughQuantizer, Quantizer,
-};
+use pfpl::quantize::{derive_noa_bound, AbsQuantizer, NoaBound, PassthroughQuantizer, Quantizer};
 use proptest::prelude::*;
 // RelQuantizer lives behind the same trait; imported separately so the
 // helper below can be generic over the codec.
@@ -39,7 +37,10 @@ fn assert_slice_matches_scalar<F: PfplFloat, Q: Quantizer<F>>(q: &Q, vals: &[F])
 
     let mut got = vec![F::Bits::ZERO; vals.len()];
     let lossless = q.encode_slice(vals, &mut got);
-    assert_eq!(got, expect_words, "encode_slice diverged from scalar encode");
+    assert_eq!(
+        got, expect_words,
+        "encode_slice diverged from scalar encode"
+    );
     assert_eq!(lossless, expect_lossless, "lossless count diverged");
 
     for cut in CUTS {
@@ -117,8 +118,8 @@ fn specials_f32() -> Vec<f32> {
         f32::from_bits(0xFFC0_1234), // negative NaN, nonzero payload
         f32::INFINITY,
         f32::NEG_INFINITY,
-        f32::MIN_POSITIVE,         // smallest normal
-        f32::from_bits(1),         // smallest denormal
+        f32::MIN_POSITIVE,           // smallest normal
+        f32::from_bits(1),           // smallest denormal
         f32::from_bits(0x007F_FFFF), // largest denormal
         f32::MAX,
         f32::MIN, // most negative: bin magnitude overflows every bound here
@@ -233,7 +234,9 @@ fn rel_edge_values<F: PfplFloat>(extra: &[f64]) -> Vec<F> {
         F::MIN_NORMAL,
     ];
     for e in [-100, -1, 0, 1, 60] {
-        let s = F::from_f64(std::f64::consts::SQRT_2 * 2f64.powi(e)).to_bits().to_u64();
+        let s = F::from_f64(std::f64::consts::SQRT_2 * 2f64.powi(e))
+            .to_bits()
+            .to_u64();
         for b in [s - 1, s, s + 1] {
             out.push(F::from_bits(F::Bits::from_u64(b)));
         }
@@ -248,8 +251,14 @@ fn rel_edge_values<F: PfplFloat>(extra: &[f64]) -> Vec<F> {
 fn check_rel_edges<F: PfplFloat>(eb: F, max_mag: u64, extra: &[f64]) {
     let q = RelQuantizer::<F>::new(eb).unwrap();
     let bins = rel_bin_edge_values(eb, max_mag);
-    let mags: Vec<u64> = bins.iter().filter_map(|&v| rel_bin_mag(&q, q.encode(v))).collect();
-    assert!(mags.contains(&max_mag), "no value reached bin magnitude max_mag");
+    let mags: Vec<u64> = bins
+        .iter()
+        .filter_map(|&v| rel_bin_mag(&q, q.encode(v)))
+        .collect();
+    assert!(
+        mags.contains(&max_mag),
+        "no value reached bin magnitude max_mag"
+    );
     assert!(mags.iter().all(|&m| m <= max_mag));
     assert!(
         bins.iter().any(|&v| q.is_lossless_word(q.encode(v))),
@@ -261,8 +270,9 @@ fn check_rel_edges<F: PfplFloat>(eb: F, max_mag: u64, extra: &[f64]) {
     assert_slice_matches_scalar(&q, &edges);
     for &e in edges.iter().chain(&bins) {
         for pos in 0..8 {
-            let mut data: Vec<F> =
-                (0..24).map(|i| F::from_f64((i as f64 * 0.37).sin() * 40.0 + 41.0)).collect();
+            let mut data: Vec<F> = (0..24)
+                .map(|i| F::from_f64((i as f64 * 0.37).sin() * 40.0 + 41.0))
+                .collect();
             data[8 + pos] = e;
             assert_slice_matches_scalar(&q, &data);
         }

@@ -69,9 +69,8 @@ fn assert_all_paths_identical(data: &[f32], bound: ErrorBound) -> Vec<u8> {
 #[test]
 fn known_shapes_identical_across_paths() {
     let vpc = 16 * 1024 / 4; // f32 values per chunk
-    let smooth = |n: usize| -> Vec<f32> {
-        (0..n).map(|i| (i as f32 * 0.002).sin() * 40.0).collect()
-    };
+    let smooth =
+        |n: usize| -> Vec<f32> { (0..n).map(|i| (i as f32 * 0.002).sin() * 40.0).collect() };
     let noise = |n: usize| -> Vec<f32> {
         let mut x = 0xC0FFEEu64;
         (0..n)
@@ -84,11 +83,11 @@ fn known_shapes_identical_across_paths() {
             .collect()
     };
     let cases: Vec<Vec<f32>> = vec![
-        vec![],              // no chunks
-        smooth(1),           // single-value chunk
-        smooth(vpc),         // exactly one chunk
-        smooth(vpc + 1),     // one full chunk + 1-value tail
-        smooth(10 * vpc),    // many full chunks
+        vec![],           // no chunks
+        smooth(1),        // single-value chunk
+        smooth(vpc),      // exactly one chunk
+        smooth(vpc + 1),  // one full chunk + 1-value tail
+        smooth(10 * vpc), // many full chunks
         // Tails of whole transpose groups that are not whole tiles: the
         // CPU shuffle runs its scalar path, device-sim its warp transpose.
         smooth(vpc + 32),
@@ -153,7 +152,9 @@ fn archives_identical_across_pool_sizes() {
 
 #[test]
 fn f64_paths_identical() {
-    let data: Vec<f64> = (0..30_000).map(|i| (i as f64 * 0.001).cos() * 7.0).collect();
+    let data: Vec<f64> = (0..30_000)
+        .map(|i| (i as f64 * 0.001).cos() * 7.0)
+        .collect();
     for bound in [ErrorBound::Abs(1e-8), ErrorBound::Rel(1e-6)] {
         let serial = pfpl::compress(&data, bound, Mode::Serial).unwrap();
         assert_checksums_self_consistent(&serial);

@@ -12,7 +12,9 @@ use proptest::prelude::*;
 fn streamed_suite_archives_interoperate() {
     let suite = suite_by_name("SCALE", SizeClass::Tiny).unwrap();
     for field in &suite.fields {
-        let FieldData::F32(data) = &field.data else { unreachable!() };
+        let FieldData::F32(data) = &field.data else {
+            unreachable!()
+        };
         let bound = ErrorBound::Abs(1e-3);
         let mut enc = StreamCompressor::<f32>::new(bound).unwrap();
         for piece in data.chunks(777) {
