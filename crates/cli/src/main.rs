@@ -134,13 +134,14 @@ fn compress(o: &Opts) -> Result<String, CliError> {
     let word = if is_double { 8 } else { 4 };
     write_file(output, &archive)?;
     Ok(format!(
-        "{} -> {} | {} values, ratio {:.2}x, unquantizable {:.4}%, {:.3} GB/s",
+        "{} -> {} | {} values, ratio {:.2}x, unquantizable {:.4}%, {:.3} GB/s, {}",
         input,
         output,
         stats.total_values,
         stats.ratio(),
         stats.lossless_fraction() * 100.0,
-        gbs(stats.total_values as usize * word, secs)
+        gbs(stats.total_values as usize * word, secs),
+        kernels()
     ))
 }
 
@@ -161,15 +162,26 @@ fn decompress(o: &Opts) -> Result<String, CliError> {
     let secs = start.elapsed().as_secs_f64();
     write_file(output, &bytes)?;
     Ok(format!(
-        "{} -> {} | {} values ({:?}, {:?} bound {:.3e}), {:.3} GB/s",
+        "{} -> {} | {} values ({:?}, {:?} bound {:.3e}), {:.3} GB/s, {}",
         input,
         output,
         header.count,
         header.precision,
         header.kind,
         header.user_bound,
-        gbs(bytes.len(), secs)
+        gbs(bytes.len(), secs),
+        kernels()
     ))
+}
+
+/// The lossless SIMD kernels this CPU runs, e.g. `transpose avx2,
+/// zero-elim avx512-vbmi2`.
+fn kernels() -> String {
+    format!(
+        "transpose {}, zero-elim {}",
+        pfpl::lossless::shuffle::tile_kernel(),
+        pfpl::lossless::zeroelim::line_kernel()
+    )
 }
 
 fn info(o: &Opts) -> Result<String, CliError> {

@@ -1,7 +1,8 @@
 //! `pfpl verify -a <archive> -i <raw floats>`: the bound check at the CLI
 //! surface. Every precision and bound kind verifies clean after a round
 //! trip; a raw input perturbed beyond the bound exits 1 and names the
-//! first violating value.
+//! first violating value. The `compress` and `decompress` summaries name
+//! the lossless kernels that ran.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -71,5 +72,30 @@ fn verify_accepts_round_trips_and_names_violations() {
                 "{tag}: {stderr}"
             );
         }
+    }
+}
+
+/// The `compress` and `decompress` summary lines end with the lossless
+/// kernels that ran.
+#[test]
+fn summaries_name_the_kernels_that_ran() {
+    let kernels = format!(
+        ", transpose {}, zero-elim {}",
+        pfpl::lossless::shuffle::tile_kernel(),
+        pfpl::lossless::zeroelim::line_kernel()
+    );
+    let (input, archive, output) = (tmp("kern.raw"), tmp("kern.pfpl"), tmp("kern.out.raw"));
+    std::fs::write(&input, raw(false, usize::MAX, 1.0)).unwrap();
+    for args in [
+        &[
+            "compress", "-i", &input, "-o", &archive, "--type", "f32", "--bound", "abs", "--eb",
+            "1e-3",
+        ][..],
+        &["decompress", "-i", &archive, "-o", &output],
+    ] {
+        let out = pfpl(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.trim_end().ends_with(&kernels), "{args:?}: {stdout}");
     }
 }

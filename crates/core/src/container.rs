@@ -39,7 +39,8 @@
 //! length it returns is validated against the bytes physically present, so
 //! downstream loops may index with the returned offsets without further
 //! checks, and no allocation downstream is sized from an unvalidated header
-//! field (see `docs/FORMAT.md` § Validation rules).
+//! field (see the section "Validation (the decode trust boundary)" of
+//! `docs/FORMAT.md`).
 
 use crate::checksum::{checksum32, chunk_seed, HEADER_SEED};
 use crate::error::{Error, Result};
@@ -285,12 +286,6 @@ impl Header {
             count,
             chunk_count: chunks as u32,
         })
-    }
-
-    /// Values per 16 KiB chunk at this header's precision (4096 for f32,
-    /// 2048 for f64).
-    pub fn values_per_chunk(&self) -> usize {
-        crate::chunk::CHUNK_BYTES / self.precision.word_bytes()
     }
 
     /// Serialize the fixed v2 header: the 36 shared fields followed by the

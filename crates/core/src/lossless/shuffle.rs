@@ -5,24 +5,27 @@
 //! bits in the same positions (which stage 1 manufactures) become long runs
 //! of zero bits — and, after 8+ words, zero *bytes* for stage 3 to delete.
 //!
-//! The fast path transposes a [`TILE_WORDS`]-word tile as `BITS×BITS`
-//! bit-matrix blocks, and each bit plane leaves the tile as one 64-byte
-//! line. Two block kernels produce identical rows:
+//! The fast path transposes a [`TILE_WORDS`]-word tile as 32×32 bit-matrix
+//! blocks, and each bit plane leaves the tile as one 64-byte line. Every
+//! plane is emitted independently of the others, so a u64 word's planes
+//! 0–31 are those of its high dword and planes 32–63 those of its low
+//! dword: a u64 tile runs the 32-bit kernel on each half. Two block kernels
+//! produce identical rows:
 //!
 //! * AVX2 (x86-64): 32 rows in 4 ymm registers are regrouped by
 //!   `pshufb` + `vpermd` + a 4×4 qword transpose into 4 vectors whose byte
 //!   `k` is byte `c` of row `k`; 8 rounds of `movemask_epi8` +
 //!   `add_epi8(v, v)` per vector then peel off output rows `8c+7 … 8c`.
-//!   u64 blocks run it on their four 32×32 dword sub-blocks.
 //! * The masked-swap transpose ([`Transpose::transpose_block`], log2(word
 //!   size) steps — the step count of the paper's warp-shuffle GPU
 //!   implementation): the portable kernel and the reference the AVX2
-//!   kernel is tested against.
+//!   kernel is tested against. Its 64×64 form is the reference the device
+//!   simulator's warp transpose is tested against.
 //!
 //! The transpose is an involution, so decoding runs the same block kernel:
 //! lane `b` of every plane line is a row of block `b`'s transpose, and
-//! [`decode_tile`] regroups the lanes into rows (8×8 dword or 4×4 qword
-//! transposes on AVX2) before transposing them back.
+//! [`decode_tile`] regroups the lanes into rows (8×8 dword transposes on
+//! AVX2) before transposing them back.
 //!
 //! The kernel is chosen at run time, per tile, by
 //! `is_x86_feature_detected!("avx2")` ([`tile_kernel`] names the choice),
@@ -35,37 +38,31 @@
 //! length, with identical output.
 
 use crate::float::Word;
+use std::array::from_fn;
 
-/// Bit-matrix transpose kernels for `BITS×BITS` blocks.
-pub trait Transpose: Word {
+/// Bit-matrix transpose of `BITS×BITS` blocks, for the word widths the
+/// tile kernels take.
+pub trait Transpose: Word + sealed::Tile {
     /// In-place transpose of a `BITS`-row bit matrix:
     /// afterwards `block[j]` bit `i` equals the old `block[i]` bit `j`.
     /// The transform is an involution.
     fn transpose_block(block: &mut [Self]);
+}
 
-    /// AVX2 transpose of every `BITS`-word block of `tile`: `emit(b, j,
-    /// row)` receives row `j` of block `b` as [`Transpose::transpose_block`]
-    /// would leave it. `tile` is not modified.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn transpose_tile_avx2(tile: &[Self; TILE_WORDS], emit: impl FnMut(usize, usize, Self));
+mod sealed {
+    use super::TILE_WORDS;
 
-    /// AVX2 regrouping of a tile's `BITS` plane lines into the blocks
-    /// [`decode_tile`] transposes: `rows[b * BITS + BITS - 1 - p]` is lane
-    /// `b` (little-endian word `b`) of `lines[p]`.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn lanes_to_rows_avx2(lines: &[[u8; 64]], rows: &mut [Self; TILE_WORDS]);
+    /// One word width's tile kernels, on the block kernel `allow_avx2`
+    /// selects: [`super::encode_tile_into`] and [`super::decode_tile`]
+    /// pass `true`, tests reach the masked swap with `false`.
+    pub trait Tile: Sized {
+        fn encode_tile_with(allow_avx2: bool, tile: &[Self; TILE_WORDS], lines: &mut [[u8; 64]]);
+        fn decode_tile_with(allow_avx2: bool, lines: &[[u8; 64]], tile: &mut [Self; TILE_WORDS]);
+    }
 }
 
 macro_rules! impl_transpose {
-    ($ty:ty, $bits:expr, $tile:path, $rows:path, [$(($s:expr, $m:expr)),+]) => {
+    ($ty:ty, $bits:expr, [$(($s:expr, $m:expr)),+]) => {
         impl Transpose for $ty {
             fn transpose_block(block: &mut [Self]) {
                 debug_assert_eq!(block.len(), $bits);
@@ -88,23 +85,6 @@ macro_rules! impl_transpose {
                     }
                 )+
             }
-
-            #[cfg(target_arch = "x86_64")]
-            #[inline]
-            unsafe fn transpose_tile_avx2(
-                tile: &[Self; TILE_WORDS],
-                emit: impl FnMut(usize, usize, Self),
-            ) {
-                // SAFETY: the caller guarantees AVX2.
-                unsafe { $tile(tile, emit) }
-            }
-
-            #[cfg(target_arch = "x86_64")]
-            #[inline]
-            unsafe fn lanes_to_rows_avx2(lines: &[[u8; 64]], rows: &mut [Self; TILE_WORDS]) {
-                // SAFETY: the caller guarantees AVX2.
-                unsafe { $rows(lines, rows) }
-            }
         }
     };
 }
@@ -112,8 +92,6 @@ macro_rules! impl_transpose {
 impl_transpose!(
     u32,
     32,
-    avx2::tile32,
-    avx2::rows32,
     [
         (16usize, 0x0000_FFFFu32),
         (8, 0x00FF_00FF),
@@ -125,8 +103,6 @@ impl_transpose!(
 impl_transpose!(
     u64,
     64,
-    avx2::tile64,
-    avx2::rows64,
     [
         (32usize, 0x0000_0000_FFFF_FFFFu64),
         (16, 0x0000_FFFF_0000_FFFF),
@@ -136,6 +112,55 @@ impl_transpose!(
         (1, 0x5555_5555_5555_5555)
     ]
 );
+
+/// The 32 plane lines of a u32 tile: row `j` of block `b` is lane `b` of
+/// plane `31 - j`'s line.
+impl sealed::Tile for u32 {
+    #[inline]
+    fn encode_tile_with(allow_avx2: bool, tile: &[u32; TILE_WORDS], lines: &mut [[u8; 64]]) {
+        assert_eq!(lines.len(), 32, "one line per bit plane");
+        // Captured by value: by reference, every store reloads them.
+        transpose_tile(allow_avx2, tile, move |b, j, row| {
+            lines[31 - j][4 * b..][..4].copy_from_slice(&row.to_le_bytes());
+        });
+    }
+
+    #[inline]
+    fn decode_tile_with(allow_avx2: bool, lines: &[[u8; 64]], tile: &mut [u32; TILE_WORDS]) {
+        assert_eq!(lines.len(), 32, "one line per bit plane");
+        // Lane b of plane p is row `31 - p` of block b's transpose; the
+        // transpose is an involution, so transposing the rows again gives
+        // the original words.
+        let mut rows = [0u32; TILE_WORDS];
+        lanes_to_rows(allow_avx2, lines, &mut rows);
+        transpose_tile(allow_avx2, &rows, move |b, j, row| tile[32 * b + j] = row);
+    }
+}
+
+/// A u64 tile is two u32 tiles: its high dwords give planes 0–31, its low
+/// dwords planes 32–63.
+impl sealed::Tile for u64 {
+    #[inline]
+    fn encode_tile_with(allow_avx2: bool, tile: &[u64; TILE_WORDS], lines: &mut [[u8; 64]]) {
+        assert_eq!(lines.len(), 64, "one line per bit plane");
+        let (hi, lo) = lines.split_at_mut(32);
+        u32::encode_tile_with(allow_avx2, &from_fn(|i| (tile[i] >> 32) as u32), hi);
+        u32::encode_tile_with(allow_avx2, &from_fn(|i| tile[i] as u32), lo);
+    }
+
+    #[inline]
+    fn decode_tile_with(allow_avx2: bool, lines: &[[u8; 64]], tile: &mut [u64; TILE_WORDS]) {
+        assert_eq!(lines.len(), 64, "one line per bit plane");
+        // Decoding the halves apart and interleaving them once is faster
+        // than a read-modify-write second pass over the tile.
+        let (mut hi, mut lo) = ([0u32; TILE_WORDS], [0u32; TILE_WORDS]);
+        u32::decode_tile_with(allow_avx2, &lines[..32], &mut hi);
+        u32::decode_tile_with(allow_avx2, &lines[32..], &mut lo);
+        for (t, (&h, &l)) in tile.iter_mut().zip(hi.iter().zip(&lo)) {
+            *t = (h as u64) << 32 | l as u64;
+        }
+    }
+}
 
 /// The AVX2 block kernels. Every function here is compiled for AVX2
 /// whatever the build's target CPU; callers check for it at run time.
@@ -188,7 +213,7 @@ mod avx2 {
         std::array::from_fn(|i| unsafe { _mm256_loadu_si256(p.add(i)) })
     }
 
-    /// [`super::Transpose::transpose_tile_avx2`] for u32 tiles.
+    /// [`super::transpose_tile`] on AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub fn tile32(tile: &[u32; TILE_WORDS], mut emit: impl FnMut(usize, usize, u32)) {
@@ -203,60 +228,18 @@ mod avx2 {
         }
     }
 
-    /// [`super::Transpose::transpose_tile_avx2`] for u64 tiles. A 64×64
-    /// block is four 32×32 dword sub-blocks: the transpose of dword `h`
-    /// of rows `32g … 32g+31` is dword `g` of output rows `32h …`.
+    /// Store `v` at `rows[at..at + 8]`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub fn tile64(tile: &[u64; TILE_WORDS], mut emit: impl FnMut(usize, usize, u64)) {
-        for (b, block) in tile.as_chunks::<64>().0.iter().enumerate() {
-            // Rows 32g … 32g+31 as 8 vectors of 4 words each.
-            let rows: [[__m256i; 8]; 2] = [load(&block[..32]), load(&block[32..])];
-            for h in 0..2 {
-                // Dword h of every row, in row order: shuffle_ps picks it
-                // from two vectors per lane, vpermq restores the order.
-                let half = |g: usize| -> [__m256i; 4] {
-                    std::array::from_fn(|i| {
-                        let (a, b) = (
-                            _mm256_castsi256_ps(rows[g][2 * i]),
-                            _mm256_castsi256_ps(rows[g][2 * i + 1]),
-                        );
-                        let d = if h == 0 {
-                            _mm256_shuffle_ps::<0x88>(a, b)
-                        } else {
-                            _mm256_shuffle_ps::<0xDD>(a, b)
-                        };
-                        _mm256_permute4x64_epi64::<0xD8>(_mm256_castps_si256(d))
-                    })
-                };
-                let mut lo = byte_planes(half(0));
-                let mut hi = byte_planes(half(1));
-                for s in 0..8 {
-                    for c in 0..4 {
-                        let row = _mm256_movemask_epi8(lo[c]) as u32 as u64
-                            | (_mm256_movemask_epi8(hi[c]) as u32 as u64) << 32;
-                        emit(b, 32 * h + 8 * c + 7 - s, row);
-                        lo[c] = _mm256_add_epi8(lo[c], lo[c]);
-                        hi[c] = _mm256_add_epi8(hi[c], hi[c]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Store `v` at `rows[at..at + 32 / size_of::<T>()]`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn store<T>(rows: &mut [T], at: usize, v: __m256i) {
+    fn store(rows: &mut [u32], at: usize, v: __m256i) {
         // Hard assert: it guards the unsafe store below.
-        assert!(at * size_of::<T>() + 32 <= size_of_val(rows));
+        assert!(at + 8 <= rows.len());
         // SAFETY: the assert above keeps the 32-byte store inside `rows`.
         unsafe { _mm256_storeu_si256(rows.as_mut_ptr().add(at).cast(), v) }
     }
 
-    /// [`super::Transpose::lanes_to_rows_avx2`] for u32 tiles: 8×8 dword
-    /// transposes of 8 lines × 8 lanes; column `m` holds rows `8q …
-    /// 8q+7` of block `m`.
+    /// [`super::lanes_to_rows`] on AVX2: 8×8 dword transposes of 8 lines ×
+    /// 8 lanes; column `m` holds rows `8q … 8q+7` of block `m`.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub fn rows32(lines: &[[u8; 64]], rows: &mut [u32; TILE_WORDS]) {
@@ -294,47 +277,6 @@ mod avx2 {
             }
         }
     }
-
-    /// [`super::Transpose::lanes_to_rows_avx2`] for u64 tiles: 4×4 qword
-    /// transposes of 4 lines × 4 lanes; column `m` holds rows `4q …
-    /// 4q+3` of block `m`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub fn rows64(lines: &[[u8; 64]], rows: &mut [u64; TILE_WORDS]) {
-        assert_eq!(lines.len(), 64);
-        for h in 0..2 {
-            for q in 0..16 {
-                // x[i] = lanes 4h … 4h+3 of plane 63 - 4q - i.
-                let x: [__m256i; 4] =
-                    std::array::from_fn(|i| load::<u8, 1>(&lines[63 - 4 * q - i][32 * h..])[0]);
-                let lo01 = _mm256_unpacklo_epi64(x[0], x[1]);
-                let hi01 = _mm256_unpackhi_epi64(x[0], x[1]);
-                let lo23 = _mm256_unpacklo_epi64(x[2], x[3]);
-                let hi23 = _mm256_unpackhi_epi64(x[2], x[3]);
-                let m0 = 4 * h;
-                store(
-                    rows,
-                    m0 * 64 + 4 * q,
-                    _mm256_permute2x128_si256::<0x20>(lo01, lo23),
-                );
-                store(
-                    rows,
-                    (m0 + 1) * 64 + 4 * q,
-                    _mm256_permute2x128_si256::<0x20>(hi01, hi23),
-                );
-                store(
-                    rows,
-                    (m0 + 2) * 64 + 4 * q,
-                    _mm256_permute2x128_si256::<0x31>(lo01, lo23),
-                );
-                store(
-                    rows,
-                    (m0 + 3) * 64 + 4 * q,
-                    _mm256_permute2x128_si256::<0x31>(hi01, hi23),
-                );
-            }
-        }
-    }
 }
 
 /// Words per tile: `batch` cache-line groups of `BITS` words each — always
@@ -367,26 +309,43 @@ pub fn tile_kernel() -> &'static str {
     }
 }
 
-/// Transpose every `BITS`-word block of `tile`, handing row `j` of block
-/// `b` to `emit(b, j, row)`. Runs the AVX2 kernel when `allow_avx2` is set
-/// and the CPU has it, else the masked swap on a copy of the tile.
+/// Transpose every 32-word block of `tile`, handing row `j` of block `b`
+/// to `emit(b, j, row)`. Runs the AVX2 kernel when `allow_avx2` is set and
+/// the CPU has it, else the masked swap on a copy of the tile.
 #[inline]
-fn transpose_tile<W: Transpose>(
+fn transpose_tile(
     allow_avx2: bool,
-    tile: &[W; TILE_WORDS],
-    mut emit: impl FnMut(usize, usize, W),
+    tile: &[u32; TILE_WORDS],
+    mut emit: impl FnMut(usize, usize, u32),
 ) {
     if allow_avx2 && avx2() {
         // SAFETY: AVX2 support was detected just above (`avx2()` is
         // false off x86-64).
         #[cfg(target_arch = "x86_64")]
-        return unsafe { W::transpose_tile_avx2(tile, emit) };
+        return unsafe { avx2::tile32(tile, emit) };
     }
     let mut tile = *tile;
-    for (b, block) in tile.chunks_exact_mut(W::BITS as usize).enumerate() {
-        W::transpose_block(block);
+    for (b, block) in tile.as_chunks_mut::<32>().0.iter_mut().enumerate() {
+        u32::transpose_block(block);
         for (j, &row) in block.iter().enumerate() {
             emit(b, j, row);
+        }
+    }
+}
+
+/// `rows[32 * b + 31 - p] = ` lane `b` of `lines[p]`, on the kernel
+/// `allow_avx2` selects.
+#[inline]
+fn lanes_to_rows(allow_avx2: bool, lines: &[[u8; 64]], rows: &mut [u32; TILE_WORDS]) {
+    if allow_avx2 && avx2() {
+        // SAFETY: AVX2 support was detected just above (`avx2()` is
+        // false off x86-64).
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { avx2::rows32(lines, rows) };
+    }
+    for (p, line) in lines.iter().enumerate() {
+        for (b, lane) in line.as_chunks::<4>().0.iter().enumerate() {
+            rows[32 * b + 31 - p] = u32::from_le_bytes(*lane);
         }
     }
 }
@@ -402,20 +361,7 @@ fn transpose_tile<W: Transpose>(
 /// buffer.
 #[inline]
 pub fn encode_tile_into<W: Transpose>(tile: &[W; TILE_WORDS], lines: &mut [[u8; 64]]) {
-    encode_tile(true, tile, lines);
-}
-
-/// [`encode_tile_into`] on the kernel `allow_avx2` selects.
-#[inline]
-fn encode_tile<W: Transpose>(allow_avx2: bool, tile: &[W; TILE_WORDS], lines: &mut [[u8; 64]]) {
-    let bits = W::BITS as usize;
-    let wb = bits / 8;
-    assert_eq!(lines.len(), bits, "one line per bit plane");
-    // Row j of block b is lane b of plane `bits - 1 - j`'s line.
-    // Captured by value: by reference, every store reloads them.
-    transpose_tile(allow_avx2, tile, move |b, j, row| {
-        row.write_le(&mut lines[bits - 1 - j][b * wb..][..wb]);
-    });
+    W::encode_tile_with(true, tile, lines);
 }
 
 /// Inverse of [`encode_tile_into`]: the 512 words whose plane `p` line
@@ -425,42 +371,7 @@ fn encode_tile<W: Transpose>(allow_avx2: bool, tile: &[W; TILE_WORDS], lines: &m
 /// zero-elimination source, [`decode`] from the plane-major buffer.
 #[inline]
 pub fn decode_tile<W: Transpose>(lines: &[[u8; 64]], tile: &mut [W; TILE_WORDS]) {
-    decode_tile_with(true, lines, tile);
-}
-
-/// [`decode_tile`] on the kernel `allow_avx2` selects.
-#[inline]
-fn decode_tile_with<W: Transpose>(
-    allow_avx2: bool,
-    lines: &[[u8; 64]],
-    tile: &mut [W; TILE_WORDS],
-) {
-    let bits = W::BITS as usize;
-    assert_eq!(lines.len(), bits, "one line per bit plane");
-    // Lane b of plane p is row `bits - 1 - p` of block b's transpose; the
-    // transpose is an involution, so transposing the rows again gives the
-    // original words.
-    let mut rows = [W::ZERO; TILE_WORDS];
-    lanes_to_rows(allow_avx2, lines, &mut rows);
-    transpose_tile(allow_avx2, &rows, move |b, j, row| tile[b * bits + j] = row);
-}
-
-/// `rows[b * BITS + BITS - 1 - p] = ` lane `b` of `lines[p]`, on the kernel
-/// `allow_avx2` selects.
-#[inline]
-fn lanes_to_rows<W: Transpose>(allow_avx2: bool, lines: &[[u8; 64]], rows: &mut [W; TILE_WORDS]) {
-    if allow_avx2 && avx2() {
-        // SAFETY: AVX2 support was detected just above (`avx2()` is
-        // false off x86-64).
-        #[cfg(target_arch = "x86_64")]
-        return unsafe { W::lanes_to_rows_avx2(lines, rows) };
-    }
-    let bits = W::BITS as usize;
-    for (p, line) in lines.iter().enumerate() {
-        for (b, lane) in line.chunks_exact(bits / 8).enumerate() {
-            rows[b * bits + bits - 1 - p] = W::read_le(lane);
-        }
-    }
+    W::decode_tile_with(true, lines, tile);
 }
 
 /// Forward bit shuffle: `words.len() * BITS / 8` bytes are written into
@@ -657,10 +568,9 @@ mod tests {
 
     /// Every block of `tile` transposed by the kernel `allow_avx2`
     /// selects, block-major.
-    fn transposed<W: Transpose>(allow_avx2: bool, tile: &[W; TILE_WORDS]) -> Vec<W> {
-        let bits = W::BITS as usize;
-        let mut rows = vec![W::ZERO; TILE_WORDS];
-        transpose_tile(allow_avx2, tile, |b, j, row| rows[b * bits + j] = row);
+    fn transposed(allow_avx2: bool, tile: &[u32; TILE_WORDS]) -> Vec<u32> {
+        let mut rows = vec![0; TILE_WORDS];
+        transpose_tile(allow_avx2, tile, |b, j, row| rows[32 * b + j] = row);
         rows
     }
 
@@ -684,35 +594,25 @@ mod tests {
             .collect()
     }
 
-    fn avx2_equals_masked_swap_one_hot<W: Transpose>() {
-        let bits = W::BITS as usize;
-        let tiles = one_hot_tiles::<W>();
-        assert_eq!(tiles.len() * TILE_WORDS / bits, bits * bits);
-        for (t, tile) in tiles.iter().enumerate() {
-            let swapped = transposed(false, tile);
-            assert_eq!(transposed(true, tile), swapped, "one-hot tile {t}");
-            // And the masked swap really moved each bit across the diagonal.
-            for (i, &row) in swapped.iter().enumerate() {
-                let k = t * (TILE_WORDS / bits) + i / bits;
-                let want = if k % bits == i % bits {
-                    W::ONE << (k / bits) as u32
-                } else {
-                    W::ZERO
-                };
-                assert_eq!(row, want, "one-hot tile {t}, row {i}");
-            }
-        }
-    }
-
     /// The AVX2 kernel equals [`Transpose::transpose_block`] on all 1 024
-    /// one-hot 32×32 and all 4 096 one-hot 64×64 blocks.
+    /// one-hot 32×32 blocks.
     #[test]
     fn avx2_kernel_matches_masked_swap_one_hot() {
         if !have_avx2("avx2_kernel_matches_masked_swap_one_hot") {
             return;
         }
-        avx2_equals_masked_swap_one_hot::<u32>();
-        avx2_equals_masked_swap_one_hot::<u64>();
+        let tiles = one_hot_tiles::<u32>();
+        assert_eq!(tiles.len() * TILE_WORDS / 32, 32 * 32);
+        for (t, tile) in tiles.iter().enumerate() {
+            let swapped = transposed(false, tile);
+            assert_eq!(transposed(true, tile), swapped, "one-hot tile {t}");
+            // And the masked swap really moved each bit across the diagonal.
+            for (i, &row) in swapped.iter().enumerate() {
+                let k = t * (TILE_WORDS / 32) + i / 32;
+                let want = if k % 32 == i % 32 { 1 << (k / 32) } else { 0 };
+                assert_eq!(row, want, "one-hot tile {t}, row {i}");
+            }
+        }
     }
 
     /// ... and on all-ones and random blocks.
@@ -721,21 +621,17 @@ mod tests {
         if !have_avx2("avx2_kernel_matches_masked_swap_dense") {
             return;
         }
-        fn check<W: Transpose>() {
-            let ones = [!W::ZERO; TILE_WORDS];
-            assert_eq!(transposed(true, &ones), transposed(false, &ones));
-            assert!(transposed(true, &ones).iter().all(|&w| w == !W::ZERO));
-            for seed in 1..=64 {
-                let tile: [W; TILE_WORDS] = random_words(seed, TILE_WORDS).try_into().unwrap();
-                assert_eq!(
-                    transposed(true, &tile),
-                    transposed(false, &tile),
-                    "seed {seed}"
-                );
-            }
+        let ones = [!0u32; TILE_WORDS];
+        assert_eq!(transposed(true, &ones), transposed(false, &ones));
+        assert!(transposed(true, &ones).iter().all(|&w| w == !0));
+        for seed in 1..=64 {
+            let tile: [u32; TILE_WORDS] = random_words(seed, TILE_WORDS).try_into().unwrap();
+            assert_eq!(
+                transposed(true, &tile),
+                transposed(false, &tile),
+                "seed {seed}"
+            );
         }
-        check::<u32>();
-        check::<u64>();
     }
 
     /// The tile path on the kernel `allow_avx2` selects against the
@@ -755,7 +651,7 @@ mod tests {
         let mut lines = vec![[0u8; 64]; bits];
         let mut one = vec![0u8; TILE_WORDS * bits / 8];
         for (t, tw) in words.as_chunks::<TILE_WORDS>().0.iter().enumerate() {
-            encode_tile(allow_avx2, tw, &mut lines);
+            W::encode_tile_with(allow_avx2, tw, &mut lines);
             one.fill(0);
             encode_scalar(tw, &mut one);
             assert_eq!(lines.as_flattened(), &one[..], "tile {t} at stride 64");
@@ -770,12 +666,25 @@ mod tests {
             for (p, line) in lines.iter_mut().enumerate() {
                 line.copy_from_slice(&staged[p * plane_bytes + t * 64..][..64]);
             }
-            decode_tile_with(allow_avx2, &lines, tw);
+            W::decode_tile_with(allow_avx2, &lines, tw);
         }
         let mut back_scalar = vec![W::ZERO; n];
         decode_scalar(&staged, &mut back_scalar);
         assert_eq!(back, back_scalar);
         assert_eq!(back, words);
+    }
+
+    /// Both tile kernels on u64 all-ones tiles and on all 4 096 one-hot
+    /// 64×64 blocks, packed eight to a tile: every bit of both dword
+    /// halves must land in its own plane and lane, and come back.
+    #[test]
+    fn u64_tile_path_matches_scalar_on_edge_tiles() {
+        let ones = [!0u64; TILE_WORDS];
+        let one_hot = one_hot_tiles::<u64>().concat();
+        for allow_avx2 in [false, true] {
+            tile_path_matches_scalar(allow_avx2, &ones);
+            tile_path_matches_scalar(allow_avx2, &one_hot);
+        }
     }
 
     /// The AVX2 kernel is chosen at run time, so a build for any x86-64

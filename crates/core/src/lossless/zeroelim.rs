@@ -26,6 +26,12 @@
 //! partial line is padded with zeros, which adds no bitmap bits and no
 //! survivors.
 //!
+//! The line kernel is chosen at run time ([`line_kernel`] names it):
+//! `vptestmb` + `vpcompressb` / `vpexpandb` where the CPU has AVX-512
+//! VBMI2, else the portable scalar kernel, which is also the reference the
+//! vector one is tested against. Both write identical bytes; a build whose
+//! target CPU has VBMI2 folds the check away and inlines the kernel.
+//!
 //! Encoding stages every piece in the scratch and returns the serialized
 //! length; nothing is emitted until the caller asks ([`Scratch::append_to`]
 //! / [`Scratch::write_to`]). This lets the chunk pipeline decide raw
@@ -48,17 +54,35 @@ fn bitmap_len(n: usize) -> usize {
 /// The 64-byte line kernels. Bit `i` of a line's mask is set iff byte `i`
 /// is nonzero (little-endian byte `j` of the mask is the bitmap byte of
 /// 8-byte group `j`), and survivors are packed in ascending byte order.
-/// The scalar kernels are always compiled as the reference; on AVX-512
-/// VBMI2 targets `vptestmb` + `vpcompressb` / `vpexpandb` replace them
-/// with byte-identical output.
 mod line {
+    /// Whether this CPU runs the VBMI2 kernels. A build whose target CPU
+    /// already has the features folds this to `true`.
+    #[inline]
+    pub fn vbmi2() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vbmi2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
     /// Pack the nonzero bytes of `line` (ascending) into the head of
     /// `dst`; returns `(mask, survivor_count)`. `dst` must be at least 64
-    /// bytes; bytes past the survivor count are unspecified.
-    // Only the test reference on AVX-512 VBMI2 targets.
-    #[allow(dead_code)]
+    /// bytes; bytes past the survivor count are unspecified. Runs the VBMI2
+    /// kernel when `allow_vbmi2` is set and the CPU has it.
     #[inline]
-    pub fn compress64_scalar(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
+    pub fn compress64(allow_vbmi2: bool, line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
+        if allow_vbmi2 && vbmi2() {
+            // SAFETY: VBMI2 support was detected just above (`vbmi2()` is
+            // false off x86-64).
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { vbmi2::compress64(line, dst) };
+        }
         let mut mask = 0u64;
         let mut n = 0usize;
         for (j, g) in line.as_chunks::<8>().0.iter().enumerate() {
@@ -80,12 +104,17 @@ mod line {
         (mask, n)
     }
 
-    /// Inverse of [`compress64_scalar`]: scatter the first
-    /// `popcount(mask)` bytes of `src` to the set bit positions of `mask`,
-    /// zeros elsewhere. `src` must hold at least that many bytes.
-    #[allow(dead_code)]
+    /// Inverse of [`compress64`]: scatter the first `popcount(mask)` bytes
+    /// of `src` to the set bit positions of `mask`, zeros elsewhere. `src`
+    /// must hold at least that many bytes.
     #[inline]
-    pub fn expand64_scalar(mask: u64, src: &[u8], out: &mut [u8; 64]) {
+    pub fn expand64(allow_vbmi2: bool, mask: u64, src: &[u8], out: &mut [u8; 64]) {
+        if allow_vbmi2 && vbmi2() {
+            // SAFETY: VBMI2 support was detected just above (`vbmi2()` is
+            // false off x86-64).
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { vbmi2::expand64(mask, src, out) };
+        }
         let mut cur = 0usize;
         for (j, g) in out.as_chunks_mut::<8>().0.iter_mut().enumerate() {
             let m = (mask >> (8 * j)) as u8;
@@ -104,54 +133,36 @@ mod line {
         }
     }
 
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx512f",
-        target_feature = "avx512bw",
-        target_feature = "avx512vbmi2"
-    ))]
-    pub use avx512::{compress64, expand64};
-    #[cfg(not(all(
-        target_arch = "x86_64",
-        target_feature = "avx512f",
-        target_feature = "avx512bw",
-        target_feature = "avx512vbmi2"
-    )))]
-    pub use {compress64_scalar as compress64, expand64_scalar as expand64};
-
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx512f",
-        target_feature = "avx512bw",
-        target_feature = "avx512vbmi2"
-    ))]
-    mod avx512 {
+    /// The VBMI2 kernels. Both are compiled for AVX-512 VBMI2 whatever the
+    /// build's target CPU; callers check for it at run time.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) mod vbmi2 {
         use std::arch::x86_64::*;
 
         /// `vptestmb` computes the 64-bit mask, `vpcompressb` packs the
-        /// survivors; same contract as `compress64_scalar`.
+        /// survivors; same contract as [`super::compress64`].
         #[inline]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
         pub fn compress64(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
             // Caller contract (encode side only — never reachable from
             // archive bytes): kept as a hard assert because it guards the
             // unsafe 64-byte store below.
             assert!(dst.len() >= 64);
-            // SAFETY: the required target features are statically enabled
-            // (this module only compiles when they are); both pointers
-            // cover 64 valid bytes.
-            unsafe {
-                let v = _mm512_loadu_si512(line.as_ptr().cast());
-                let mask = _mm512_test_epi8_mask(v, v);
-                let packed = _mm512_maskz_compress_epi8(mask, v);
-                _mm512_storeu_si512(dst.as_mut_ptr().cast(), packed);
-                (mask, mask.count_ones() as usize)
-            }
+            // SAFETY: the load covers the 64 bytes of `line`.
+            let v = unsafe { _mm512_loadu_si512(line.as_ptr().cast()) };
+            let mask = _mm512_test_epi8_mask(v, v);
+            let packed = _mm512_maskz_compress_epi8(mask, v);
+            // SAFETY: the assert above keeps the 64-byte store inside
+            // `dst`.
+            unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), packed) };
+            (mask, mask.count_ones() as usize)
         }
 
-        /// `vpexpandb` scatter; same contract as `expand64_scalar`. Only
+        /// `vpexpandb` scatter; same contract as [`super::expand64`]. Only
         /// the `popcount(mask)` survivor bytes of `src` are accessed
         /// (masked load with fault suppression).
         #[inline]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
         pub fn expand64(mask: u64, src: &[u8], out: &mut [u8; 64]) {
             let need = mask.count_ones() as usize;
             // Caller contract: `Scratch::begin_decode`'s exact-count check
@@ -159,17 +170,26 @@ mod line {
             // reachable from untrusted archive bytes. Kept as a hard
             // assert because it guards the unsafe masked load below.
             assert!(src.len() >= need);
-            // SAFETY: features statically enabled; the masked load reads
-            // only the `need` in-bounds bytes (AVX-512 masked loads
-            // suppress faults on masked-out elements); the store covers 64
-            // valid bytes.
-            unsafe {
-                let lm: __mmask64 = if need == 64 { !0 } else { (1u64 << need) - 1 };
-                let v = _mm512_maskz_loadu_epi8(lm, src.as_ptr().cast());
-                let ex = _mm512_maskz_expand_epi8(mask, v);
-                _mm512_storeu_si512(out.as_mut_ptr().cast(), ex);
-            }
+            let lm: __mmask64 = if need == 64 { !0 } else { (1u64 << need) - 1 };
+            // SAFETY: the masked load reads only the `need` in-bounds bytes
+            // (AVX-512 masked loads suppress faults on masked-out
+            // elements).
+            let v = unsafe { _mm512_maskz_loadu_epi8(lm, src.as_ptr().cast()) };
+            let ex = _mm512_maskz_expand_epi8(mask, v);
+            // SAFETY: the store covers the 64 bytes of `out`.
+            unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), ex) };
         }
+    }
+}
+
+/// The zero-elimination line kernel [`Scratch`] (and so the fused chunk
+/// kernels, [`encode_to_scratch`] and [`decode_into`]) runs on this CPU:
+/// `"avx512-vbmi2"` or the portable `"scalar"`.
+pub fn line_kernel() -> &'static str {
+    if line::vbmi2() {
+        "avx512-vbmi2"
+    } else {
+        "scalar"
     }
 }
 
@@ -320,6 +340,12 @@ impl Scratch {
     /// bytes and its survivors. This is the only compaction code.
     #[inline]
     pub fn push_line64(&mut self, plane: usize, line: &[u8; 64]) {
+        self.push_line64_with(true, plane, line);
+    }
+
+    /// [`Self::push_line64`] on the line kernel `allow_vbmi2` selects.
+    #[inline]
+    fn push_line64_with(&mut self, allow_vbmi2: bool, plane: usize, line: &[u8; 64]) {
         debug_assert!(plane < self.planes);
         debug_assert!(self.filled[plane] + LINE <= self.stride);
         let base = plane * self.stride;
@@ -327,7 +353,11 @@ impl Scratch {
         let cnt = self.counts[plane];
         // `cnt <= fill` and `fill + 64 <= stride` guarantee the 64-byte
         // headroom `compress64` stores into.
-        let (mask, n) = line::compress64(line, &mut self.data[base + cnt..base + self.stride]);
+        let (mask, n) = line::compress64(
+            allow_vbmi2,
+            line,
+            &mut self.data[base + cnt..base + self.stride],
+        );
         self.bitmap[(base + fill) >> 3..(base + fill + LINE) >> 3]
             .copy_from_slice(&mask.to_le_bytes());
         self.filled[plane] = fill + LINE;
@@ -466,12 +496,24 @@ impl Scratch {
     /// stays in bounds. This is the only zero-fill expansion code.
     #[inline]
     pub fn next_line(&mut self, payload: &[u8], plane: usize, out: &mut [u8; 64]) {
+        self.next_line_with(true, payload, plane, out);
+    }
+
+    /// [`Self::next_line`] on the line kernel `allow_vbmi2` selects.
+    #[inline]
+    fn next_line_with(
+        &mut self,
+        allow_vbmi2: bool,
+        payload: &[u8],
+        plane: usize,
+        out: &mut [u8; 64],
+    ) {
         debug_assert!(self.filled[plane] + LINE <= self.stride);
         let bi = (plane * self.stride + self.filled[plane]) >> 3;
         let cur = self.counts[plane];
         let (masks, _) = self.bitmap[bi..].as_chunks::<8>();
         let mask = u64::from_le_bytes(masks[0]);
-        line::expand64(mask, &payload[cur..], out);
+        line::expand64(allow_vbmi2, mask, &payload[cur..], out);
         self.counts[plane] = cur + mask.count_ones() as usize;
         self.filled[plane] += LINE;
     }
@@ -535,15 +577,20 @@ fn expand_into(
 /// with [`append_encoded`] or [`Scratch::write_to`] (the staged pieces stay
 /// valid until the next encode or decode on the same scratch).
 pub fn encode_to_scratch(input: &[u8], s: &mut Scratch) -> usize {
+    encode_flat(true, input, s)
+}
+
+/// [`encode_to_scratch`] on the line kernel `allow_vbmi2` selects.
+fn encode_flat(allow_vbmi2: bool, input: &[u8], s: &mut Scratch) -> usize {
     s.begin(1, input.len());
     let (lines, tail) = input.as_chunks::<LINE>();
     for l in lines {
-        s.push_line64(0, l);
+        s.push_line64_with(allow_vbmi2, 0, l);
     }
     if !tail.is_empty() {
         let mut pad = [0u8; LINE];
         pad[..tail.len()].copy_from_slice(tail);
-        s.push_line64(0, &pad);
+        s.push_line64_with(allow_vbmi2, 0, &pad);
     }
     s.finish_encode()
 }
@@ -565,16 +612,27 @@ pub fn decode_into(
     s: &mut Scratch,
     out: &mut Vec<u8>,
 ) -> Result<usize> {
+    decode_flat(true, payload, uncompressed_len, s, out)
+}
+
+/// [`decode_into`] on the line kernel `allow_vbmi2` selects.
+fn decode_flat(
+    allow_vbmi2: bool,
+    payload: &[u8],
+    uncompressed_len: usize,
+    s: &mut Scratch,
+    out: &mut Vec<u8>,
+) -> Result<usize> {
     s.begin_decode(payload, 1, uncompressed_len)?;
     // Every byte is overwritten below, so the resize needs no clear.
     out.resize(uncompressed_len, 0);
     let (lines, tail) = out.as_chunks_mut::<LINE>();
     for l in lines {
-        s.next_line(payload, 0, l);
+        s.next_line_with(allow_vbmi2, payload, 0, l);
     }
     if !tail.is_empty() {
         let mut pad = [0u8; LINE];
-        s.next_line(payload, 0, &mut pad);
+        s.next_line_with(allow_vbmi2, payload, 0, &mut pad);
         tail.copy_from_slice(&pad[..tail.len()]);
     }
     Ok(payload.len())
@@ -714,20 +772,78 @@ mod tests {
     }
 
     /// A flat buffer of every length 0..=200 (whole lines, partial final
-    /// lines, sub-line inputs) encodes to the reference bytes, and both
-    /// decoders invert it.
+    /// lines, sub-line inputs) encodes to the reference bytes on both line
+    /// kernels, and both decoders invert it.
     #[test]
     fn flat_lengths_match_reference() {
+        let (mut s, mut out) = (Scratch::default(), Vec::new());
         for n in 0..=200usize {
             for (seed, zero_every) in [(n as u64, 1), (n as u64 * 7 + 3, 3)] {
                 let input = sparse_bytes(n, seed, zero_every);
-                let mut enc = Vec::new();
-                encode(&input, &mut enc);
-                assert_eq!(enc, ref_encode(&input), "n = {n}");
-                assert_eq!(ref_decode(&enc, n).as_deref(), Some(&input[..]), "n = {n}");
-                assert_eq!(roundtrip(&input), enc.len());
+                for allow_vbmi2 in [false, true] {
+                    let mut enc = Vec::new();
+                    encode_flat(allow_vbmi2, &input, &mut s);
+                    append_encoded(&s, &mut enc);
+                    assert_eq!(enc, ref_encode(&input), "n = {n}");
+                    assert_eq!(ref_decode(&enc, n).as_deref(), Some(&input[..]), "n = {n}");
+                    let used = decode_flat(allow_vbmi2, &enc, n, &mut s, &mut out).unwrap();
+                    assert_eq!(used, enc.len(), "n = {n}");
+                    assert_eq!(out, input, "n = {n}");
+                }
             }
         }
+    }
+
+    /// Whether this CPU runs the VBMI2 kernels. Without them the VBMI2
+    /// cases say so and return early rather than pass having tested
+    /// nothing.
+    fn have_vbmi2(case: &str) -> bool {
+        if !line::vbmi2() {
+            eprintln!("{case}: this CPU has no AVX-512 VBMI2; the VBMI2 kernels were not tested");
+        }
+        line::vbmi2()
+    }
+
+    /// The VBMI2 line kernels, called directly, agree with the portable
+    /// ones on all-nonzero, sparse and all-zero lines.
+    #[test]
+    fn line_kernels_match_scalar() {
+        if !have_vbmi2("line_kernels_match_scalar") {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        for seed in 0..256 {
+            for zero_every in [1, 2, 3, 4, 8, 16, 64, u64::MAX] {
+                let l: [u8; 64] = sparse_bytes(64, seed, zero_every).try_into().unwrap();
+                let (mut got, mut want) = ([0u8; 64], [0u8; 64]);
+                // SAFETY: `have_vbmi2` detected the kernels' features.
+                let (mask, n) = unsafe { line::vbmi2::compress64(&l, &mut got) };
+                assert_eq!(line::compress64(false, &l, &mut want), (mask, n));
+                assert_eq!(&got[..n], &want[..n], "seed {seed}");
+                let (mut ex, mut ex_ref) = ([0xAAu8; 64], [0x55u8; 64]);
+                // SAFETY: as above.
+                unsafe { line::vbmi2::expand64(mask, &got[..n], &mut ex) };
+                line::expand64(false, mask, &got[..n], &mut ex_ref);
+                assert_eq!(ex, ex_ref, "seed {seed}");
+                assert_eq!(ex, l, "seed {seed}");
+            }
+        }
+    }
+
+    /// The VBMI2 kernels are chosen at run time, so a build for any x86-64
+    /// target keeps them and selects them wherever the CPU has VBMI2.
+    #[test]
+    fn line_kernel_selects_vbmi2_when_detected() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vbmi2")
+        {
+            assert_eq!(line_kernel(), "avx512-vbmi2");
+            return;
+        }
+        eprintln!("line_kernel_selects_vbmi2_when_detected: no AVX-512 VBMI2 on this CPU");
+        assert_eq!(line_kernel(), "scalar");
     }
 
     /// Bits of the last level-0 bitmap byte past the input length flag no
@@ -817,8 +933,9 @@ mod tests {
         }
 
         /// Streaming plane lines must serialize to the reference encoding
-        /// of the whole plane-major buffer, and the plane decoder must
-        /// invert it, for every plane shape the fused kernel can use.
+        /// of the whole plane-major buffer on both line kernels, and the
+        /// plane decoder must invert it, for every plane shape the fused
+        /// kernel can use.
         #[test]
         fn planes_match_reference(
             planes in 1usize..65,
@@ -831,29 +948,31 @@ mod tests {
             let reference = ref_encode(&input);
 
             let mut s = Scratch::default();
-            s.begin(planes, plane_bytes);
-            for (p, row) in input.chunks_exact(plane_bytes).enumerate() {
-                for l in row.chunks_exact(LINE) {
-                    s.push_line64(p, l.try_into().unwrap());
+            for allow_vbmi2 in [false, true] {
+                s.begin(planes, plane_bytes);
+                for (p, row) in input.chunks_exact(plane_bytes).enumerate() {
+                    for l in row.chunks_exact(LINE) {
+                        s.push_line64_with(allow_vbmi2, p, l.try_into().unwrap());
+                    }
                 }
-            }
-            let total = s.finish_encode();
-            prop_assert_eq!(total, reference.len());
-            let mut appended = Vec::new();
-            s.append_to(&mut appended);
-            prop_assert_eq!(&appended, &reference);
-            let mut slot = vec![0u8; total];
-            s.write_to(&mut slot);
-            prop_assert_eq!(&slot, &reference);
+                let total = s.finish_encode();
+                prop_assert_eq!(total, reference.len());
+                let mut appended = Vec::new();
+                s.append_to(&mut appended);
+                prop_assert_eq!(&appended, &reference);
+                let mut slot = vec![0u8; total];
+                s.write_to(&mut slot);
+                prop_assert_eq!(&slot, &reference);
 
-            s.begin_decode(&reference, planes, plane_bytes).unwrap();
-            let mut back = vec![0u8; planes * plane_bytes];
-            for (p, row) in back.chunks_exact_mut(plane_bytes).enumerate() {
-                for l in row.chunks_exact_mut(LINE) {
-                    s.next_line(&reference, p, l.try_into().unwrap());
+                s.begin_decode(&reference, planes, plane_bytes).unwrap();
+                let mut back = vec![0u8; planes * plane_bytes];
+                for (p, row) in back.chunks_exact_mut(plane_bytes).enumerate() {
+                    for l in row.chunks_exact_mut(LINE) {
+                        s.next_line_with(allow_vbmi2, &reference, p, l.try_into().unwrap());
+                    }
                 }
+                prop_assert_eq!(&back, &input);
             }
-            prop_assert_eq!(&back, &input);
 
             // Truncations and trailing bytes must be rejected, never panic.
             for cut in [0, reference.len() / 2, reference.len().saturating_sub(1)] {
@@ -863,22 +982,6 @@ mod tests {
             }
             let long = [&reference[..], &[0]].concat();
             prop_assert!(s.begin_decode(&long, planes, plane_bytes).is_err());
-        }
-
-        /// The compiled-in line kernels (AVX-512 where enabled) agree with
-        /// the scalar reference kernels on random and sparse lines.
-        #[test]
-        fn line_kernels_match_scalar(seed: u64, zero_every in 1u64..9) {
-            let l: [u8; 64] = sparse_bytes(64, seed, zero_every).try_into().unwrap();
-            let (mut got, mut want) = ([0u8; 64], [0u8; 64]);
-            let (mask, n) = line::compress64(&l, &mut got);
-            prop_assert_eq!(line::compress64_scalar(&l, &mut want), (mask, n));
-            prop_assert_eq!(&got[..n], &want[..n]);
-            let (mut ex, mut ex_ref) = ([0xAAu8; 64], [0x55u8; 64]);
-            line::expand64(mask, &got[..n], &mut ex);
-            line::expand64_scalar(mask, &got[..n], &mut ex_ref);
-            prop_assert_eq!(ex, ex_ref);
-            prop_assert_eq!(ex, l);
         }
 
         #[test]

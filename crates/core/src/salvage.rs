@@ -9,8 +9,9 @@
 //! per-chunk what happened — turning a bit-rotted archive from a total
 //! loss into a bounded hole.
 //!
-//! Guarantees (enforced by `tests/salvage.rs`, the corruption matrix, and
-//! the fuzz recovery oracle):
+//! Guarantees (enforced by this module's unit tests,
+//! `tests/corruption_matrix.rs`, and the fuzz recovery oracle,
+//! `pfpl fuzz --mode salvage`):
 //!
 //! * every intact chunk decodes **bit-identically** to the strict path, on
 //!   the serial, parallel, and device-sim backends alike;
