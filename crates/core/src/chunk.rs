@@ -121,10 +121,9 @@ fn encode_stages_fused<F: PfplFloat, Q: Quantizer<F>>(
     let mut carry = F::Bits::ZERO;
     let mut lossless = 0u64;
     for tv in vals.chunks_exact(shuffle::TILE_WORDS) {
-        // Stage 0: quantize the tile (stays in L1). A tile is a multiple
-        // of 8 values, so group-of-8 batch kernels see the same groups a
-        // whole-chunk call would, keeping the words identical to the
-        // staged path.
+        // Stage 0: quantize the tile (stays in L1). Every quantizer's
+        // `encode_slice` writes `encode(v)` for each value, so tiling
+        // changes no word.
         lossless += q.encode_slice(tv, &mut tile);
         // Stage 1: delta + negabinary, predecessor carried across tiles so
         // the codes equal a whole-chunk pass.

@@ -196,21 +196,6 @@ pub trait PfplFloat: Copy + PartialOrd + PartialEq + Debug + Send + Sync + 'stat
     /// losslessly, so saturation is harmless.
     fn round_away_i64(self) -> i64;
 
-    /// Truncate toward zero to the *bits-width* signed integer (`i32` for
-    /// `f32`, `i64` for `f64`), saturating, widened to `i64`; NaN maps
-    /// to 0.
-    ///
-    /// This is the bare bit-deterministic float→int cast of the branchless
-    /// batch quantizers: `(|v| * scale + 0.5).trunc_sat_bin()` equals
-    /// `|round_away_i64(v * scale)|` for every value whose bin fits the
-    /// encodable range (`MANT_MASK`, 2^23 − 1 for f32). Values outside it —
-    /// including NaN, which maps through 0 but then fails the bound check —
-    /// fail the bin-range fast check and reroute to the scalar path, so
-    /// saturation never changes the output. The width-matched conversion
-    /// vectorizes (one `cvttps2dq`-class instruction per lane group), where
-    /// f32→i64 would lower to scalar converts.
-    fn trunc_sat_bin(self) -> i64;
-
     /// Exact ABS-bound check `|v - r| <= eb` (see [`crate::exact`]).
     fn abs_within(v: Self, r: Self, eb: Self) -> bool;
     /// Exact REL-bound check on magnitudes `|a - b| <= eb * a`
@@ -283,10 +268,6 @@ impl PfplFloat for f32 {
         } else {
             (self - 0.5) as i64
         }
-    }
-    #[inline(always)]
-    fn trunc_sat_bin(self) -> i64 {
-        (self as i32) as i64
     }
     #[inline(always)]
     fn abs_within(v: Self, r: Self, eb: Self) -> bool {
@@ -363,10 +344,6 @@ impl PfplFloat for f64 {
         } else {
             (self - 0.5) as i64
         }
-    }
-    #[inline(always)]
-    fn trunc_sat_bin(self) -> i64 {
-        self as i64
     }
     #[inline(always)]
     fn abs_within(v: Self, r: Self, eb: Self) -> bool {

@@ -17,6 +17,9 @@ use super::Quantizer;
 use crate::error::{Error, Result};
 use crate::float::{PfplFloat, Word};
 
+/// Values per lane group of [`AbsQuantizer::encode_slice`].
+const LANES: usize = 8;
+
 /// ABS quantizer: guarantees `|v - v'| <= eb` for every value.
 #[derive(Debug, Clone, Copy)]
 pub struct AbsQuantizer<F: PfplFloat> {
@@ -39,6 +42,9 @@ impl<F: PfplFloat> AbsQuantizer<F> {
     ///
     /// Fails if `eb` is not finite or is below `F::MIN_NORMAL`: the bin
     /// encoding requires denormals to always quantize to bin 0 (§III-B).
+    /// A bound above `F::MAX / 2` quantizes against `F::MAX / 2`: the bin
+    /// width `2·eb` must be finite (else bin 0 would reconstruct as
+    /// `0·∞ = NaN`), and the tighter bound still guarantees `eb`.
     pub fn new(eb: F) -> Result<Self> {
         if !eb.is_finite() || !(eb >= F::MIN_NORMAL) {
             return Err(Error::InvalidErrorBound(format!(
@@ -47,6 +53,12 @@ impl<F: PfplFloat> AbsQuantizer<F> {
                 eb
             )));
         }
+        let eb = if eb.add(eb).is_finite() {
+            eb
+        } else {
+            // F::MAX / 2: the largest bound whose double is finite.
+            F::from_bits(F::EXP_MASK.wrapping_sub(F::Bits::ONE)).mul(F::from_f64(0.5))
+        };
         let eb2 = eb.add(eb);
         // One division at setup; the per-value hot path only multiplies.
         let scale = F::from_f64(0.5).div(eb);
@@ -129,53 +141,77 @@ impl<F: PfplFloat> Quantizer<F> for AbsQuantizer<F> {
         w & F::EXP_MASK != F::Bits::ZERO
     }
 
-    /// Batched encode: unrolled groups of 8 with a fully branchless lane
-    /// body. Works on magnitudes — `(|v|·scale + 0.5) as i64` equals
-    /// `|round_away_i64(v·scale)|` (IEEE `*`/`+` are sign-symmetric and
-    /// `scale > 0`), and `|v − recon|` equals `||v| − |recon||` because the
-    /// bin always carries the value's sign — so each lane needs no sign
-    /// dispatch at all. A group is emitted directly when every lane passes
-    /// the fast accept (in-range bin, rounded difference strictly below
-    /// `fast_lo`); otherwise the whole group re-runs through the scalar
-    /// [`Quantizer::encode`], making batched output bit-identical by
-    /// construction. Specials route themselves out of the fast accept:
-    /// NaN gives a NaN difference (`ad < fast_lo` is false), ±∞ and huge
-    /// values give a saturated bin above `max_bin`.
+    /// Batched encode in groups of 8 lanes. Every lane computes its word
+    /// with float add/mul/compare/select only, so the loop vectorizes at
+    /// the float width with no float→int cast. Lanes work on magnitudes:
+    /// `trunc(|v|·scale + 0.5)` is the magnitude of `round_away_i64(v·scale)`
+    /// (IEEE `*`/`+` are sign-symmetric and `scale > 0`), and
+    /// `|v − recon|` equals `||v| − |recon||` because the bin carries the
+    /// value's sign.
+    ///
+    /// - `m = |v|·scale + 0.5`, and `in_range = m < 2^MANT_BITS` is the
+    ///   scalar `|bin| <= max_bin` test. It is false for NaN, ±∞ and huge
+    ///   values, whose lanes go on with `m = 0`.
+    /// - `mag = trunc(m)` is the magic-number round `r = (m + 2^M) − 2^M`
+    ///   (exact for `0 <= m < 2^M`), minus 1 where `r > m`.
+    /// - A lane is accepted when it is in range with `ad < fast_lo`, and
+    ///   rejected when it is out of range or `ad > fast_hi`: the scalar
+    ///   path's fast decisions. An accepted lane writes its bin, the
+    ///   mantissa field of `mag + 2^M` with the sign bit of a negative
+    ///   nonzero bin; every other lane writes its own bits, the lossless
+    ///   word. The lossless count is the number of lanes not accepted.
+    ///
+    /// Only a group holding a lane that is neither — the band between the
+    /// thresholds, where the scalar path runs the exact check — re-runs
+    /// through [`Quantizer::encode`], so the output is bit-identical to the
+    /// scalar path.
     fn encode_slice(&self, vals: &[F], out: &mut [F::Bits]) -> u64 {
         debug_assert_eq!(vals.len(), out.len());
         let half = F::from_f64(0.5);
+        let magic = F::from_f64((1u64 << F::MANT_BITS) as f64);
+        let neg_magic = F::from_f64(-((1u64 << F::MANT_BITS) as f64));
+        let neg_one = F::from_f64(-1.0);
         let scale = self.scale;
         let eb2 = self.eb2;
         let fast_lo = self.fast_lo;
-        let max_bin = Self::max_bin() as i64;
+        let fast_hi = self.fast_hi;
         let mut lossless = 0u64;
-        let mut groups = vals.chunks_exact(8);
-        let mut outs = out.chunks_exact_mut(8);
+        let mut groups = vals.chunks_exact(LANES);
+        let mut outs = out.chunks_exact_mut(LANES);
         for (vs, ws) in (&mut groups).zip(&mut outs) {
-            // Lanes write straight into the output; the rare slow path
-            // simply overwrites them. `&` (not `&&`) keeps the fast-accept
-            // accumulation branch-free so the loop vectorizes.
-            let mut fast = true;
+            let mut accepted = 0u32;
+            let mut band = false;
             for (w, &v) in ws.iter_mut().zip(vs) {
                 let av = v.abs();
-                let mag = av.mul(scale).add(half).trunc_sat_bin();
-                let recon = F::from_i64(mag).mul(eb2);
+                let m = av.mul(scale).add(half);
+                let in_range = m < magic;
+                let m = if in_range { m } else { F::ZERO };
+                let r = m.add(magic).add(neg_magic);
+                let mag = if r > m { r.add(neg_one) } else { r };
+                let recon = mag.mul(eb2);
                 let ad = av.add(F::from_bits(recon.to_bits() ^ F::SIGN_MASK)).abs();
-                fast &= (ad < fast_lo) & (mag <= max_bin);
+                let accept = in_range & (ad < fast_lo);
+                band |= in_range & !accept & !(ad > fast_hi);
                 // -0.0 (and negative denormals binning to 0) must emit the
                 // all-zero word, exactly like the scalar path.
-                let neg = v.is_sign_negative() & (mag != 0);
-                let bin = F::Bits::from_u64(mag as u64);
-                *w = if neg { bin | F::SIGN_MASK } else { bin };
+                let sign = if mag != F::ZERO {
+                    v.to_bits() & F::SIGN_MASK
+                } else {
+                    F::Bits::ZERO
+                };
+                let bin = (mag.add(magic).to_bits() & F::MANT_MASK) | sign;
+                *w = if accept { bin } else { v.to_bits() };
+                accepted += accept as u32;
             }
-            if !fast {
+            if band {
+                accepted = 0;
                 for (w, &v) in ws.iter_mut().zip(vs) {
                     let e = self.encode(v);
-                    lossless += self.is_lossless_word(e) as u64;
+                    accepted += !self.is_lossless_word(e) as u32;
                     *w = e;
                 }
             }
-            // (all-fast groups are all bins: lossless count unchanged)
+            lossless += (LANES as u32 - accepted) as u64;
         }
         for (w, &v) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
             let e = self.encode(v);
@@ -253,6 +289,22 @@ mod tests {
         let w = q.encode(v);
         assert_eq!(w, v.to_bits());
         assert_eq!(q.decode(w), v);
+    }
+
+    #[test]
+    fn huge_bounds_keep_the_guarantee() {
+        // 2·eb overflows for these bounds; bin 0 must still decode to 0.
+        let q = AbsQuantizer::<f32>::new(f32::MAX).unwrap();
+        assert_eq!(q.bound(), f32::MAX / 2.0);
+        for v in [0.0f32, -0.0, 1e-40, -1e-40, 1.0, -3e38, f32::MAX, f32::MIN] {
+            let r = q.decode(q.encode(v));
+            assert!(abs_within_f32(v, r, f32::MAX), "v={v} r={r}");
+        }
+        let q = AbsQuantizer::<f64>::new(f64::MAX * 0.75).unwrap();
+        for v in [0.0f64, 5e-324, -1.0, f64::MAX, f64::MIN] {
+            let r = q.decode(q.encode(v));
+            assert!(abs_within_f64(v, r, f64::MAX * 0.75), "v={v} r={r}");
+        }
     }
 
     #[test]

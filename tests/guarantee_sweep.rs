@@ -100,9 +100,13 @@ fn sweep_all_codecs(stride: u64) {
             v.is_sign_negative() == r.is_sign_negative() && rel_within_mag_f32(v.abs(), r.abs(), eb)
         });
     }
-    let eb = 1e-3f32;
-    let q = AbsQuantizer::<f32>::new(eb).unwrap();
-    sweep(&q, stride, Lossless::Exact, |v, r| abs_within_f32(v, r, eb));
+    // 1e-3 and 1e-5: the benchmark workloads' bounds; 1.0: bins reach
+    // values near 2^23; MIN_POSITIVE: the largest denormals bin to 0
+    // through the exact check.
+    for eb in [1e-3f32, 1e-5, 1.0, f32::MIN_POSITIVE] {
+        let q = AbsQuantizer::<f32>::new(eb).unwrap();
+        sweep(&q, stride, Lossless::Exact, |v, r| abs_within_f32(v, r, eb));
+    }
 }
 
 #[test]

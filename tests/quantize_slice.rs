@@ -330,6 +330,136 @@ fn rel_lane_edges_f64() {
     }
 }
 
+/// The ABS lane quantities of `v` under bound `eb`, as `encode` computes
+/// them: `(m, ad)` with `m = |v|·scale + 0.5` and `ad` the rounded
+/// distance from `v` to its bin's reconstruction.
+fn abs_lane<F: PfplFloat>(v: F, eb: F) -> (F, F) {
+    let scale = F::from_f64(0.5).div(eb);
+    let bin = v.mul(scale).round_away_i64();
+    let recon = F::from_i64(bin).mul(eb.add(eb));
+    let ad = v.add(F::from_bits(recon.to_bits() ^ F::SIGN_MASK)).abs();
+    (v.abs().mul(scale).add(F::from_f64(0.5)), ad)
+}
+
+/// True where the scalar path needs its exact check: `ad` between the
+/// fast thresholds `eb·(1 ∓ 2^-20)`.
+fn in_abs_band<F: PfplFloat>(v: F, eb: F) -> bool {
+    let (_, ad) = abs_lane(v, eb);
+    let lo = eb.mul(F::from_f64(1.0 - 9.5367431640625e-7));
+    let hi = eb.mul(F::from_f64(1.0 + 9.5367431640625e-7));
+    ad >= lo && ad <= hi
+}
+
+/// `bits + d` as a value (a walk in ulps over same-sign patterns).
+fn ulps<F: PfplFloat>(x: F, d: i64) -> F {
+    F::from_bits(F::Bits::from_u64((x.to_bits().to_u64() as i64 + d) as u64))
+}
+
+/// ABS encode lanes at their edges under bound `eb`, each edge value
+/// placed in every lane of a group that also holds bin lanes and a
+/// lossless lane:
+/// - `m` one ulp below `2^MANT_BITS` (the largest bin, whose magic-number
+///   round ties upward), at it and above it (the in-lane range test);
+/// - values in the `fast_lo..=fast_hi` band (the group re-runs scalar);
+/// - −0.0 and negative denormals beside a NaN lane.
+///
+/// Returns how many edge values fell in the band.
+fn check_abs_edges<F: PfplFloat>(eb: F) -> usize {
+    let q = AbsQuantizer::<F>::new(eb).unwrap();
+    let eb = q.bound();
+    let top = F::from_f64((1u64 << F::MANT_BITS) as f64);
+    let scale = F::from_f64(0.5).div(eb);
+    let mut edges = Vec::new();
+
+    // Walk in ulps around the value whose `m` is 2^MANT_BITS.
+    let center = top.div(scale);
+    if center.is_finite() {
+        let walk: Vec<F> = (-64..=64).map(|d| ulps(center, d)).collect();
+        let ms: Vec<F> = walk.iter().map(|&v| abs_lane(v, eb).0).collect();
+        assert!(ms.contains(&ulps(top, -1)), "no m one ulp below 2^M");
+        assert!(ms.contains(&top), "no m at 2^M");
+        assert!(ms.iter().any(|&m| m > top), "no m above 2^M");
+        edges.extend(walk);
+    }
+
+    // Bin boundaries `(k + 0.5)·2eb`, a few ulps either side: the rounded
+    // distance to either neighbouring bin is within an ulp of `eb`.
+    let eb2 = eb.add(eb);
+    for k in 0..4 {
+        let b = F::from_f64(k as f64 + 0.5).mul(eb2);
+        edges.extend((-3..=3).map(|d| ulps(b, d)));
+    }
+    // The largest denormals: at `eb = MIN_NORMAL` they bin to 0 at a
+    // distance inside the band.
+    edges.extend((0..4).map(|d| ulps(F::from_bits(F::MANT_MASK), -d)));
+    edges.extend([F::ZERO, F::MIN_NORMAL, F::from_f64(1e30)]);
+    let negative: Vec<F> = edges
+        .iter()
+        .map(|&v| F::from_bits(v.to_bits() | F::SIGN_MASK))
+        .collect();
+    edges.extend(negative);
+    assert_slice_matches_scalar(&q, &edges);
+
+    let nan = F::from_bits(F::EXP_MASK | F::Bits::ONE);
+    for &e in &edges {
+        for pos in 0..8 {
+            let mut data: Vec<F> = (0..24)
+                .map(|i| {
+                    F::from_f64((i as f64 * 0.37).sin())
+                        .mul(eb)
+                        .mul(F::from_f64(40.0))
+                })
+                .collect();
+            data[8 + pos] = e;
+            data[8 + (pos + 3) % 8] = nan;
+            assert_slice_matches_scalar(&q, &data);
+        }
+    }
+
+    // −0.0 and negative denormals in one group with NaN lanes, in every
+    // rotation.
+    let signed_zeros = [
+        F::from_bits(F::SIGN_MASK),
+        F::from_bits(F::SIGN_MASK | F::Bits::ONE),
+        F::from_bits(F::SIGN_MASK | F::MANT_MASK),
+        nan,
+        F::from_bits(F::SIGN_MASK | F::EXP_MASK | F::MANT_MASK),
+        F::from_bits(F::Bits::ONE),
+        F::ZERO,
+        F::from_bits(F::SIGN_MASK | F::Bits::from_u64(2)),
+    ];
+    for r in 0..8 {
+        let mut group = signed_zeros;
+        group.rotate_left(r);
+        assert_slice_matches_scalar(&q, &group);
+    }
+
+    edges.iter().filter(|&&v| in_abs_band(v, eb)).count()
+}
+
+/// Bounds for the ABS lane edges: the workloads' bounds, a power-of-two
+/// scale, `MIN_NORMAL` (largest denormals in the band) and `MAX` (the
+/// quantizer clamps it to `MAX / 2` so the bin width stays finite).
+fn check_abs_edge_bounds<F: PfplFloat>(max: F) {
+    for eb in [1e-3, 1e-5, 0.5, 1.0] {
+        let banded = check_abs_edges(F::from_f64(eb));
+        assert!(banded > 0, "eb {eb}: no edge value in the band");
+    }
+    let banded = check_abs_edges(F::MIN_NORMAL);
+    assert!(banded >= 4, "MIN_NORMAL: largest denormals not in the band");
+    check_abs_edges(max);
+}
+
+#[test]
+fn abs_lane_edges_f32() {
+    check_abs_edge_bounds(f32::MAX);
+}
+
+#[test]
+fn abs_lane_edges_f64() {
+    check_abs_edge_bounds(f64::MAX);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
