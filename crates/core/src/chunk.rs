@@ -331,9 +331,11 @@ fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     Ok(())
 }
 
-/// The fused decode kernel: expand only the zero-elimination level
-/// bitmaps up front (`begin_decode` also validates the exact payload
-/// length, rejecting truncation and trailing bytes), then reconstruct tile
+/// The fused decode kernel: expand the zero-elimination level bitmaps up
+/// front (`begin_decode` rebuilds them down to the 2 KiB level-0 bitmap of
+/// a 16 KiB chunk, a 64-byte line at a time, and validates the exact
+/// payload length, rejecting truncation and trailing bytes), then
+/// reconstruct tile
 /// by tile — each bit plane's next 64-byte line is expanded on demand into
 /// the inverse transpose, un-delta'd with the carried predecessor, and
 /// dequantized straight into `vals`. Neither

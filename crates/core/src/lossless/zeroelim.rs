@@ -20,7 +20,10 @@
 //! There is one encoder and one decoder, [`Scratch`], and one 64-byte line
 //! kernel in each direction: every level-0 bitmap byte and every survivor
 //! passes through `Scratch::push_line64` on the way in and
-//! `Scratch::next_line` on the way out. The fused chunk kernel streams
+//! `Scratch::next_line` on the way out. Decoding rebuilds the repeat
+//! levels (the level-0 bitmap among them) with the same expansion kernel,
+//! one 64-byte output line at a time, followed by a fill of the repeated
+//! bytes. The fused chunk kernel streams
 //! the transpose's plane lines through them directly; a flat byte buffer
 //! ([`encode_to_scratch`] / [`decode_into`]) is one plane whose final
 //! partial line is padded with zeros, which adds no bitmap bits and no
@@ -277,8 +280,8 @@ fn build_nonrepeat_into(src: &[u8], bitmap: &mut Vec<u8>, data: &mut Vec<u8>) {
 /// [`Self::begin`], [`Self::push_line64`] per line and
 /// [`Self::finish_encode`], then emit with [`Self::append_to`] /
 /// [`Self::write_to`]. Decode with [`Self::begin_decode`], which expands
-/// only the (small) level bitmaps and sets up one payload cursor per
-/// plane, then [`Self::next_line`] per line.
+/// the level bitmaps and sets up one payload cursor per plane, then
+/// [`Self::next_line`] per line.
 #[derive(Default)]
 pub struct Scratch {
     planes: usize,
@@ -416,13 +419,26 @@ impl Scratch {
     }
 
     /// Start decoding `payload` as `planes` planes of `plane_bytes` bytes:
-    /// expand the level bitmaps (a few hundred bytes of work — the data
-    /// expansion happens lazily in [`Self::next_line`]), recover the
-    /// level-0 bitmap, and set up one payload cursor per plane. Verifies
-    /// that the payload length matches the bitmap's survivor count
-    /// *exactly*, which rejects both truncated payloads and trailing bytes.
+    /// expand the repeat levels down to the level-0 bitmap, one 64-byte
+    /// line at a time through the same line kernel as [`Self::next_line`]
+    /// (the level-0 bitmap is an eighth of the chunk, 2 KiB of a 16 KiB
+    /// one; the data expansion happens lazily in [`Self::next_line`]), and
+    /// set up one payload cursor per plane. Verifies that the payload
+    /// length matches the bitmap's survivor count *exactly*, which rejects
+    /// both truncated payloads and trailing bytes.
     pub fn begin_decode(
         &mut self,
+        payload: &[u8],
+        planes: usize,
+        plane_bytes: usize,
+    ) -> Result<()> {
+        self.begin_decode_with(true, payload, planes, plane_bytes)
+    }
+
+    /// [`Self::begin_decode`] on the line kernel `allow_vbmi2` selects.
+    fn begin_decode_with(
+        &mut self,
+        allow_vbmi2: bool,
         payload: &[u8],
         planes: usize,
         plane_bytes: usize,
@@ -456,7 +472,7 @@ impl Scratch {
             // The level-0 bitmap lands in its dedicated buffer; upper
             // levels ping-pong.
             let dst = if k == 0 { &mut self.bitmap } else { &mut hi };
-            res = expand_into(&lo, level_len(n, k), payload, &mut cursor, dst);
+            res = expand_into(allow_vbmi2, &lo, level_len(n, k), payload, &mut cursor, dst);
             if res.is_err() {
                 break;
             }
@@ -476,9 +492,12 @@ impl Scratch {
         let mut c = cursor;
         for p in 0..planes {
             self.counts[p] = c;
-            c += self.bitmap[p * stride / 8..][..stride / 8]
+            // A plane's bitmap is `stride / 8` bytes, a whole number of
+            // 8-byte words.
+            let (words, _) = self.bitmap[p * stride / 8..][..stride / 8].as_chunks::<8>();
+            c += words
                 .iter()
-                .map(|b| b.count_ones() as usize)
+                .map(|w| u64::from_le_bytes(*w).count_ones() as usize)
                 .sum::<usize>();
         }
         if c != payload.len() {
@@ -493,7 +512,9 @@ impl Scratch {
     /// Expand the next 64-byte line of `plane` into `out` (each plane must
     /// be walked sequentially). `payload` must be the slice given to
     /// [`Self::begin_decode`], whose length check guarantees every cursor
-    /// stays in bounds. This is the only zero-fill expansion code.
+    /// stays in bounds. This is the only zero-fill expansion of data
+    /// bytes; the repeat levels go through the same line kernel in
+    /// [`Self::begin_decode`].
     #[inline]
     pub fn next_line(&mut self, payload: &[u8], plane: usize, out: &mut [u8; 64]) {
         self.next_line_with(true, payload, plane, out);
@@ -529,25 +550,81 @@ fn level_len(n: usize, k: usize) -> usize {
     len
 }
 
-fn popcount_prefix(bitmap: &[u8], nbits: usize) -> usize {
-    let full = nbits / 8;
-    let mut c: usize = bitmap[..full].iter().map(|b| b.count_ones() as usize).sum();
-    if !nbits.is_multiple_of(8) {
-        c += (bitmap[full] & ((1u8 << (nbits % 8)) - 1)).count_ones() as usize;
+/// The flag masks of an `n`-byte level, one per 64-byte output line: the
+/// next eight bytes of its flag `bitmap` (the last word zero-padded), with
+/// the bits past `n` cleared.
+fn line_masks(bitmap: &[u8], n: usize) -> impl Iterator<Item = u64> + '_ {
+    let (words, tail) = bitmap[..bitmap_len(n)].as_chunks::<8>();
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    let last = (!tail.is_empty()).then_some(last);
+    words
+        .iter()
+        .copied()
+        .chain(last)
+        .enumerate()
+        .map(move |(l, w)| {
+            let m = u64::from_le_bytes(w);
+            let left = n - l * LINE;
+            if left < LINE {
+                m & ((1u64 << left) - 1)
+            } else {
+                m
+            }
+        })
+}
+
+/// Byte mask of each flag byte: byte `i` of `SPREAD[m]` is 0xFF iff bit
+/// `i` of `m` is set.
+const SPREAD: [u64; 256] = {
+    let mut t = [0u64; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mut i = 0;
+        while i < 8 {
+            if m >> i & 1 == 1 {
+                t[m] |= 0xFF << (8 * i);
+            }
+            i += 1;
+        }
+        m += 1;
     }
-    c
+    t
+};
+
+/// Fill the unflagged bytes of the word `v` (zero after the deposit) with
+/// their nearest flagged predecessor, or with `prev` (the byte before the
+/// word) where no byte at or before them is flagged; returns the word and
+/// updates `prev` to its last byte. Branch-free: the flag byte `m` spreads
+/// to a byte mask, and three shift-and-merge steps (1, 2, 4 bytes) carry
+/// each flagged byte across the holes above it.
+#[inline(always)]
+fn fill_forward(mut v: u64, m: u8, prev: &mut u8) -> u64 {
+    let mut f = SPREAD[m as usize];
+    for s in [8, 16, 32] {
+        v |= (v << s) & !f;
+        f |= f << s;
+    }
+    v |= (*prev as u64).wrapping_mul(0x0101_0101_0101_0101) & !f;
+    *prev = (v >> 56) as u8;
+    v
 }
 
 /// Reconstruct a lower-level bitmap of length `n` into `out` from its flag
-/// bitmap and the flagged bytes: unflagged bytes repeat their predecessor.
+/// bitmap and the flagged bytes: unflagged bytes repeat their predecessor
+/// (zero before the first byte). Works a 64-byte output line at a time:
+/// the line kernel deposits the flagged bytes and [`fill_forward`] fills
+/// the holes. The survivor count is checked before anything is read, so
+/// every deposit stays inside `payload`.
 fn expand_into(
+    allow_vbmi2: bool,
     bitmap: &[u8],
     n: usize,
     payload: &[u8],
     cursor: &mut usize,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    let needed = popcount_prefix(bitmap, n);
+    let needed: usize = line_masks(bitmap, n).map(|m| m.count_ones() as usize).sum();
     let avail = payload.len().saturating_sub(*cursor);
     if needed > avail {
         return Err(Error::Truncated {
@@ -557,17 +634,26 @@ fn expand_into(
             what: "zero-elimination survivor bytes",
         });
     }
-    out.clear();
+    // Every byte is overwritten below, so the resize needs no clear.
     out.resize(n, 0);
+    let (lines, tail) = out.as_chunks_mut::<LINE>();
+    let mut masks = line_masks(bitmap, n);
     let mut prev = 0u8;
-    for (i, slot) in out.iter_mut().enumerate() {
-        if bitmap[i >> 3] >> (i & 7) & 1 == 1 {
-            *slot = payload[*cursor];
-            *cursor += 1;
-        } else {
-            *slot = prev;
+    let mut expand = |mask: u64, line: &mut [u8; LINE]| {
+        line::expand64(allow_vbmi2, mask, &payload[*cursor..], line);
+        *cursor += mask.count_ones() as usize;
+        for (j, w) in line.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+            let v = fill_forward(u64::from_le_bytes(*w), (mask >> (8 * j)) as u8, &mut prev);
+            *w = v.to_le_bytes();
         }
-        prev = *slot;
+    };
+    for (line, mask) in lines.iter_mut().zip(&mut masks) {
+        expand(mask, line);
+    }
+    if let Some(mask) = masks.next() {
+        let mut pad = [0u8; LINE];
+        expand(mask, &mut pad);
+        tail.copy_from_slice(&pad[..tail.len()]);
     }
     Ok(())
 }
@@ -623,7 +709,7 @@ fn decode_flat(
     s: &mut Scratch,
     out: &mut Vec<u8>,
 ) -> Result<usize> {
-    s.begin_decode(payload, 1, uncompressed_len)?;
+    s.begin_decode_with(allow_vbmi2, payload, 1, uncompressed_len)?;
     // Every byte is overwritten below, so the resize needs no clear.
     out.resize(uncompressed_len, 0);
     let (lines, tail) = out.as_chunks_mut::<LINE>();
@@ -772,13 +858,14 @@ mod tests {
     }
 
     /// A flat buffer of every length 0..=200 (whole lines, partial final
-    /// lines, sub-line inputs) encodes to the reference bytes on both line
-    /// kernels, and both decoders invert it.
+    /// lines, sub-line inputs), and of strided lengths past 4096 bytes
+    /// (where the level-1 bitmap spans more than one line), encodes to the
+    /// reference bytes on both line kernels, and both decoders invert it.
     #[test]
     fn flat_lengths_match_reference() {
         let (mut s, mut out) = (Scratch::default(), Vec::new());
-        for n in 0..=200usize {
-            for (seed, zero_every) in [(n as u64, 1), (n as u64 * 7 + 3, 3)] {
+        for n in (0..=200usize).chain((4090..=20000).step_by(577)) {
+            for (seed, zero_every) in [(n as u64, 1), (n as u64 * 7 + 3, 3), (n as u64 + 5, 64)] {
                 let input = sparse_bytes(n, seed, zero_every);
                 for allow_vbmi2 in [false, true] {
                     let mut enc = Vec::new();
@@ -792,6 +879,124 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every flag byte at every word position of a repeat-level line
+    /// expands to the reference bytes on both line kernels: the level-0
+    /// bitmap is built so that level-1 flag byte `8 + w` is `f`, the byte
+    /// before that word is `prev` (for `w == 0`, the last byte of the line
+    /// before), and flagged bytes are arbitrary, zero among them. The
+    /// level lengths are not whole words or lines, and the last survivor
+    /// of the level-0 bitmap ends mid-line.
+    #[test]
+    fn repeat_level_flags_match_reference() {
+        let (mut s, mut out) = (Scratch::default(), Vec::new());
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for w in 0..8usize {
+            for f in 0..=255u8 {
+                for prev in [0x00, 0xFF, rand() as u8] {
+                    let word = LINE + 8 * w;
+                    let len0 = word + 8 + 1 + f as usize % 7;
+                    let mut bm0: Vec<u8> = (0..word).map(|_| rand() as u8).collect();
+                    bm0[word - 1] = prev;
+                    for i in word..len0 {
+                        let last = bm0[i - 1];
+                        let flagged = i >= word + 8 || f >> (i - word) & 1 == 1;
+                        bm0.push(if !flagged {
+                            last
+                        } else if last != 0 && rand() % 4 == 0 {
+                            0
+                        } else {
+                            (rand() as u8).max(1) ^ last
+                        });
+                    }
+                    assert_eq!(ref_flags(&bm0, true).0[word / 8], f);
+                    let input: Vec<u8> = (0..8 * len0)
+                        .map(|i| (bm0[i / 8] >> (i % 8) & 1) * (rand() as u8 | 1))
+                        .collect();
+                    let reference = ref_encode(&input);
+                    assert_eq!(
+                        ref_decode(&reference, input.len()).as_deref(),
+                        Some(&input[..])
+                    );
+                    for allow_vbmi2 in [false, true] {
+                        let case = format!("w {w} f {f:#04x} prev {prev:#04x} vbmi2 {allow_vbmi2}");
+                        let mut enc = Vec::new();
+                        encode_flat(allow_vbmi2, &input, &mut s);
+                        append_encoded(&s, &mut enc);
+                        assert_eq!(enc, reference, "{case}");
+                        let used = decode_flat(allow_vbmi2, &enc, input.len(), &mut s, &mut out);
+                        assert_eq!(used, Ok(enc.len()), "{case}");
+                        assert_eq!(s.bitmap[..len0], bm0, "{case}");
+                        assert_eq!(out, input, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A payload cut inside the top bitmap or inside a level's non-repeat
+    /// bytes fails with the exact offset, need and have of that piece on
+    /// both line kernels; a cut inside the data fails the length check.
+    #[test]
+    fn truncation_errors_name_the_piece() {
+        let input = sparse_bytes(5000, 11, 3);
+        let n = input.len();
+        let enc = ref_encode(&input);
+        // Non-repeat byte counts per level, from the reference encoder.
+        let mut bm = ref_flags(&input, false).0;
+        let mut nonrep = [0usize; LEVELS];
+        for len in &mut nonrep {
+            let (up, nr) = ref_flags(&bm, true);
+            *len = nr.len();
+            bm = up;
+        }
+        let top = level_len(n, LEVELS);
+        let data = top + nonrep.iter().sum::<usize>();
+        let (mut s, mut out) = (Scratch::default(), Vec::new());
+        for cut in 0..enc.len() {
+            let want = if cut < top {
+                Error::Truncated {
+                    offset: cut,
+                    needed: top - cut,
+                    have: 0,
+                    what: "zero-elimination top bitmap",
+                }
+            } else if cut < data {
+                // Pieces run from the top level down; find the one cut.
+                let mut offset = top;
+                let mut k = LEVELS - 1;
+                while cut >= offset + nonrep[k] {
+                    offset += nonrep[k];
+                    k -= 1;
+                }
+                Error::Truncated {
+                    offset,
+                    needed: nonrep[k],
+                    have: cut - offset,
+                    what: "zero-elimination survivor bytes",
+                }
+            } else {
+                Error::Corrupt(format!(
+                    "zero-elimination payload length mismatch: need {} bytes, have {cut}",
+                    enc.len()
+                ))
+            };
+            for allow_vbmi2 in [false, true] {
+                let got = decode_flat(allow_vbmi2, &enc[..cut], n, &mut s, &mut out);
+                assert_eq!(got, Err(want.clone()), "cut {cut}");
+            }
+        }
+        assert!(
+            nonrep.iter().all(|&l| l > 0),
+            "every level must be cut: {nonrep:?}"
+        );
     }
 
     /// Whether this CPU runs the VBMI2 kernels. Without them the VBMI2
@@ -864,6 +1069,51 @@ mod tests {
         assert_eq!(dec, &input[..13]);
         assert_eq!(used, enc.len());
         assert_eq!(ref_decode(&enc, 13).as_deref(), Some(&input[..13]));
+    }
+
+    /// Bits of each repeat level's last byte past the length of the level
+    /// below flag no byte either: setting them in the top bitmap and in the
+    /// last non-repeat byte of every lower level (where that byte is the
+    /// level's last) decodes as if they were clear, on both line kernels.
+    #[test]
+    fn repeat_level_bits_past_len_are_ignored() {
+        // Levels of 150, 19, 3 and 1 bytes: no length is a multiple of 8,
+        // so the last flag byte of every level has bits past the end.
+        let n = 1195;
+        let input = sparse_bytes(n, 5, 2);
+        let mut enc = ref_encode(&input);
+        // Level-k bitmaps and the non-repeat byte counts, bottom up.
+        let mut levels = vec![ref_flags(&input, false).0];
+        let mut nonrep = Vec::new();
+        for _ in 0..LEVELS {
+            let (up, nr) = ref_flags(levels.last().unwrap(), true);
+            levels.push(up);
+            nonrep.push(nr.len());
+        }
+        let mut end = level_len(n, LEVELS);
+        for k in (1..=LEVELS).rev() {
+            let below = level_len(n, k - 1);
+            assert!(
+                !below.is_multiple_of(8),
+                "level {k} has no bits past {below}"
+            );
+            let pad = !0u8 << (below % 8);
+            if k < LEVELS {
+                // Level k's last byte is its last non-repeat byte only if
+                // it is flagged in level k + 1.
+                let last = levels[k].len() - 1;
+                assert_eq!(levels[k + 1][last / 8] >> (last % 8) & 1, 1, "level {k}");
+                end += nonrep[k];
+            }
+            enc[end - 1] |= pad;
+        }
+        assert_eq!(ref_decode(&enc, n).as_deref(), Some(&input[..]));
+        let (mut s, mut out) = (Scratch::default(), Vec::new());
+        for allow_vbmi2 in [false, true] {
+            let used = decode_flat(allow_vbmi2, &enc, n, &mut s, &mut out);
+            assert_eq!(used, Ok(enc.len()));
+            assert_eq!(out, input);
+        }
     }
 
     #[test]
@@ -964,7 +1214,7 @@ mod tests {
                 s.write_to(&mut slot);
                 prop_assert_eq!(&slot, &reference);
 
-                s.begin_decode(&reference, planes, plane_bytes).unwrap();
+                s.begin_decode_with(allow_vbmi2, &reference, planes, plane_bytes).unwrap();
                 let mut back = vec![0u8; planes * plane_bytes];
                 for (p, row) in back.chunks_exact_mut(plane_bytes).enumerate() {
                     for l in row.chunks_exact_mut(LINE) {
