@@ -1,7 +1,8 @@
 //! Within-run pipeline ratios that CI gates on.
 //!
 //! Measures GB/s (uncompressed bytes / median wall-clock, paper §IV
-//! convention) for the fused vs staged chunk kernels head-to-head,
+//! convention) for the fused chunk kernel vs the staged four passes
+//! composed from the public stage functions, head-to-head,
 //! end-to-end compression and decompression — serial once, parallel swept
 //! across pool threads with the actual thread count keyed per
 //! measurement — and the integrity paths (verified vs unverified decode,
@@ -20,7 +21,9 @@
 
 use pfpl::chunk;
 use pfpl::container::Toc;
-use pfpl::quantize::AbsQuantizer;
+use pfpl::float::Word;
+use pfpl::lossless::{delta, shuffle, zeroelim};
+use pfpl::quantize::{AbsQuantizer, Quantizer};
 use pfpl::types::{ErrorBound, Mode};
 use pfpl_data::timing::{median_seconds, throughput_gbs};
 use std::hint::black_box;
@@ -53,6 +56,57 @@ fn interleaved_medians<S>(
         ts[ts.len() / 2]
     };
     (median(ta), median(tb))
+}
+
+/// Buffers of the staged composition, reused across chunks.
+#[derive(Default)]
+struct Staged {
+    words: Vec<u32>,
+    bytes: Vec<u8>,
+    ze: zeroelim::Scratch,
+}
+
+/// Compress one chunk as four whole-chunk passes through the public stage
+/// functions, then the raw-fallback decision: the bytes
+/// `chunk::compress_chunk` appends, without its fusion.
+fn staged_compress(q: &impl Quantizer<f32>, vals: &[f32], st: &mut Staged, out: &mut Vec<u8>) {
+    let raw_len = vals.len() * 4;
+    st.words.resize(vals.len(), 0);
+    black_box(q.encode_slice(vals, &mut st.words));
+    delta::encode_in_place(&mut st.words);
+    st.bytes.resize(raw_len, 0);
+    shuffle::encode(&st.words, &mut st.bytes);
+    if zeroelim::encode_to_scratch(&st.bytes, &mut st.ze) >= raw_len {
+        for &v in vals {
+            v.to_bits().push_le(out);
+        }
+    } else {
+        zeroelim::append_encoded(&st.ze, out);
+    }
+}
+
+/// Inverse of [`staged_compress`], dequantizing value by value.
+fn staged_decompress(
+    q: &impl Quantizer<f32>,
+    payload: &[u8],
+    raw: bool,
+    vals: &mut [f32],
+    st: &mut Staged,
+) {
+    if raw {
+        for (v, s) in vals.iter_mut().zip(payload.chunks_exact(4)) {
+            *v = f32::from_bits(u32::read_le(s));
+        }
+        return;
+    }
+    zeroelim::decode_into(payload, vals.len() * 4, &mut st.ze, &mut st.bytes)
+        .expect("payloads come from compress_chunk");
+    st.words.resize(vals.len(), 0);
+    shuffle::decode(&st.bytes, &mut st.words);
+    delta::decode_in_place(&mut st.words);
+    for (v, &w) in vals.iter_mut().zip(&st.words) {
+        *v = q.decode(w);
+    }
 }
 
 fn main() {
@@ -94,6 +148,7 @@ fn main() {
     // through L1-resident tiles versus four passes through 16 KiB buffers.
     // Each pair is timed interleaved, fused then staged, run by run.
     let mut cscratch = chunk::Scratch::<f32>::default();
+    let mut st = Staged::default();
     let mut cout = Vec::with_capacity(bytes);
     // One untimed pass of each kernel first: the fused kernel is the first
     // thing this process times, and timed cold it loses to the staged one
@@ -101,26 +156,21 @@ fn main() {
     // warmed).
     for c in vals.chunks(vpc) {
         black_box(chunk::compress_chunk(&q, c, &mut cscratch, &mut cout));
-        black_box(chunk::compress_chunk_staged(
-            &q,
-            c,
-            &mut cscratch,
-            &mut cout,
-        ));
+        staged_compress(&q, c, &mut st, &mut cout);
     }
     let (t_ck_fused, t_ck_staged) = interleaved_medians(
         runs,
-        &mut (&mut cscratch, &mut cout),
-        |(s, out)| {
+        &mut (&mut cscratch, &mut st, &mut cout),
+        |(s, _, out)| {
             out.clear();
             for c in vals.chunks(vpc) {
                 black_box(chunk::compress_chunk(&q, c, s, out));
             }
         },
-        |(s, out)| {
+        |(_, st, out)| {
             out.clear();
             for c in vals.chunks(vpc) {
-                black_box(chunk::compress_chunk_staged(&q, c, s, out));
+                staged_compress(&q, c, st, out);
             }
         },
     );
@@ -135,15 +185,15 @@ fn main() {
     let mut cvals = vec![0f32; vpc];
     let (t_ck_dec_fused, t_ck_dec_staged) = interleaved_medians(
         runs,
-        &mut (&mut cvals, &mut cscratch),
-        |(v, s)| {
+        &mut (&mut cvals, &mut cscratch, &mut st),
+        |(v, s, _)| {
             for (p, info, n) in &chunk_payloads {
                 chunk::decompress_chunk(&q, p, info.raw, &mut v[..*n], s).unwrap();
             }
         },
-        |(v, s)| {
+        |(v, _, st)| {
             for (p, info, n) in &chunk_payloads {
-                chunk::decompress_chunk_staged(&q, p, info.raw, &mut v[..*n], s).unwrap();
+                staged_decompress(&q, p, info.raw, &mut v[..*n], st);
             }
         },
     );

@@ -117,20 +117,35 @@ fn to_le_bytes<F: PfplFloat>(vals: &[F]) -> Vec<u8> {
     out
 }
 
+/// Run `f`, returning its result and its wall-clock seconds.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let start = std::time::Instant::now();
+    let r = f();
+    (r, start.elapsed().as_secs_f64())
+}
+
+/// Decode `archive` as `F` values into their little-endian bytes, timing
+/// the decode alone.
+fn decompress_le<F: PfplFloat>(archive: &[u8], mode: Mode) -> (pfpl::Result<Vec<u8>>, f64) {
+    let (vals, secs) = timed(|| pfpl::decompress::<F>(archive, mode));
+    (vals.map(|v| to_le_bytes(&v)), secs)
+}
+
 fn compress(o: &Opts) -> Result<String, CliError> {
     let input = o.require("-i").map_err(CliError::usage)?;
     let output = o.require("-o").map_err(CliError::usage)?;
     let bound = o.bound().map_err(CliError::usage)?;
     let is_double = o.is_double().map_err(CliError::usage)?;
     let mode = o.mode();
-    let start = std::time::Instant::now();
-    let (archive, stats) = if is_double {
-        pfpl::compress_with_stats(&read_values::<f64>(input)?, bound, mode)
+    // The GB/s figure times compression alone, not the input file read.
+    let (res, secs) = if is_double {
+        let vals = read_values::<f64>(input)?;
+        timed(|| pfpl::compress_with_stats(&vals, bound, mode))
     } else {
-        pfpl::compress_with_stats(&read_values::<f32>(input)?, bound, mode)
-    }
-    .map_err(|e| CliError::runtime(e.to_string()))?;
-    let secs = start.elapsed().as_secs_f64();
+        let vals = read_values::<f32>(input)?;
+        timed(|| pfpl::compress_with_stats(&vals, bound, mode))
+    };
+    let (archive, stats) = res.map_err(|e| CliError::runtime(e.to_string()))?;
     let word = if is_double { 8 } else { 4 };
     write_file(output, &archive)?;
     Ok(format!(
@@ -153,13 +168,11 @@ fn decompress(o: &Opts) -> Result<String, CliError> {
         .map_err(|e| CliError::runtime(format!("{input}: {e}")))?
         .header;
     let mode = o.mode();
-    let start = std::time::Instant::now();
-    let bytes = match header.precision {
-        Precision::Single => pfpl::decompress::<f32>(&archive, mode).map(|v| to_le_bytes(&v)),
-        Precision::Double => pfpl::decompress::<f64>(&archive, mode).map(|v| to_le_bytes(&v)),
-    }
-    .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-    let secs = start.elapsed().as_secs_f64();
+    let (res, secs) = match header.precision {
+        Precision::Single => decompress_le::<f32>(&archive, mode),
+        Precision::Double => decompress_le::<f64>(&archive, mode),
+    };
+    let bytes = res.map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
     write_file(output, &bytes)?;
     Ok(format!(
         "{} -> {} | {} values ({:?}, {:?} bound {:.3e}), {:.3} GB/s, {}",

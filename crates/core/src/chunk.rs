@@ -12,10 +12,14 @@
 //! of the staged pipeline is never materialized; decompression runs the
 //! same fusion in reverse (plane lines are expanded on demand,
 //! inverse-transposed, un-delta'd and dequantized tile by tile). Other
-//! lengths — in practice only the final partial chunk — take the staged
-//! four-pass fallback ([`compress_chunk_staged`]), which also serves as the
-//! equivalence oracle in tests. Both paths share one zero-elimination sink
-//! and emit byte-identical archives.
+//! lengths — in practice only the final partial chunk — take a staged
+//! four-pass fallback through the public stage functions
+//! ([`Quantizer::encode_slice`], [`delta::encode_in_place`],
+//! [`shuffle::encode`], [`zeroelim::encode_to_scratch`] and their
+//! inverses). The chunk length alone picks the path; both share one
+//! zero-elimination sink and emit the bytes the four stages define, which
+//! `tests/fused_equivalence.rs` checks against a reference composed from
+//! those same stage functions.
 //!
 //! Chunks whose compressed form would be at least as large as the raw data
 //! are stored raw and flagged, capping worst-case expansion at the size
@@ -83,19 +87,34 @@ const fn fused_ok(n: usize) -> bool {
 }
 
 /// Run stages 0–3 (quantize, delta+negabinary, shuffle, zero-elimination),
-/// leaving the encoded payload staged in `scratch.sink`. Returns the staged
-/// payload length and the quantizer's lossless-word count.
-fn encode_stages<F: PfplFloat, Q: Quantizer<F>>(
+/// leaving the encoded payload staged in `scratch.sink`, and decide the raw
+/// fallback. Returns the number of bytes the chunk emits: the staged
+/// payload's length, or the raw size when [`ChunkInfo::raw`] is set.
+fn encode<F: PfplFloat, Q: Quantizer<F>>(
     q: &Q,
     vals: &[F],
     scratch: &mut Scratch<F>,
-    force_staged: bool,
-) -> (usize, u64) {
+) -> (usize, ChunkInfo) {
     debug_assert!(vals.len() <= values_per_chunk::<F>());
-    if !force_staged && fused_ok(vals.len()) {
+    let raw_len = vals.len() * (F::Bits::BITS as usize / 8);
+    let (enc_len, lossless) = if fused_ok(vals.len()) {
         encode_stages_fused(q, vals, scratch)
     } else {
         encode_stages_staged(q, vals, scratch)
+    };
+    if enc_len >= raw_len {
+        // Incompressible: the chunk is stored as the original values.
+        let info = ChunkInfo {
+            raw: true,
+            lossless_values: 0,
+        };
+        (raw_len, info)
+    } else {
+        let info = ChunkInfo {
+            raw: false,
+            lossless_values: lossless,
+        };
+        (enc_len, info)
     }
 }
 
@@ -139,10 +158,9 @@ fn encode_stages_fused<F: PfplFloat, Q: Quantizer<F>>(
     (sink.finish_encode(), lossless)
 }
 
-/// The staged four-pass reference pipeline: each stage is a whole-chunk
-/// pass over scratch buffers. Kept for chunks that are not a multiple of
-/// [`shuffle::TILE_WORDS`] values and as the fused kernel's equivalence
-/// oracle — both paths emit byte-identical archives.
+/// The staged four-pass pipeline for chunks that are not a multiple of
+/// [`shuffle::TILE_WORDS`] values: each stage is a whole-chunk pass over
+/// scratch buffers, and the bytes equal what the fused kernel would emit.
 fn encode_stages_staged<F: PfplFloat, Q: Quantizer<F>>(
     q: &Q,
     vals: &[F],
@@ -185,53 +203,18 @@ pub fn compress_chunk<F: PfplFloat, Q: Quantizer<F>>(
     scratch: &mut Scratch<F>,
     out: &mut Vec<u8>,
 ) -> ChunkInfo {
-    compress_chunk_dispatch(q, vals, scratch, out, false)
-}
-
-/// [`compress_chunk`], but forcing the staged four-pass reference pipeline
-/// even for whole-tile chunks. The archive bytes and [`ChunkInfo`] are
-/// identical to the fused path by construction — this entry point exists
-/// so `tests/fused_equivalence.rs` can assert that,
-/// `tests/alloc_steady_state.rs` can count the staged path's allocations,
-/// and `profile_stages` can time it head-to-head against the fused kernel
-/// (`chunk_kernel_gbs`).
-pub fn compress_chunk_staged<F: PfplFloat, Q: Quantizer<F>>(
-    q: &Q,
-    vals: &[F],
-    scratch: &mut Scratch<F>,
-    out: &mut Vec<u8>,
-) -> ChunkInfo {
-    compress_chunk_dispatch(q, vals, scratch, out, true)
-}
-
-fn compress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F>>(
-    q: &Q,
-    vals: &[F],
-    scratch: &mut Scratch<F>,
-    out: &mut Vec<u8>,
-    force_staged: bool,
-) -> ChunkInfo {
-    let raw_len = vals.len() * (F::Bits::BITS as usize / 8);
-    let (enc_len, lossless) = encode_stages(q, vals, scratch, force_staged);
-    if enc_len >= raw_len {
-        // Incompressible: emit the original values unchanged (lossless).
+    let (len, info) = encode(q, vals, scratch);
+    if info.raw {
         // Reserve + append — no zero-fill pass over bytes that are about
         // to be overwritten anyway.
-        out.reserve(raw_len);
+        out.reserve(len);
         for &v in vals {
             v.to_bits().push_le(out);
         }
-        ChunkInfo {
-            raw: true,
-            lossless_values: 0,
-        }
     } else {
         scratch.sink.append_to(out);
-        ChunkInfo {
-            raw: false,
-            lossless_values: lossless,
-        }
     }
+    info
 }
 
 /// Compress one chunk of values into the start of `slot`, returning the
@@ -245,27 +228,13 @@ pub fn compress_chunk_into<F: PfplFloat, Q: Quantizer<F>>(
     scratch: &mut Scratch<F>,
     slot: &mut [u8],
 ) -> (usize, ChunkInfo) {
-    let raw_len = vals.len() * (F::Bits::BITS as usize / 8);
-    let (enc_len, lossless) = encode_stages(q, vals, scratch, false);
-    if enc_len >= raw_len {
-        write_raw(vals, &mut slot[..raw_len]);
-        (
-            raw_len,
-            ChunkInfo {
-                raw: true,
-                lossless_values: 0,
-            },
-        )
+    let (len, info) = encode(q, vals, scratch);
+    if info.raw {
+        write_raw(vals, &mut slot[..len]);
     } else {
-        scratch.sink.write_to(&mut slot[..enc_len]);
-        (
-            enc_len,
-            ChunkInfo {
-                raw: false,
-                lossless_values: lossless,
-            },
-        )
+        scratch.sink.write_to(&mut slot[..len]);
     }
+    (len, info)
 }
 
 /// Decompress one chunk payload into `vals`.
@@ -275,30 +244,6 @@ pub fn decompress_chunk<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     raw: bool,
     vals: &mut [F],
     scratch: &mut Scratch<F>,
-) -> Result<()> {
-    decompress_chunk_dispatch(q, payload, raw, vals, scratch, false)
-}
-
-/// [`decompress_chunk`], but forcing the staged four-pass reference
-/// pipeline even for whole-tile chunks (the fused kernel's equivalence
-/// oracle; both decode any valid chunk payload to identical values).
-pub fn decompress_chunk_staged<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
-    q: &Q,
-    payload: &[u8],
-    raw: bool,
-    vals: &mut [F],
-    scratch: &mut Scratch<F>,
-) -> Result<()> {
-    decompress_chunk_dispatch(q, payload, raw, vals, scratch, true)
-}
-
-fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
-    q: &Q,
-    payload: &[u8],
-    raw: bool,
-    vals: &mut [F],
-    scratch: &mut Scratch<F>,
-    force_staged: bool,
 ) -> Result<()> {
     let word_bytes = F::Bits::BITS as usize / 8;
     let raw_len = vals.len() * word_bytes;
@@ -315,19 +260,18 @@ fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
         }
         return Ok(());
     }
-    if !force_staged && fused_ok(vals.len()) {
+    if fused_ok(vals.len()) {
         return decompress_fused(q, payload, vals, scratch);
     }
-    // Rejects truncated payloads and trailing bytes alike.
+    // The staged fallback. Rejects truncated payloads and trailing bytes
+    // alike.
     zeroelim::decode_into(payload, raw_len, &mut scratch.sink, &mut scratch.bytes)?;
     // Resize without clearing: shuffle::decode overwrites every word, so
     // zero-filling here would be pure overhead in the steady state.
     scratch.words.resize(vals.len(), F::Bits::ZERO);
     shuffle::decode(&scratch.bytes, &mut scratch.words);
     delta::decode_in_place(&mut scratch.words);
-    for (v, &w) in vals.iter_mut().zip(scratch.words.iter()) {
-        *v = q.decode(w);
-    }
+    q.decode_slice(&scratch.words, vals);
     Ok(())
 }
 
@@ -335,11 +279,10 @@ fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
 /// front (`begin_decode` rebuilds them down to the 2 KiB level-0 bitmap of
 /// a 16 KiB chunk, a 64-byte line at a time, and validates the exact
 /// payload length, rejecting truncation and trailing bytes), then
-/// reconstruct tile
-/// by tile — each bit plane's next 64-byte line is expanded on demand into
-/// the inverse transpose, un-delta'd with the carried predecessor, and
-/// dequantized straight into `vals`. Neither
-/// the 16 KiB expanded byte buffer nor the chunk-wide word buffer of the
+/// reconstruct tile by tile — each bit plane's next 64-byte line is
+/// expanded on demand into the inverse transpose, un-delta'd with the
+/// carried predecessor, and dequantized straight into `vals`. Neither the
+/// 16 KiB expanded byte buffer nor the chunk-wide word buffer of the
 /// staged path is touched.
 fn decompress_fused<F: PfplFloat, Q: Quantizer<F> + ?Sized>(
     q: &Q,

@@ -18,9 +18,10 @@
 //!   `add_epi8(v, v)` per vector then peel off output rows `8c+7 … 8c`.
 //! * The masked-swap transpose ([`Transpose::transpose_block`], log2(word
 //!   size) steps — the step count of the paper's warp-shuffle GPU
-//!   implementation): the portable kernel and the reference the AVX2
-//!   kernel is tested against. Its 64×64 form is the reference the device
-//!   simulator's warp transpose is tested against.
+//!   implementation): the portable kernel, run where the CPU lacks AVX2,
+//!   and the reference the AVX2 kernel is tested against. Its 64×64 form
+//!   is the reference the device simulator's warp transpose is tested
+//!   against.
 //!
 //! The transpose is an involution, so decoding runs the same block kernel:
 //! lane `b` of every plane line is a row of block `b`'s transpose, and
@@ -31,6 +32,8 @@
 //! `is_x86_feature_detected!("avx2")` ([`tile_kernel`] names the choice),
 //! so builds for the x86-64 baseline keep the AVX2 kernel. Both are
 //! exact bit permutations: archives are byte-identical whichever runs.
+//! The unit tests call the masked swap directly, so it stays covered on
+//! AVX2 hosts.
 //!
 //! The fused chunk kernel streams the tile's plane lines into
 //! zero-elimination; [`encode`] / [`decode`] run the same tile kernel over
@@ -52,12 +55,11 @@ pub trait Transpose: Word + sealed::Tile {
 mod sealed {
     use super::TILE_WORDS;
 
-    /// One word width's tile kernels, on the block kernel `allow_avx2`
-    /// selects: [`super::encode_tile_into`] and [`super::decode_tile`]
-    /// pass `true`, tests reach the masked swap with `false`.
+    /// One word width's tile kernels, behind [`super::encode_tile_into`]
+    /// and [`super::decode_tile`].
     pub trait Tile: Sized {
-        fn encode_tile_with(allow_avx2: bool, tile: &[Self; TILE_WORDS], lines: &mut [[u8; 64]]);
-        fn decode_tile_with(allow_avx2: bool, lines: &[[u8; 64]], tile: &mut [Self; TILE_WORDS]);
+        fn tile_to_lines(tile: &[Self; TILE_WORDS], lines: &mut [[u8; 64]]);
+        fn lines_to_tile(lines: &[[u8; 64]], tile: &mut [Self; TILE_WORDS]);
     }
 }
 
@@ -117,23 +119,23 @@ impl_transpose!(
 /// plane `31 - j`'s line.
 impl sealed::Tile for u32 {
     #[inline]
-    fn encode_tile_with(allow_avx2: bool, tile: &[u32; TILE_WORDS], lines: &mut [[u8; 64]]) {
+    fn tile_to_lines(tile: &[u32; TILE_WORDS], lines: &mut [[u8; 64]]) {
         assert_eq!(lines.len(), 32, "one line per bit plane");
         // Captured by value: by reference, every store reloads them.
-        transpose_tile(allow_avx2, tile, move |b, j, row| {
+        transpose_tile(tile, move |b, j, row| {
             lines[31 - j][4 * b..][..4].copy_from_slice(&row.to_le_bytes());
         });
     }
 
     #[inline]
-    fn decode_tile_with(allow_avx2: bool, lines: &[[u8; 64]], tile: &mut [u32; TILE_WORDS]) {
+    fn lines_to_tile(lines: &[[u8; 64]], tile: &mut [u32; TILE_WORDS]) {
         assert_eq!(lines.len(), 32, "one line per bit plane");
         // Lane b of plane p is row `31 - p` of block b's transpose; the
         // transpose is an involution, so transposing the rows again gives
         // the original words.
         let mut rows = [0u32; TILE_WORDS];
-        lanes_to_rows(allow_avx2, lines, &mut rows);
-        transpose_tile(allow_avx2, &rows, move |b, j, row| tile[32 * b + j] = row);
+        lanes_to_rows(lines, &mut rows);
+        transpose_tile(&rows, move |b, j, row| tile[32 * b + j] = row);
     }
 }
 
@@ -141,21 +143,21 @@ impl sealed::Tile for u32 {
 /// dwords planes 32–63.
 impl sealed::Tile for u64 {
     #[inline]
-    fn encode_tile_with(allow_avx2: bool, tile: &[u64; TILE_WORDS], lines: &mut [[u8; 64]]) {
+    fn tile_to_lines(tile: &[u64; TILE_WORDS], lines: &mut [[u8; 64]]) {
         assert_eq!(lines.len(), 64, "one line per bit plane");
         let (hi, lo) = lines.split_at_mut(32);
-        u32::encode_tile_with(allow_avx2, &from_fn(|i| (tile[i] >> 32) as u32), hi);
-        u32::encode_tile_with(allow_avx2, &from_fn(|i| tile[i] as u32), lo);
+        u32::tile_to_lines(&from_fn(|i| (tile[i] >> 32) as u32), hi);
+        u32::tile_to_lines(&from_fn(|i| tile[i] as u32), lo);
     }
 
     #[inline]
-    fn decode_tile_with(allow_avx2: bool, lines: &[[u8; 64]], tile: &mut [u64; TILE_WORDS]) {
+    fn lines_to_tile(lines: &[[u8; 64]], tile: &mut [u64; TILE_WORDS]) {
         assert_eq!(lines.len(), 64, "one line per bit plane");
         // Decoding the halves apart and interleaving them once is faster
         // than a read-modify-write second pass over the tile.
         let (mut hi, mut lo) = ([0u32; TILE_WORDS], [0u32; TILE_WORDS]);
-        u32::decode_tile_with(allow_avx2, &lines[..32], &mut hi);
-        u32::decode_tile_with(allow_avx2, &lines[32..], &mut lo);
+        u32::lines_to_tile(&lines[..32], &mut hi);
+        u32::lines_to_tile(&lines[32..], &mut lo);
         for (t, (&h, &l)) in tile.iter_mut().zip(hi.iter().zip(&lo)) {
             *t = (h as u64) << 32 | l as u64;
         }
@@ -310,20 +312,23 @@ pub fn tile_kernel() -> &'static str {
 }
 
 /// Transpose every 32-word block of `tile`, handing row `j` of block `b`
-/// to `emit(b, j, row)`. Runs the AVX2 kernel when `allow_avx2` is set and
-/// the CPU has it, else the masked swap on a copy of the tile.
+/// to `emit(b, j, row)`: the AVX2 kernel where the CPU has it, else
+/// [`masked_swap_tile`].
 #[inline]
-fn transpose_tile(
-    allow_avx2: bool,
-    tile: &[u32; TILE_WORDS],
-    mut emit: impl FnMut(usize, usize, u32),
-) {
-    if allow_avx2 && avx2() {
+fn transpose_tile(tile: &[u32; TILE_WORDS], emit: impl FnMut(usize, usize, u32)) {
+    if avx2() {
         // SAFETY: AVX2 support was detected just above (`avx2()` is
         // false off x86-64).
         #[cfg(target_arch = "x86_64")]
         return unsafe { avx2::tile32(tile, emit) };
     }
+    masked_swap_tile(tile, emit);
+}
+
+/// [`transpose_tile`] on the masked swap, over a copy of the tile: the
+/// portable block kernel and the AVX2 kernel's reference.
+#[inline]
+fn masked_swap_tile(tile: &[u32; TILE_WORDS], mut emit: impl FnMut(usize, usize, u32)) {
     let mut tile = *tile;
     for (b, block) in tile.as_chunks_mut::<32>().0.iter_mut().enumerate() {
         u32::transpose_block(block);
@@ -333,16 +338,23 @@ fn transpose_tile(
     }
 }
 
-/// `rows[32 * b + 31 - p] = ` lane `b` of `lines[p]`, on the kernel
-/// `allow_avx2` selects.
+/// `rows[32 * b + 31 - p] = ` lane `b` of `lines[p]`: the AVX2 kernel
+/// where the CPU has it, else [`lanes_to_rows_portable`].
 #[inline]
-fn lanes_to_rows(allow_avx2: bool, lines: &[[u8; 64]], rows: &mut [u32; TILE_WORDS]) {
-    if allow_avx2 && avx2() {
+fn lanes_to_rows(lines: &[[u8; 64]], rows: &mut [u32; TILE_WORDS]) {
+    if avx2() {
         // SAFETY: AVX2 support was detected just above (`avx2()` is
         // false off x86-64).
         #[cfg(target_arch = "x86_64")]
         return unsafe { avx2::rows32(lines, rows) };
     }
+    lanes_to_rows_portable(lines, rows);
+}
+
+/// [`lanes_to_rows`] one lane at a time: the portable kernel and the AVX2
+/// kernel's reference.
+#[inline]
+fn lanes_to_rows_portable(lines: &[[u8; 64]], rows: &mut [u32; TILE_WORDS]) {
     for (p, line) in lines.iter().enumerate() {
         for (b, lane) in line.as_chunks::<4>().0.iter().enumerate() {
             rows[32 * b + 31 - p] = u32::from_le_bytes(*lane);
@@ -361,7 +373,7 @@ fn lanes_to_rows(allow_avx2: bool, lines: &[[u8; 64]], rows: &mut [u32; TILE_WOR
 /// buffer.
 #[inline]
 pub fn encode_tile_into<W: Transpose>(tile: &[W; TILE_WORDS], lines: &mut [[u8; 64]]) {
-    W::encode_tile_with(true, tile, lines);
+    W::tile_to_lines(tile, lines);
 }
 
 /// Inverse of [`encode_tile_into`]: the 512 words whose plane `p` line
@@ -371,7 +383,7 @@ pub fn encode_tile_into<W: Transpose>(tile: &[W; TILE_WORDS], lines: &mut [[u8; 
 /// zero-elimination source, [`decode`] from the plane-major buffer.
 #[inline]
 pub fn decode_tile<W: Transpose>(lines: &[[u8; 64]], tile: &mut [W; TILE_WORDS]) {
-    W::decode_tile_with(true, lines, tile);
+    W::lines_to_tile(lines, tile);
 }
 
 /// Forward bit shuffle: `words.len() * BITS / 8` bytes are written into
@@ -566,12 +578,22 @@ mod tests {
         avx2()
     }
 
-    /// Every block of `tile` transposed by the kernel `allow_avx2`
-    /// selects, block-major.
-    fn transposed(allow_avx2: bool, tile: &[u32; TILE_WORDS]) -> Vec<u32> {
+    /// Every block of `tile` transposed by the masked swap, block-major.
+    fn swapped(tile: &[u32; TILE_WORDS]) -> Vec<u32> {
         let mut rows = vec![0; TILE_WORDS];
-        transpose_tile(allow_avx2, tile, |b, j, row| rows[32 * b + j] = row);
+        masked_swap_tile(tile, |b, j, row| rows[32 * b + j] = row);
         rows
+    }
+
+    /// The plane lines whose lanes are the block-major transposed `rows`
+    /// of a u32 tile: row `j` of block `b` is lane `b` of plane `31 - j`.
+    fn lines_of(rows: &[u32]) -> Vec<[u8; 64]> {
+        let mut lines = vec![[0u8; 64]; 32];
+        for (i, row) in rows.iter().enumerate() {
+            let (b, j) = (i / 32, i % 32);
+            lines[31 - j][4 * b..][..4].copy_from_slice(&row.to_le_bytes());
+        }
+        lines
     }
 
     /// One-hot `BITS×BITS` blocks, one per (row, bit) position, packed
@@ -594,53 +616,77 @@ mod tests {
             .collect()
     }
 
-    /// The AVX2 kernel equals [`Transpose::transpose_block`] on all 1 024
-    /// one-hot 32×32 blocks.
-    #[test]
-    fn avx2_kernel_matches_masked_swap_one_hot() {
-        if !have_avx2("avx2_kernel_matches_masked_swap_one_hot") {
-            return;
-        }
-        let tiles = one_hot_tiles::<u32>();
+    /// All 1 024 one-hot 32×32 blocks, then all-ones and random tiles.
+    fn edge_and_dense_tiles() -> Vec<[u32; TILE_WORDS]> {
+        let mut tiles = one_hot_tiles::<u32>();
         assert_eq!(tiles.len() * TILE_WORDS / 32, 32 * 32);
-        for (t, tile) in tiles.iter().enumerate() {
-            let swapped = transposed(false, tile);
-            assert_eq!(transposed(true, tile), swapped, "one-hot tile {t}");
-            // And the masked swap really moved each bit across the diagonal.
-            for (i, &row) in swapped.iter().enumerate() {
-                let k = t * (TILE_WORDS / 32) + i / 32;
-                let want = if k % 32 == i % 32 { 1 << (k / 32) } else { 0 };
-                assert_eq!(row, want, "one-hot tile {t}, row {i}");
+        tiles.push([!0u32; TILE_WORDS]);
+        for seed in 1..=64 {
+            tiles.push(random_words(seed, TILE_WORDS).try_into().unwrap());
+        }
+        tiles
+    }
+
+    /// The masked swap, called directly (on AVX2 hosts the codec never
+    /// reaches it): its plane lines equal the bit-at-a-time shuffle of the
+    /// tile, and regrouping the lanes and swapping again gives the tile
+    /// back.
+    #[test]
+    fn masked_swap_tile_matches_scalar() {
+        let one_hot = one_hot_tiles::<u32>().len();
+        for (t, tile) in edge_and_dense_tiles().iter().enumerate() {
+            let rows = swapped(tile);
+            if t < one_hot {
+                // The masked swap really moved each bit across the
+                // diagonal.
+                for (i, &row) in rows.iter().enumerate() {
+                    let k = t * (TILE_WORDS / 32) + i / 32;
+                    let want = if k % 32 == i % 32 { 1 << (k / 32) } else { 0 };
+                    assert_eq!(row, want, "one-hot tile {t}, row {i}");
+                }
             }
+            let lines = lines_of(&rows);
+            let mut scalar = vec![0u8; TILE_WORDS * 4];
+            encode_scalar(tile, &mut scalar);
+            assert_eq!(lines.as_flattened(), &scalar[..], "tile {t}");
+
+            let mut back_rows = [0u32; TILE_WORDS];
+            lanes_to_rows_portable(&lines, &mut back_rows);
+            let mut back = [0u32; TILE_WORDS];
+            masked_swap_tile(&back_rows, |b, j, row| back[32 * b + j] = row);
+            assert_eq!(back, *tile, "tile {t}");
         }
     }
 
-    /// ... and on all-ones and random blocks.
+    /// The AVX2 kernels (which the dispatchers run on an AVX2 CPU) equal
+    /// the masked swap and the portable lane regrouping on all 1 024
+    /// one-hot 32×32 blocks and on all-ones and random tiles.
     #[test]
-    fn avx2_kernel_matches_masked_swap_dense() {
-        if !have_avx2("avx2_kernel_matches_masked_swap_dense") {
+    fn avx2_kernels_match_masked_swap() {
+        if !have_avx2("avx2_kernels_match_masked_swap") {
             return;
         }
-        let ones = [!0u32; TILE_WORDS];
-        assert_eq!(transposed(true, &ones), transposed(false, &ones));
-        assert!(transposed(true, &ones).iter().all(|&w| w == !0));
-        for seed in 1..=64 {
-            let tile: [u32; TILE_WORDS] = random_words(seed, TILE_WORDS).try_into().unwrap();
-            assert_eq!(
-                transposed(true, &tile),
-                transposed(false, &tile),
-                "seed {seed}"
-            );
+        for (t, tile) in edge_and_dense_tiles().iter().enumerate() {
+            let rows = swapped(tile);
+            let mut got = vec![0; TILE_WORDS];
+            transpose_tile(tile, |b, j, row| got[32 * b + j] = row);
+            assert_eq!(got, rows, "tile {t}");
+
+            let lines = lines_of(&rows);
+            let (mut got, mut want) = ([0u32; TILE_WORDS], [0u32; TILE_WORDS]);
+            lanes_to_rows(&lines, &mut got);
+            lanes_to_rows_portable(&lines, &mut want);
+            assert_eq!(got, want, "tile {t}");
         }
     }
 
-    /// The tile path on the kernel `allow_avx2` selects against the
-    /// bit-at-a-time reference, for a whole-tile `words`: each tile's lines
+    /// The tile path on this CPU's block kernel against the bit-at-a-time
+    /// reference, for a whole-tile `words`: each tile's lines
     /// at stride 64 (the fused kernel's line buffer) equal the scalar
     /// shuffle of that tile alone, placed at the plane-size stride they
     /// equal the scalar shuffle of the buffer, and decoding them gives the
     /// words back.
-    fn tile_path_matches_scalar<W: Transpose>(allow_avx2: bool, words: &[W]) {
+    fn tile_path_matches_scalar<W: Transpose>(words: &[W]) {
         let (n, bits) = (words.len(), W::BITS as usize);
         assert!(n > 0 && n.is_multiple_of(TILE_WORDS));
         let plane_bytes = n / 8;
@@ -651,7 +697,7 @@ mod tests {
         let mut lines = vec![[0u8; 64]; bits];
         let mut one = vec![0u8; TILE_WORDS * bits / 8];
         for (t, tw) in words.as_chunks::<TILE_WORDS>().0.iter().enumerate() {
-            W::encode_tile_with(allow_avx2, tw, &mut lines);
+            encode_tile_into(tw, &mut lines);
             one.fill(0);
             encode_scalar(tw, &mut one);
             assert_eq!(lines.as_flattened(), &one[..], "tile {t} at stride 64");
@@ -666,7 +712,7 @@ mod tests {
             for (p, line) in lines.iter_mut().enumerate() {
                 line.copy_from_slice(&staged[p * plane_bytes + t * 64..][..64]);
             }
-            W::decode_tile_with(allow_avx2, &lines, tw);
+            decode_tile(&lines, tw);
         }
         let mut back_scalar = vec![W::ZERO; n];
         decode_scalar(&staged, &mut back_scalar);
@@ -674,17 +720,13 @@ mod tests {
         assert_eq!(back, words);
     }
 
-    /// Both tile kernels on u64 all-ones tiles and on all 4 096 one-hot
-    /// 64×64 blocks, packed eight to a tile: every bit of both dword
-    /// halves must land in its own plane and lane, and come back.
+    /// u64 all-ones tiles and all 4 096 one-hot 64×64 blocks, packed
+    /// eight to a tile: every bit of both dword halves must land in its own
+    /// plane and lane, and come back.
     #[test]
     fn u64_tile_path_matches_scalar_on_edge_tiles() {
-        let ones = [!0u64; TILE_WORDS];
-        let one_hot = one_hot_tiles::<u64>().concat();
-        for allow_avx2 in [false, true] {
-            tile_path_matches_scalar(allow_avx2, &ones);
-            tile_path_matches_scalar(allow_avx2, &one_hot);
-        }
+        tile_path_matches_scalar(&[!0u64; TILE_WORDS]);
+        tile_path_matches_scalar(&one_hot_tiles::<u64>().concat());
     }
 
     /// The AVX2 kernel is chosen at run time, so a build for any x86-64
@@ -725,18 +767,13 @@ mod tests {
             roundtrip_u32(&words);
         }
 
-        /// Both tile kernels, on both word widths, against the scalar
-        /// plane-major layout (see [`tile_path_matches_scalar`]). The
-        /// masked-swap path is called directly: on AVX2 hosts [`encode`] /
-        /// [`decode`] never reach it. Without AVX2, `true` runs it again
-        /// (the AVX2 kernel cases above say so).
+        /// The tile path, on both word widths, against the scalar
+        /// plane-major layout (see [`tile_path_matches_scalar`]).
         #[test]
         fn tile_stream_equals_staged(seed: u64, tiles in 1usize..5) {
             let n = tiles * TILE_WORDS;
-            for allow_avx2 in [false, true] {
-                tile_path_matches_scalar(allow_avx2, &random_words::<u32>(seed, n));
-                tile_path_matches_scalar(allow_avx2, &random_words::<u64>(seed, n));
-            }
+            tile_path_matches_scalar(&random_words::<u32>(seed, n));
+            tile_path_matches_scalar(&random_words::<u64>(seed, n));
         }
 
         #[test]

@@ -31,9 +31,10 @@
 //!
 //! The line kernel is chosen at run time ([`line_kernel`] names it):
 //! `vptestmb` + `vpcompressb` / `vpexpandb` where the CPU has AVX-512
-//! VBMI2, else the portable scalar kernel, which is also the reference the
-//! vector one is tested against. Both write identical bytes; a build whose
-//! target CPU has VBMI2 folds the check away and inlines the kernel.
+//! VBMI2, else the portable scalar kernel, which is also the
+//! reference the vector one is tested against (the unit tests call it
+//! directly). Both write identical bytes; a build whose target CPU has
+//! VBMI2 folds the check away and inlines the kernel.
 //!
 //! Encoding stages every piece in the scratch and returns the serialized
 //! length; nothing is emitted until the caller asks ([`Scratch::append_to`]
@@ -77,15 +78,22 @@ mod line {
     /// Pack the nonzero bytes of `line` (ascending) into the head of
     /// `dst`; returns `(mask, survivor_count)`. `dst` must be at least 64
     /// bytes; bytes past the survivor count are unspecified. Runs the VBMI2
-    /// kernel when `allow_vbmi2` is set and the CPU has it.
+    /// kernel where the CPU has it, else [`compress64_scalar`].
     #[inline]
-    pub fn compress64(allow_vbmi2: bool, line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
-        if allow_vbmi2 && vbmi2() {
+    pub fn compress64(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
+        if vbmi2() {
             // SAFETY: VBMI2 support was detected just above (`vbmi2()` is
             // false off x86-64).
             #[cfg(target_arch = "x86_64")]
             return unsafe { vbmi2::compress64(line, dst) };
         }
+        compress64_scalar(line, dst)
+    }
+
+    /// [`compress64`] on the portable kernel, which is also the VBMI2
+    /// kernel's reference.
+    #[inline]
+    pub fn compress64_scalar(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
         let mut mask = 0u64;
         let mut n = 0usize;
         for (j, g) in line.as_chunks::<8>().0.iter().enumerate() {
@@ -109,15 +117,23 @@ mod line {
 
     /// Inverse of [`compress64`]: scatter the first `popcount(mask)` bytes
     /// of `src` to the set bit positions of `mask`, zeros elsewhere. `src`
-    /// must hold at least that many bytes.
+    /// must hold at least that many bytes. Runs the VBMI2 kernel where the
+    /// CPU has it, else [`expand64_scalar`].
     #[inline]
-    pub fn expand64(allow_vbmi2: bool, mask: u64, src: &[u8], out: &mut [u8; 64]) {
-        if allow_vbmi2 && vbmi2() {
+    pub fn expand64(mask: u64, src: &[u8], out: &mut [u8; 64]) {
+        if vbmi2() {
             // SAFETY: VBMI2 support was detected just above (`vbmi2()` is
             // false off x86-64).
             #[cfg(target_arch = "x86_64")]
             return unsafe { vbmi2::expand64(mask, src, out) };
         }
+        expand64_scalar(mask, src, out);
+    }
+
+    /// [`expand64`] on the portable kernel, which is also the VBMI2
+    /// kernel's reference.
+    #[inline]
+    pub fn expand64_scalar(mask: u64, src: &[u8], out: &mut [u8; 64]) {
         let mut cur = 0usize;
         for (j, g) in out.as_chunks_mut::<8>().0.iter_mut().enumerate() {
             let m = (mask >> (8 * j)) as u8;
@@ -139,7 +155,7 @@ mod line {
     /// The VBMI2 kernels. Both are compiled for AVX-512 VBMI2 whatever the
     /// build's target CPU; callers check for it at run time.
     #[cfg(target_arch = "x86_64")]
-    pub(super) mod vbmi2 {
+    mod vbmi2 {
         use std::arch::x86_64::*;
 
         /// `vptestmb` computes the 64-bit mask, `vpcompressb` packs the
@@ -343,12 +359,6 @@ impl Scratch {
     /// bytes and its survivors. This is the only compaction code.
     #[inline]
     pub fn push_line64(&mut self, plane: usize, line: &[u8; 64]) {
-        self.push_line64_with(true, plane, line);
-    }
-
-    /// [`Self::push_line64`] on the line kernel `allow_vbmi2` selects.
-    #[inline]
-    fn push_line64_with(&mut self, allow_vbmi2: bool, plane: usize, line: &[u8; 64]) {
         debug_assert!(plane < self.planes);
         debug_assert!(self.filled[plane] + LINE <= self.stride);
         let base = plane * self.stride;
@@ -356,11 +366,7 @@ impl Scratch {
         let cnt = self.counts[plane];
         // `cnt <= fill` and `fill + 64 <= stride` guarantee the 64-byte
         // headroom `compress64` stores into.
-        let (mask, n) = line::compress64(
-            allow_vbmi2,
-            line,
-            &mut self.data[base + cnt..base + self.stride],
-        );
+        let (mask, n) = line::compress64(line, &mut self.data[base + cnt..base + self.stride]);
         self.bitmap[(base + fill) >> 3..(base + fill + LINE) >> 3]
             .copy_from_slice(&mask.to_le_bytes());
         self.filled[plane] = fill + LINE;
@@ -432,17 +438,6 @@ impl Scratch {
         planes: usize,
         plane_bytes: usize,
     ) -> Result<()> {
-        self.begin_decode_with(true, payload, planes, plane_bytes)
-    }
-
-    /// [`Self::begin_decode`] on the line kernel `allow_vbmi2` selects.
-    fn begin_decode_with(
-        &mut self,
-        allow_vbmi2: bool,
-        payload: &[u8],
-        planes: usize,
-        plane_bytes: usize,
-    ) -> Result<()> {
         // Shape errors surface as Corrupt rather than a panic so no decode
         // entry point can be driven into an abort, whatever the caller
         // passes.
@@ -472,7 +467,7 @@ impl Scratch {
             // The level-0 bitmap lands in its dedicated buffer; upper
             // levels ping-pong.
             let dst = if k == 0 { &mut self.bitmap } else { &mut hi };
-            res = expand_into(allow_vbmi2, &lo, level_len(n, k), payload, &mut cursor, dst);
+            res = expand_into(&lo, level_len(n, k), payload, &mut cursor, dst);
             if res.is_err() {
                 break;
             }
@@ -517,24 +512,12 @@ impl Scratch {
     /// [`Self::begin_decode`].
     #[inline]
     pub fn next_line(&mut self, payload: &[u8], plane: usize, out: &mut [u8; 64]) {
-        self.next_line_with(true, payload, plane, out);
-    }
-
-    /// [`Self::next_line`] on the line kernel `allow_vbmi2` selects.
-    #[inline]
-    fn next_line_with(
-        &mut self,
-        allow_vbmi2: bool,
-        payload: &[u8],
-        plane: usize,
-        out: &mut [u8; 64],
-    ) {
         debug_assert!(self.filled[plane] + LINE <= self.stride);
         let bi = (plane * self.stride + self.filled[plane]) >> 3;
         let cur = self.counts[plane];
         let (masks, _) = self.bitmap[bi..].as_chunks::<8>();
         let mask = u64::from_le_bytes(masks[0]);
-        line::expand64(allow_vbmi2, mask, &payload[cur..], out);
+        line::expand64(mask, &payload[cur..], out);
         self.counts[plane] = cur + mask.count_ones() as usize;
         self.filled[plane] += LINE;
     }
@@ -617,7 +600,6 @@ fn fill_forward(mut v: u64, m: u8, prev: &mut u8) -> u64 {
 /// the holes. The survivor count is checked before anything is read, so
 /// every deposit stays inside `payload`.
 fn expand_into(
-    allow_vbmi2: bool,
     bitmap: &[u8],
     n: usize,
     payload: &[u8],
@@ -640,7 +622,7 @@ fn expand_into(
     let mut masks = line_masks(bitmap, n);
     let mut prev = 0u8;
     let mut expand = |mask: u64, line: &mut [u8; LINE]| {
-        line::expand64(allow_vbmi2, mask, &payload[*cursor..], line);
+        line::expand64(mask, &payload[*cursor..], line);
         *cursor += mask.count_ones() as usize;
         for (j, w) in line.as_chunks_mut::<8>().0.iter_mut().enumerate() {
             let v = fill_forward(u64::from_le_bytes(*w), (mask >> (8 * j)) as u8, &mut prev);
@@ -663,20 +645,15 @@ fn expand_into(
 /// with [`append_encoded`] or [`Scratch::write_to`] (the staged pieces stay
 /// valid until the next encode or decode on the same scratch).
 pub fn encode_to_scratch(input: &[u8], s: &mut Scratch) -> usize {
-    encode_flat(true, input, s)
-}
-
-/// [`encode_to_scratch`] on the line kernel `allow_vbmi2` selects.
-fn encode_flat(allow_vbmi2: bool, input: &[u8], s: &mut Scratch) -> usize {
     s.begin(1, input.len());
     let (lines, tail) = input.as_chunks::<LINE>();
     for l in lines {
-        s.push_line64_with(allow_vbmi2, 0, l);
+        s.push_line64(0, l);
     }
     if !tail.is_empty() {
         let mut pad = [0u8; LINE];
         pad[..tail.len()].copy_from_slice(tail);
-        s.push_line64_with(allow_vbmi2, 0, &pad);
+        s.push_line64(0, &pad);
     }
     s.finish_encode()
 }
@@ -698,27 +675,16 @@ pub fn decode_into(
     s: &mut Scratch,
     out: &mut Vec<u8>,
 ) -> Result<usize> {
-    decode_flat(true, payload, uncompressed_len, s, out)
-}
-
-/// [`decode_into`] on the line kernel `allow_vbmi2` selects.
-fn decode_flat(
-    allow_vbmi2: bool,
-    payload: &[u8],
-    uncompressed_len: usize,
-    s: &mut Scratch,
-    out: &mut Vec<u8>,
-) -> Result<usize> {
-    s.begin_decode_with(allow_vbmi2, payload, 1, uncompressed_len)?;
+    s.begin_decode(payload, 1, uncompressed_len)?;
     // Every byte is overwritten below, so the resize needs no clear.
     out.resize(uncompressed_len, 0);
     let (lines, tail) = out.as_chunks_mut::<LINE>();
     for l in lines {
-        s.next_line_with(allow_vbmi2, payload, 0, l);
+        s.next_line(payload, 0, l);
     }
     if !tail.is_empty() {
         let mut pad = [0u8; LINE];
-        s.next_line_with(allow_vbmi2, payload, 0, &mut pad);
+        s.next_line(payload, 0, &mut pad);
         tail.copy_from_slice(&pad[..tail.len()]);
     }
     Ok(payload.len())
@@ -860,29 +826,28 @@ mod tests {
     /// A flat buffer of every length 0..=200 (whole lines, partial final
     /// lines, sub-line inputs), and of strided lengths past 4096 bytes
     /// (where the level-1 bitmap spans more than one line), encodes to the
-    /// reference bytes on both line kernels, and both decoders invert it.
+    /// reference bytes, and both the codec and the reference decoder invert
+    /// it.
     #[test]
     fn flat_lengths_match_reference() {
         let (mut s, mut out) = (Scratch::default(), Vec::new());
         for n in (0..=200usize).chain((4090..=20000).step_by(577)) {
             for (seed, zero_every) in [(n as u64, 1), (n as u64 * 7 + 3, 3), (n as u64 + 5, 64)] {
                 let input = sparse_bytes(n, seed, zero_every);
-                for allow_vbmi2 in [false, true] {
-                    let mut enc = Vec::new();
-                    encode_flat(allow_vbmi2, &input, &mut s);
-                    append_encoded(&s, &mut enc);
-                    assert_eq!(enc, ref_encode(&input), "n = {n}");
-                    assert_eq!(ref_decode(&enc, n).as_deref(), Some(&input[..]), "n = {n}");
-                    let used = decode_flat(allow_vbmi2, &enc, n, &mut s, &mut out).unwrap();
-                    assert_eq!(used, enc.len(), "n = {n}");
-                    assert_eq!(out, input, "n = {n}");
-                }
+                let mut enc = Vec::new();
+                encode_to_scratch(&input, &mut s);
+                append_encoded(&s, &mut enc);
+                assert_eq!(enc, ref_encode(&input), "n = {n}");
+                assert_eq!(ref_decode(&enc, n).as_deref(), Some(&input[..]), "n = {n}");
+                let used = decode_into(&enc, n, &mut s, &mut out).unwrap();
+                assert_eq!(used, enc.len(), "n = {n}");
+                assert_eq!(out, input, "n = {n}");
             }
         }
     }
 
     /// Every flag byte at every word position of a repeat-level line
-    /// expands to the reference bytes on both line kernels: the level-0
+    /// expands to the reference bytes: the level-0
     /// bitmap is built so that level-1 flag byte `8 + w` is `f`, the byte
     /// before that word is `prev` (for `w == 0`, the last byte of the line
     /// before), and flagged bytes are arbitrary, zero among them. The
@@ -925,25 +890,23 @@ mod tests {
                         ref_decode(&reference, input.len()).as_deref(),
                         Some(&input[..])
                     );
-                    for allow_vbmi2 in [false, true] {
-                        let case = format!("w {w} f {f:#04x} prev {prev:#04x} vbmi2 {allow_vbmi2}");
-                        let mut enc = Vec::new();
-                        encode_flat(allow_vbmi2, &input, &mut s);
-                        append_encoded(&s, &mut enc);
-                        assert_eq!(enc, reference, "{case}");
-                        let used = decode_flat(allow_vbmi2, &enc, input.len(), &mut s, &mut out);
-                        assert_eq!(used, Ok(enc.len()), "{case}");
-                        assert_eq!(s.bitmap[..len0], bm0, "{case}");
-                        assert_eq!(out, input, "{case}");
-                    }
+                    let case = format!("w {w} f {f:#04x} prev {prev:#04x}");
+                    let mut enc = Vec::new();
+                    encode_to_scratch(&input, &mut s);
+                    append_encoded(&s, &mut enc);
+                    assert_eq!(enc, reference, "{case}");
+                    let used = decode_into(&enc, input.len(), &mut s, &mut out);
+                    assert_eq!(used, Ok(enc.len()), "{case}");
+                    assert_eq!(s.bitmap[..len0], bm0, "{case}");
+                    assert_eq!(out, input, "{case}");
                 }
             }
         }
     }
 
     /// A payload cut inside the top bitmap or inside a level's non-repeat
-    /// bytes fails with the exact offset, need and have of that piece on
-    /// both line kernels; a cut inside the data fails the length check.
+    /// bytes fails with the exact offset, need and have of that piece; a
+    /// cut inside the data fails the length check.
     #[test]
     fn truncation_errors_name_the_piece() {
         let input = sparse_bytes(5000, 11, 3);
@@ -988,10 +951,8 @@ mod tests {
                     enc.len()
                 ))
             };
-            for allow_vbmi2 in [false, true] {
-                let got = decode_flat(allow_vbmi2, &enc[..cut], n, &mut s, &mut out);
-                assert_eq!(got, Err(want.clone()), "cut {cut}");
-            }
+            let got = decode_into(&enc[..cut], n, &mut s, &mut out);
+            assert_eq!(got, Err(want), "cut {cut}");
         }
         assert!(
             nonrep.iter().all(|&l| l > 0),
@@ -1009,29 +970,68 @@ mod tests {
         line::vbmi2()
     }
 
-    /// The VBMI2 line kernels, called directly, agree with the portable
-    /// ones on all-nonzero, sparse and all-zero lines.
-    #[test]
-    fn line_kernels_match_scalar() {
-        if !have_vbmi2("line_kernels_match_scalar") {
-            return;
+    /// Test lines for the line kernels: every flag byte `f` at each of the
+    /// 8 byte positions `w` (group `w` nonzero exactly at the set bits of
+    /// `f`, the other groups sparse), then all-nonzero, sparse and all-zero
+    /// lines.
+    fn kernel_lines() -> Vec<[u8; 64]> {
+        let mut lines = Vec::new();
+        for w in 0..8 {
+            for f in 0..=255u8 {
+                let mut l: [u8; 64] = sparse_bytes(64, 8 * w as u64 + 256 * f as u64, 3)
+                    .try_into()
+                    .unwrap();
+                for (i, b) in l[8 * w..][..8].iter_mut().enumerate() {
+                    *b = if f >> i & 1 == 1 { f | 1 } else { 0 };
+                }
+                lines.push(l);
+            }
         }
-        #[cfg(target_arch = "x86_64")]
         for seed in 0..256 {
             for zero_every in [1, 2, 3, 4, 8, 16, 64, u64::MAX] {
-                let l: [u8; 64] = sparse_bytes(64, seed, zero_every).try_into().unwrap();
-                let (mut got, mut want) = ([0u8; 64], [0u8; 64]);
-                // SAFETY: `have_vbmi2` detected the kernels' features.
-                let (mask, n) = unsafe { line::vbmi2::compress64(&l, &mut got) };
-                assert_eq!(line::compress64(false, &l, &mut want), (mask, n));
-                assert_eq!(&got[..n], &want[..n], "seed {seed}");
-                let (mut ex, mut ex_ref) = ([0xAAu8; 64], [0x55u8; 64]);
-                // SAFETY: as above.
-                unsafe { line::vbmi2::expand64(mask, &got[..n], &mut ex) };
-                line::expand64(false, mask, &got[..n], &mut ex_ref);
-                assert_eq!(ex, ex_ref, "seed {seed}");
-                assert_eq!(ex, l, "seed {seed}");
+                lines.push(sparse_bytes(64, seed, zero_every).try_into().unwrap());
             }
+        }
+        lines
+    }
+
+    /// The scalar line kernels, called directly (on VBMI2 hosts the codec
+    /// never reaches them), against a byte-at-a-time reference; expansion
+    /// also zeroes the bytes the mask does not flag.
+    #[test]
+    fn scalar_line_kernels_match_reference() {
+        for (k, l) in kernel_lines().iter().enumerate() {
+            let (flags, kept) = ref_flags(l, false);
+            let mask = u64::from_le_bytes(flags.try_into().unwrap());
+            let mut got = [0u8; 64];
+            assert_eq!(
+                line::compress64_scalar(l, &mut got),
+                (mask, kept.len()),
+                "line {k}"
+            );
+            assert_eq!(&got[..kept.len()], &kept[..], "line {k}");
+            let mut ex = [0xAAu8; 64];
+            line::expand64_scalar(mask, &kept, &mut ex);
+            assert_eq!(ex, *l, "line {k}");
+        }
+    }
+
+    /// The VBMI2 line kernels (which the dispatchers run on a VBMI2 CPU)
+    /// agree with the scalar ones on the same lines.
+    #[test]
+    fn vbmi2_line_kernels_match_scalar() {
+        if !have_vbmi2("vbmi2_line_kernels_match_scalar") {
+            return;
+        }
+        for (k, l) in kernel_lines().iter().enumerate() {
+            let (mut got, mut want) = ([0u8; 64], [0u8; 64]);
+            let (mask, n) = line::compress64(l, &mut got);
+            assert_eq!(line::compress64_scalar(l, &mut want), (mask, n));
+            assert_eq!(&got[..n], &want[..n], "line {k}");
+            let (mut ex, mut ex_ref) = ([0xAAu8; 64], [0x55u8; 64]);
+            line::expand64(mask, &got[..n], &mut ex);
+            line::expand64_scalar(mask, &got[..n], &mut ex_ref);
+            assert_eq!(ex, ex_ref, "line {k}");
         }
     }
 
@@ -1074,7 +1074,7 @@ mod tests {
     /// Bits of each repeat level's last byte past the length of the level
     /// below flag no byte either: setting them in the top bitmap and in the
     /// last non-repeat byte of every lower level (where that byte is the
-    /// level's last) decodes as if they were clear, on both line kernels.
+    /// level's last) decodes as if they were clear.
     #[test]
     fn repeat_level_bits_past_len_are_ignored() {
         // Levels of 150, 19, 3 and 1 bytes: no length is a multiple of 8,
@@ -1109,11 +1109,9 @@ mod tests {
         }
         assert_eq!(ref_decode(&enc, n).as_deref(), Some(&input[..]));
         let (mut s, mut out) = (Scratch::default(), Vec::new());
-        for allow_vbmi2 in [false, true] {
-            let used = decode_flat(allow_vbmi2, &enc, n, &mut s, &mut out);
-            assert_eq!(used, Ok(enc.len()));
-            assert_eq!(out, input);
-        }
+        let used = decode_into(&enc, n, &mut s, &mut out);
+        assert_eq!(used, Ok(enc.len()));
+        assert_eq!(out, input);
     }
 
     #[test]
@@ -1183,7 +1181,7 @@ mod tests {
         }
 
         /// Streaming plane lines must serialize to the reference encoding
-        /// of the whole plane-major buffer on both line kernels, and the
+        /// of the whole plane-major buffer, and the
         /// plane decoder must invert it, for every plane shape the fused
         /// kernel can use.
         #[test]
@@ -1198,31 +1196,29 @@ mod tests {
             let reference = ref_encode(&input);
 
             let mut s = Scratch::default();
-            for allow_vbmi2 in [false, true] {
-                s.begin(planes, plane_bytes);
-                for (p, row) in input.chunks_exact(plane_bytes).enumerate() {
-                    for l in row.chunks_exact(LINE) {
-                        s.push_line64_with(allow_vbmi2, p, l.try_into().unwrap());
-                    }
+            s.begin(planes, plane_bytes);
+            for (p, row) in input.chunks_exact(plane_bytes).enumerate() {
+                for l in row.chunks_exact(LINE) {
+                    s.push_line64(p, l.try_into().unwrap());
                 }
-                let total = s.finish_encode();
-                prop_assert_eq!(total, reference.len());
-                let mut appended = Vec::new();
-                s.append_to(&mut appended);
-                prop_assert_eq!(&appended, &reference);
-                let mut slot = vec![0u8; total];
-                s.write_to(&mut slot);
-                prop_assert_eq!(&slot, &reference);
-
-                s.begin_decode_with(allow_vbmi2, &reference, planes, plane_bytes).unwrap();
-                let mut back = vec![0u8; planes * plane_bytes];
-                for (p, row) in back.chunks_exact_mut(plane_bytes).enumerate() {
-                    for l in row.chunks_exact_mut(LINE) {
-                        s.next_line_with(allow_vbmi2, &reference, p, l.try_into().unwrap());
-                    }
-                }
-                prop_assert_eq!(&back, &input);
             }
+            let total = s.finish_encode();
+            prop_assert_eq!(total, reference.len());
+            let mut appended = Vec::new();
+            s.append_to(&mut appended);
+            prop_assert_eq!(&appended, &reference);
+            let mut slot = vec![0u8; total];
+            s.write_to(&mut slot);
+            prop_assert_eq!(&slot, &reference);
+
+            s.begin_decode(&reference, planes, plane_bytes).unwrap();
+            let mut back = vec![0u8; planes * plane_bytes];
+            for (p, row) in back.chunks_exact_mut(plane_bytes).enumerate() {
+                for l in row.chunks_exact_mut(LINE) {
+                    s.next_line(&reference, p, l.try_into().unwrap());
+                }
+            }
+            prop_assert_eq!(&back, &input);
 
             // Truncations and trailing bytes must be rejected, never panic.
             for cut in [0, reference.len() / 2, reference.len().saturating_sub(1)] {

@@ -115,11 +115,8 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Chunk-level decode driver: the strict serial loop over the shared
-/// verify-and-decode step, with the chunk kernel called directly —
-/// [`pfpl::chunk::decompress_chunk_staged`] when `staged`, the codec's
-/// production dispatch otherwise — so the fuzzer exercises the staged
-/// reference kernel and the fused kernel as two separately-callable paths.
-fn chunk_level_decode<F: PfplFloat>(archive: &[u8], staged: bool) -> pfpl::Result<Vec<F>> {
+/// verify-and-decode step, with the codec's chunk kernel called directly.
+fn chunk_level_decode<F: PfplFloat>(archive: &[u8]) -> pfpl::Result<Vec<F>> {
     let reader = ArchiveReader::<F>::open(archive)?;
     let offsets = reader.offsets()?;
     let vpc = pfpl::chunk::values_per_chunk::<F>();
@@ -127,12 +124,7 @@ fn chunk_level_decode<F: PfplFloat>(archive: &[u8], staged: bool) -> pfpl::Resul
     let mut scratch = pfpl::chunk::Scratch::default();
     for (i, vals) in out.chunks_mut(vpc).enumerate() {
         reader.decode_chunk(i, offsets[i]..offsets[i + 1], true, |p, raw| {
-            if staged {
-                let q = reader.codec.quantizer();
-                pfpl::chunk::decompress_chunk_staged(q, p, raw, vals, &mut scratch)
-            } else {
-                reader.codec.decode_chunk(p, raw, vals, &mut scratch)
-            }
+            reader.codec.decode_chunk(p, raw, vals, &mut scratch)
         })?;
     }
     Ok(out)
@@ -165,14 +157,7 @@ where
             }),
         ),
         ("device-sim", catching(|| device.decompress::<F>(archive))),
-        (
-            "chunk-fused",
-            catching(|| chunk_level_decode::<F>(archive, false)),
-        ),
-        (
-            "chunk-staged",
-            catching(|| chunk_level_decode::<F>(archive, true)),
-        ),
+        ("chunk", catching(|| chunk_level_decode::<F>(archive))),
     ]
 }
 

@@ -130,22 +130,47 @@ fn steady_state_allocation_accounting() {
     });
     assert_eq!(n, 0, "decompress_chunk allocated {n} times in steady state");
 
-    // --- staged fallback paths: also zero allocations --------------------
-    // (full chunks default to the fused tile kernel; the staged pipeline
-    // still serves partial chunks and must stay allocation-free too)
+    // --- partial chunks mixed with full ones: zero allocations ----------
+    // Full chunks run the fused tile kernel, partial ones that are not a
+    // whole number of tiles the staged fallback; a stream of both, as the
+    // final chunks of many archives put through one scratch, must stay
+    // allocation-free on every entry point.
+    let mixed: Vec<&[f32]> = vec![
+        chunks[0],
+        &chunks[1][..123],
+        chunks[2],
+        &chunks[3][..vpc - 1],
+    ];
+    let mixed_payloads: Vec<(Vec<u8>, bool)> = mixed
+        .iter()
+        .map(|c| {
+            let mut buf = Vec::new();
+            let info = chunk::compress_chunk(&q, c, &mut scratch, &mut buf); // warmup
+            (buf, info.raw)
+        })
+        .collect();
+    for ((p, raw), c) in mixed_payloads.iter().zip(&mixed) {
+        chunk::decompress_chunk(&q, p, *raw, &mut vals[..c.len()], &mut scratch).unwrap();
+        // warmup
+    }
     let n = count_min(3, || {
         out.clear();
-        for c in &chunks {
-            chunk::compress_chunk_staged(&q, c, &mut scratch, &mut out);
+        for c in &mixed {
+            chunk::compress_chunk(&q, c, &mut scratch, &mut out);
         }
-        for (p, info) in payloads.iter().zip(&infos) {
-            chunk::decompress_chunk_staged(&q, p, info.raw, &mut vals, &mut scratch).unwrap();
+        for (c, slot) in mixed.iter().zip(slab.chunks_mut(CHUNK_BYTES)) {
+            chunk::compress_chunk_into(&q, c, &mut scratch, slot);
+        }
+        for ((p, raw), c) in mixed_payloads.iter().zip(&mixed) {
+            chunk::decompress_chunk(&q, p, *raw, &mut vals[..c.len()], &mut scratch).unwrap();
         }
     });
     assert_eq!(
         n, 0,
-        "staged chunk paths allocated {n} times in steady state"
+        "chunk paths on mixed full and partial chunks allocated {n} times in steady state"
     );
+    let warm: Vec<u8> = mixed_payloads.iter().flat_map(|(p, _)| p.clone()).collect();
+    assert_eq!(out, warm, "steady-state output must not change");
 
     // --- zeroelim decode direction: zero allocations after warmup --------
     // (decode_into is what every decompression path uses since the last

@@ -1,18 +1,25 @@
-//! Fused ≡ staged equivalence for the four-stage chunk kernel (§III-E).
+//! Equivalence of the chunk kernels (§III-E) with the four stages they
+//! fuse.
 //!
-//! The fused tile pipeline (quantize → delta → transpose → zero-elim in
-//! one pass, `chunk::compress_chunk` / `chunk::decompress_chunk`) must be
-//! observationally identical to the staged four-pass reference
-//! (`chunk::compress_chunk_staged` / `chunk::decompress_chunk_staged`):
-//! byte-identical payloads (append and slab variants), identical
-//! [`ChunkInfo`], identical raw-fallback decisions, and bit-identical
-//! decoded values — across quantizers, precisions, chunk lengths
-//! (full / tile-multiple partial / arbitrary partial), special values,
-//! and the device-sim backend (an independent warp transpose and
-//! block-scan zero-elimination that must produce the same bytes).
+//! `chunk::compress_chunk` / `chunk::decompress_chunk` run the fused tile
+//! pipeline (quantize → delta → transpose → zero-elim in one pass) on
+//! whole-tile chunks and a staged fallback on every other length. Both
+//! must be observationally identical to a reference composed here from the
+//! public stage functions — `Quantizer::encode_slice`,
+//! `delta::encode_in_place`, `shuffle::encode`,
+//! `zeroelim::encode_to_scratch` and the raw-fallback decision, then
+//! `zeroelim::decode_into`, `shuffle::decode`, `delta::decode_in_place`
+//! and per-value `Quantizer::decode` back: byte-identical payloads (append
+//! and slab variants), identical [`ChunkInfo`], identical raw-fallback
+//! decisions, and bit-identical decoded values — across quantizers,
+//! precisions, chunk lengths (full / tile-multiple partial / arbitrary
+//! partial), special values, and the device-sim backend (an independent
+//! warp transpose and block-scan zero-elimination that must produce the
+//! same bytes).
 
 use pfpl::chunk::{self, ChunkInfo, Scratch, CHUNK_BYTES};
-use pfpl::float::PfplFloat;
+use pfpl::float::{PfplFloat, Word};
+use pfpl::lossless::{delta, shuffle, zeroelim};
 use pfpl::quantize::{
     derive_noa_bound, AbsQuantizer, NoaBound, PassthroughQuantizer, Quantizer, RelQuantizer,
 };
@@ -20,41 +27,100 @@ use pfpl::types::{ErrorBound, Mode};
 use pfpl_device_sim::{configs, GpuDevice};
 use proptest::prelude::*;
 
-/// Compress one chunk through every entry point and decode it back both
-/// ways; assert the fused and staged pipelines are indistinguishable.
+/// The reference chunk payload: the four stages one whole-chunk pass
+/// each, then the raw fallback when the encoding is no smaller than the
+/// values.
+fn ref_compress<F: PfplFloat, Q: Quantizer<F>>(q: &Q, vals: &[F]) -> (Vec<u8>, ChunkInfo) {
+    let raw_len = vals.len() * (F::Bits::BITS as usize / 8);
+    let mut words = vec![F::Bits::ZERO; vals.len()];
+    let lossless = q.encode_slice(vals, &mut words);
+    delta::encode_in_place(&mut words);
+    let mut bytes = vec![0u8; raw_len];
+    shuffle::encode(&words, &mut bytes);
+    let mut ze = zeroelim::Scratch::default();
+    let mut out = Vec::new();
+    if zeroelim::encode_to_scratch(&bytes, &mut ze) >= raw_len {
+        for &v in vals {
+            v.to_bits().push_le(&mut out);
+        }
+        let info = ChunkInfo {
+            raw: true,
+            lossless_values: 0,
+        };
+        (out, info)
+    } else {
+        zeroelim::append_encoded(&ze, &mut out);
+        let info = ChunkInfo {
+            raw: false,
+            lossless_values: lossless,
+        };
+        (out, info)
+    }
+}
+
+/// The reference decode of a chunk payload of `n` values: the stages
+/// inverted one whole-chunk pass each, dequantizing value by value.
+fn ref_decompress<F: PfplFloat, Q: Quantizer<F>>(
+    q: &Q,
+    payload: &[u8],
+    raw: bool,
+    n: usize,
+) -> Vec<F> {
+    let word_bytes = F::Bits::BITS as usize / 8;
+    if raw {
+        return payload
+            .chunks_exact(word_bytes)
+            .map(|c| F::from_bits(F::Bits::read_le(c)))
+            .collect();
+    }
+    let mut bytes = Vec::new();
+    let mut ze = zeroelim::Scratch::default();
+    zeroelim::decode_into(payload, n * word_bytes, &mut ze, &mut bytes).unwrap();
+    let mut words = vec![F::Bits::ZERO; n];
+    shuffle::decode(&bytes, &mut words);
+    delta::decode_in_place(&mut words);
+    words.iter().map(|&w| q.decode(w)).collect()
+}
+
+fn bits<F: PfplFloat>(vals: &[F]) -> Vec<F::Bits> {
+    vals.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Compress one chunk through both chunk entry points and decode it back;
+/// assert the chunk kernels and the reference are indistinguishable.
 /// Returns (payload, info) for further checks.
 fn assert_chunk_equiv<F: PfplFloat, Q: Quantizer<F>>(q: &Q, vals: &[F]) -> (Vec<u8>, ChunkInfo) {
     let mut scratch = Scratch::<F>::default();
 
-    let mut fused = Vec::new();
-    let info_f = chunk::compress_chunk(q, vals, &mut scratch, &mut fused);
-    let mut staged = Vec::new();
-    let info_s = chunk::compress_chunk_staged(q, vals, &mut scratch, &mut staged);
-    assert_eq!(fused, staged, "fused vs staged payload bytes");
-    assert_eq!(info_f.raw, info_s.raw, "raw-fallback decision");
+    let mut payload = Vec::new();
+    let info = chunk::compress_chunk(q, vals, &mut scratch, &mut payload);
+    let (reference, info_r) = ref_compress(q, vals);
     assert_eq!(
-        info_f.lossless_values, info_s.lossless_values,
+        payload, reference,
+        "chunk kernel vs reference payload bytes"
+    );
+    assert_eq!(info.raw, info_r.raw, "raw-fallback decision");
+    assert_eq!(
+        info.lossless_values, info_r.lossless_values,
         "lossless-word count"
     );
 
-    // Slab variant must agree with both.
+    // Slab variant must agree too.
     let mut slot = vec![0u8; CHUNK_BYTES.max(1)];
     let (len, info_i) = chunk::compress_chunk_into(q, vals, &mut scratch, &mut slot);
-    assert_eq!(&slot[..len], &fused[..], "slab slot bytes");
-    assert_eq!(info_i.raw, info_f.raw);
-    assert_eq!(info_i.lossless_values, info_f.lossless_values);
+    assert_eq!(&slot[..len], &payload[..], "slab slot bytes");
+    assert_eq!(info_i.raw, info.raw);
+    assert_eq!(info_i.lossless_values, info.lossless_values);
 
     // Both decoders accept the payload and produce bit-identical values.
-    let mut via_fused = vec![F::ZERO; vals.len()];
-    chunk::decompress_chunk(q, &fused, info_f.raw, &mut via_fused, &mut scratch).unwrap();
-    let mut via_staged = vec![F::ZERO; vals.len()];
-    chunk::decompress_chunk_staged(q, &fused, info_f.raw, &mut via_staged, &mut scratch).unwrap();
+    let mut back = vec![F::ZERO; vals.len()];
+    chunk::decompress_chunk(q, &payload, info.raw, &mut back, &mut scratch).unwrap();
     assert_eq!(
-        via_fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        via_staged.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "fused vs staged decoded values"
+        bits(&back),
+        bits(&ref_decompress(q, &payload, info.raw, vals.len())),
+        "chunk kernel vs reference decoded values"
     );
-    (fused, info_f)
+    (payload, info)
 }
 
 fn smooth_f32(n: usize) -> Vec<f32> {
@@ -75,8 +141,7 @@ fn noise_f32(n: usize) -> Vec<f32> {
 
 /// Chunk lengths covering the kernel-selection boundary: full chunks
 /// (always fused), tile-multiple partials (fused), and everything else
-/// (staged fallback; dispatch must still agree with the forced-staged
-/// oracle trivially — asserting it guards the dispatch predicate itself).
+/// (staged fallback).
 fn lengths(vpc: usize) -> Vec<usize> {
     // `vpc - 32`, 32 and 544 are whole transpose groups but not whole
     // tiles: the staged shuffle runs its scalar path for them.
@@ -203,8 +268,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary bit patterns (NaN payloads, ±∞, denormals, negative
-    /// zero) at arbitrary lengths: the fused and staged chunk pipelines
-    /// never diverge.
+    /// zero) at arbitrary lengths: the chunk kernels never diverge from
+    /// the reference.
     #[test]
     fn arbitrary_bits_chunk_equiv_f32(
         bits in prop::collection::vec(any::<u32>(), 0..4097), // ≤ values_per_chunk::<f32>()
@@ -232,7 +297,7 @@ proptest! {
     }
 
     /// Smooth (compressible) data at tile-boundary-straddling lengths —
-    /// exercises the fused/staged dispatch boundary specifically.
+    /// exercises the fused/staged selection boundary specifically.
     #[test]
     fn tile_boundary_lengths_equiv(extra in 0usize..1100, eb_exp in -5i32..-1) {
         let data = smooth_f32(3 * 512 + extra);
