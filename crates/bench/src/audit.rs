@@ -59,11 +59,7 @@ pub fn audit(p: &Participant, kind: BoundKind, bounds: &[f64]) -> Option<BoundAd
     let mut supported = false;
     for field in audit_fields() {
         for &eb in bounds {
-            let bound = match kind {
-                BoundKind::Abs => ErrorBound::Abs(eb),
-                BoundKind::Rel => ErrorBound::Rel(eb),
-                BoundKind::Noa => ErrorBound::Noa(eb),
-            };
+            let bound = ErrorBound::new(kind, eb);
             let Ok(Some(archive)) = p.compress(&field, bound) else {
                 continue;
             };

@@ -66,11 +66,7 @@ fn main() {
         );
         for p in &parts {
             for &eb in &PAPER_BOUNDS {
-                let bound = match kind {
-                    BoundKind::Abs => ErrorBound::Abs(eb),
-                    BoundKind::Rel => ErrorBound::Rel(eb),
-                    BoundKind::Noa => ErrorBound::Noa(eb),
-                };
+                let bound = ErrorBound::new(kind, eb);
                 let mut suite_ratios = Vec::new();
                 let mut suite_psnrs = Vec::new();
                 for suite in &suites {

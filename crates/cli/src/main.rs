@@ -16,7 +16,7 @@
 
 use pfpl::container::{Header, Toc};
 use pfpl::float::{PfplFloat, Word};
-use pfpl::types::{BoundKind, ErrorBound, Mode, Precision};
+use pfpl::types::{ErrorBound, Mode, Precision};
 use std::process::ExitCode;
 
 mod opts;
@@ -126,8 +126,8 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
 
 /// Decode `archive` as `F` values into their little-endian bytes, timing
 /// the decode alone.
-fn decompress_le<F: PfplFloat>(archive: &[u8], mode: Mode) -> (pfpl::Result<Vec<u8>>, f64) {
-    let (vals, secs) = timed(|| pfpl::decompress::<F>(archive, mode));
+fn decompress_le<F: PfplFloat>(archive: &[u8]) -> (pfpl::Result<Vec<u8>>, f64) {
+    let (vals, secs) = timed(|| pfpl::decompress::<F>(archive, Mode::Parallel));
     (vals.map(|v| to_le_bytes(&v)), secs)
 }
 
@@ -136,14 +136,13 @@ fn compress(o: &Opts) -> Result<String, CliError> {
     let output = o.require("-o").map_err(CliError::usage)?;
     let bound = o.bound().map_err(CliError::usage)?;
     let is_double = o.is_double().map_err(CliError::usage)?;
-    let mode = o.mode();
     // The GB/s figure times compression alone, not the input file read.
     let (res, secs) = if is_double {
         let vals = read_values::<f64>(input)?;
-        timed(|| pfpl::compress_with_stats(&vals, bound, mode))
+        timed(|| pfpl::compress_with_stats(&vals, bound, Mode::Parallel))
     } else {
         let vals = read_values::<f32>(input)?;
-        timed(|| pfpl::compress_with_stats(&vals, bound, mode))
+        timed(|| pfpl::compress_with_stats(&vals, bound, Mode::Parallel))
     };
     let (archive, stats) = res.map_err(|e| CliError::runtime(e.to_string()))?;
     let word = if is_double { 8 } else { 4 };
@@ -167,10 +166,9 @@ fn decompress(o: &Opts) -> Result<String, CliError> {
     let header = Toc::read(&archive)
         .map_err(|e| CliError::runtime(format!("{input}: {e}")))?
         .header;
-    let mode = o.mode();
     let (res, secs) = match header.precision {
-        Precision::Single => decompress_le::<f32>(&archive, mode),
-        Precision::Double => decompress_le::<f64>(&archive, mode),
+        Precision::Single => decompress_le::<f32>(&archive),
+        Precision::Double => decompress_le::<f64>(&archive),
     };
     let bytes = res.map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
     write_file(output, &bytes)?;
@@ -289,11 +287,7 @@ fn bound_check<F: PfplFloat>(
             recon.len()
         )));
     }
-    let bound = match h.kind {
-        BoundKind::Abs => ErrorBound::Abs(h.user_bound),
-        BoundKind::Rel => ErrorBound::Rel(h.user_bound),
-        BoundKind::Noa => ErrorBound::Noa(h.user_bound),
-    };
+    let bound = ErrorBound::new(h.kind, h.user_bound);
     pfpl::exact::check_bound(bound, h, &orig, &recon)
         .map_err(|e| CliError::runtime(format!("BOUND VIOLATED: {e}")))
 }
@@ -306,13 +300,12 @@ fn salvage(o: &Opts) -> Result<String, CliError> {
     let input = o.require("-i").map_err(CliError::usage)?;
     let output = o.require("-o").map_err(CliError::usage)?;
     let fill = o.f64_or("--fill", f64::NAN).map_err(CliError::usage)?;
-    let mode = o.mode();
     let archive = read_file(input)?;
     let toc = Toc::read(&archive).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
     let (bytes, report) = match toc.header.precision {
-        Precision::Single => pfpl::decompress_salvage::<f32>(&archive, mode, fill as f32)
+        Precision::Single => pfpl::decompress_salvage::<f32>(&archive, Mode::Parallel, fill as f32)
             .map(|(vals, report)| (to_le_bytes(&vals), report)),
-        Precision::Double => pfpl::decompress_salvage::<f64>(&archive, mode, fill)
+        Precision::Double => pfpl::decompress_salvage::<f64>(&archive, Mode::Parallel, fill)
             .map(|(vals, report)| (to_le_bytes(&vals), report)),
     }
     .map_err(|e| CliError::runtime(format!("{input}: unsalvageable: {e}")))?;

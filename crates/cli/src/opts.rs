@@ -1,22 +1,21 @@
 //! Flag parsing for the `pfpl` binary (no external dependencies).
 
-use pfpl::types::{ErrorBound, Mode};
+use pfpl::types::ErrorBound;
 use std::collections::HashMap;
 
 /// Usage text printed on invocation errors (runtime failures skip it).
 pub const USAGE: &str = "\
 usage:
-  pfpl compress   -i <raw floats> -o <archive> --type f32|f64 --bound abs|rel|noa --eb <value> [--serial] [--threads N]
-  pfpl decompress -i <archive> -o <raw floats> [--serial] [--threads N]
+  pfpl compress   -i <raw floats> -o <archive> --type f32|f64 --bound abs|rel|noa --eb <value> [--threads N]
+  pfpl decompress -i <archive> -o <raw floats> [--threads N]
   pfpl info       -i <archive>
   pfpl verify     -a <archive> [-i <raw floats>] [--threads N]
-  pfpl salvage    -i <archive> -o <raw floats> [--fill <value>] [--serial] [--threads N]
+  pfpl salvage    -i <archive> -o <raw floats> [--fill <value>] [--threads N]
   pfpl fuzz       [--seed N] [--iters M] [--mode decode|salvage]";
 
 /// Parsed flag map.
 pub struct Opts {
     flags: HashMap<String, String>,
-    bools: Vec<String>,
 }
 
 impl Opts {
@@ -26,23 +25,17 @@ impl Opts {
             return Err("missing command".into());
         };
         let mut flags = HashMap::new();
-        let mut bools = Vec::new();
         let mut it = rest.iter();
         while let Some(flag) = it.next() {
             if !flag.starts_with('-') {
                 return Err(format!("unexpected argument `{flag}`"));
             }
-            match flag.as_str() {
-                "--serial" => bools.push(flag.clone()),
-                _ => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| format!("missing value for {flag}"))?;
-                    flags.insert(flag.clone(), value.clone());
-                }
-            }
+            let value = it
+                .next()
+                .ok_or_else(|| format!("missing value for {flag}"))?;
+            flags.insert(flag.clone(), value.clone());
         }
-        Ok((cmd.clone(), Opts { flags, bools }))
+        Ok((cmd.clone(), Opts { flags }))
     }
 
     /// Fetch a required flag value.
@@ -107,15 +100,6 @@ impl Opts {
                 .map_err(|_| format!("bad {flag} value `{v}` (float)")),
         }
     }
-
-    /// Execution mode (`--serial` opts out of the parallel default).
-    pub fn mode(&self) -> Mode {
-        if self.bools.iter().any(|b| b == "--serial") {
-            Mode::Serial
-        } else {
-            Mode::Parallel
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,16 +113,26 @@ mod tests {
     #[test]
     fn parses_compress_invocation() {
         let (cmd, o) = Opts::parse(&sv(&[
-            "compress", "-i", "in.f32", "-o", "out.pfpl", "--type", "f32", "--bound", "rel",
-            "--eb", "1e-4", "--serial",
+            "compress",
+            "-i",
+            "in.f32",
+            "-o",
+            "out.pfpl",
+            "--type",
+            "f32",
+            "--bound",
+            "rel",
+            "--eb",
+            "1e-4",
+            "--threads",
+            "1",
         ]))
         .unwrap();
         assert_eq!(cmd, "compress");
         assert_eq!(o.require("-i").unwrap(), "in.f32");
         assert!(!o.is_double().unwrap());
         assert!(matches!(o.bound().unwrap(), ErrorBound::Rel(v) if v == 1e-4));
-        assert!(matches!(o.mode(), Mode::Serial));
-        assert_eq!(o.threads().unwrap(), None);
+        assert_eq!(o.threads().unwrap(), Some(1));
     }
 
     #[test]

@@ -17,24 +17,29 @@
 //! where `nonrep_k` are the non-repeating bytes of `bitmap_{k-1}` flagged by
 //! `bitmap_k` (predecessor initialized to zero at each level).
 //!
+//! Every level is one operation: flag the bytes worth keeping (nonzero at
+//! level 0, different from their predecessor above it), then pack them.
 //! There is one encoder and one decoder, [`Scratch`], and one 64-byte line
-//! kernel in each direction: every level-0 bitmap byte and every survivor
-//! passes through `Scratch::push_line64` on the way in and
-//! `Scratch::next_line` on the way out. Decoding rebuilds the repeat
-//! levels (the level-0 bitmap among them) with the same expansion kernel,
-//! one 64-byte output line at a time, followed by a fill of the repeated
-//! bytes. The fused chunk kernel streams
-//! the transpose's plane lines through them directly; a flat byte buffer
-//! ([`encode_to_scratch`] / [`decode_into`]) is one plane whose final
-//! partial line is padded with zeros, which adds no bitmap bits and no
-//! survivors.
+//! kernel in each direction for every level: `line::compact64` packs the
+//! flagged bytes of a line on the way in and `line::expand64` scatters
+//! them back on the way out. The data lines pass through them in
+//! `Scratch::push_line64` and `Scratch::next_line`; the repeat levels
+//! (the level-0 bitmap among them) are built a 64-byte line at a time by
+//! `compact_into` when encoding and rebuilt by `expand_into`, followed by a
+//! fill of the repeated bytes, when decoding. One SWAR function,
+//! `line::flags64`, flags both kinds of line. The fused chunk kernel
+//! streams the transpose's plane lines through them directly; a flat byte
+//! buffer ([`encode_to_scratch`] / [`decode_into`]) is one plane whose
+//! final partial line is padded with zeros, which adds no bitmap bits and
+//! no survivors.
 //!
-//! The line kernel is chosen at run time ([`line_kernel`] names it):
-//! `vptestmb` + `vpcompressb` / `vpexpandb` where the CPU has AVX-512
-//! VBMI2, else the portable scalar kernel, which is also the
-//! reference the vector one is tested against (the unit tests call it
-//! directly). Both write identical bytes; a build whose target CPU has
-//! VBMI2 folds the check away and inlines the kernel.
+//! The line kernels are chosen at run time ([`line_kernel`] names them):
+//! `vpcompressb` / `vpexpandb` (and `vptestmb` for the data-line flags)
+//! where the CPU has AVX-512 VBMI2, else the portable scalar kernels,
+//! which are also the reference the vector ones are tested against (the
+//! unit tests call them directly). Both write identical bytes; a build
+//! whose target CPU has VBMI2 folds the check away and inlines the
+//! kernels.
 //!
 //! Encoding stages every piece in the scratch and returns the serialized
 //! length; nothing is emitted until the caller asks ([`Scratch::append_to`]
@@ -55,9 +60,9 @@ fn bitmap_len(n: usize) -> usize {
     n.div_ceil(8)
 }
 
-/// The 64-byte line kernels. Bit `i` of a line's mask is set iff byte `i`
-/// is nonzero (little-endian byte `j` of the mask is the bitmap byte of
-/// 8-byte group `j`), and survivors are packed in ascending byte order.
+/// The 64-byte line kernels. Bit `i` of a line's mask flags byte `i`
+/// (little-endian byte `j` of the mask is the flag byte of 8-byte group
+/// `j`), and flagged bytes are packed in ascending byte order.
 mod line {
     /// Whether this CPU runs the VBMI2 kernels. A build whose target CPU
     /// already has the features folds this to `true`.
@@ -75,10 +80,28 @@ mod line {
         }
     }
 
-    /// Pack the nonzero bytes of `line` (ascending) into the head of
-    /// `dst`; returns `(mask, survivor_count)`. `dst` must be at least 64
-    /// bytes; bytes past the survivor count are unspecified. Runs the VBMI2
-    /// kernel where the CPU has it, else [`compress64_scalar`].
+    /// The flag mask of a line, one SWAR word at a time. With no
+    /// predecessor (data lines) a byte is flagged when it is nonzero; with
+    /// `Some(p)` (repeat levels) when it differs from the byte before it,
+    /// `p` being the byte before the line.
+    #[inline]
+    pub fn flags64(line: &[u8; 64], prev: Option<u8>) -> u64 {
+        let mut mask = 0u64;
+        let mut before = prev.map(u64::from);
+        for (j, g) in line.as_chunks::<8>().0.iter().enumerate() {
+            let x = u64::from_le_bytes(*g);
+            // Repeat levels: byte i of y is byte i XOR its predecessor.
+            let y = before.map_or(x, |b| x ^ (x << 8 | b));
+            before = before.map(|_| x >> 56);
+            mask |= (super::nonzero_byte_mask(y) as u64) << (8 * j);
+        }
+        mask
+    }
+
+    /// Pack the nonzero bytes of `line` into the head of `dst`: the
+    /// data-line flags, then [`compact64`]. Returns `(mask,
+    /// survivor_count)`; same `dst` contract as [`compact64`]. The VBMI2
+    /// kernel computes the mask with `vptestmb`.
     #[inline]
     pub fn compress64(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
         if vbmi2() {
@@ -87,18 +110,33 @@ mod line {
             #[cfg(target_arch = "x86_64")]
             return unsafe { vbmi2::compress64(line, dst) };
         }
-        compress64_scalar(line, dst)
+        let mask = flags64(line, None);
+        (mask, compact64_scalar(mask, line, dst))
     }
 
-    /// [`compress64`] on the portable kernel, which is also the VBMI2
+    /// Pack the bytes of `line` that `mask` flags (ascending) into the head
+    /// of `dst`; returns their count. `dst` must be at least 64 bytes;
+    /// bytes past the count are unspecified. This is the only code that
+    /// packs flagged bytes. Runs the VBMI2 kernel where the CPU has it,
+    /// else [`compact64_scalar`].
+    #[inline]
+    pub fn compact64(mask: u64, line: &[u8; 64], dst: &mut [u8]) -> usize {
+        if vbmi2() {
+            // SAFETY: VBMI2 support was detected just above (`vbmi2()` is
+            // false off x86-64).
+            #[cfg(target_arch = "x86_64")]
+            return unsafe { vbmi2::compact64(mask, line, dst) };
+        }
+        compact64_scalar(mask, line, dst)
+    }
+
+    /// [`compact64`] on the portable kernel, which is also the VBMI2
     /// kernel's reference.
     #[inline]
-    pub fn compress64_scalar(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
-        let mut mask = 0u64;
+    pub fn compact64_scalar(mask: u64, line: &[u8; 64], dst: &mut [u8]) -> usize {
         let mut n = 0usize;
         for (j, g) in line.as_chunks::<8>().0.iter().enumerate() {
-            let m = super::nonzero_byte_mask(u64::from_le_bytes(*g));
-            mask |= (m as u64) << (8 * j);
+            let m = (mask >> (8 * j)) as u8;
             if m == 0xFF {
                 dst[n..n + 8].copy_from_slice(g);
                 n += 8;
@@ -112,10 +150,10 @@ mod line {
                 }
             }
         }
-        (mask, n)
+        n
     }
 
-    /// Inverse of [`compress64`]: scatter the first `popcount(mask)` bytes
+    /// Inverse of [`compact64`]: scatter the first `popcount(mask)` bytes
     /// of `src` to the set bit positions of `mask`, zeros elsewhere. `src`
     /// must hold at least that many bytes. Runs the VBMI2 kernel where the
     /// CPU has it, else [`expand64_scalar`].
@@ -152,29 +190,39 @@ mod line {
         }
     }
 
-    /// The VBMI2 kernels. Both are compiled for AVX-512 VBMI2 whatever the
-    /// build's target CPU; callers check for it at run time.
+    /// The VBMI2 kernels, compiled for AVX-512 VBMI2 whatever the build's
+    /// target CPU; callers check for it at run time.
     #[cfg(target_arch = "x86_64")]
     mod vbmi2 {
         use std::arch::x86_64::*;
 
-        /// `vptestmb` computes the 64-bit mask, `vpcompressb` packs the
+        /// `vptestmb` computes the data-line mask, [`compact64`] packs the
         /// survivors; same contract as [`super::compress64`].
         #[inline]
         #[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
         pub fn compress64(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
+            // SAFETY: the load covers the 64 bytes of `line`.
+            let v = unsafe { _mm512_loadu_si512(line.as_ptr().cast()) };
+            let mask = _mm512_test_epi8_mask(v, v);
+            (mask, compact64(mask, line, dst))
+        }
+
+        /// `vpcompressb` packs the flagged bytes; same contract as
+        /// [`super::compact64`].
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
+        pub fn compact64(mask: u64, line: &[u8; 64], dst: &mut [u8]) -> usize {
             // Caller contract (encode side only — never reachable from
             // archive bytes): kept as a hard assert because it guards the
             // unsafe 64-byte store below.
             assert!(dst.len() >= 64);
             // SAFETY: the load covers the 64 bytes of `line`.
             let v = unsafe { _mm512_loadu_si512(line.as_ptr().cast()) };
-            let mask = _mm512_test_epi8_mask(v, v);
             let packed = _mm512_maskz_compress_epi8(mask, v);
             // SAFETY: the assert above keeps the 64-byte store inside
             // `dst`.
             unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), packed) };
-            (mask, mask.count_ones() as usize)
+            mask.count_ones() as usize
         }
 
         /// `vpexpandb` scatter; same contract as [`super::expand64`]. Only
@@ -220,58 +268,6 @@ fn nonzero_byte_mask(x: u64) -> u8 {
     let m = (((x & LOW).wrapping_add(LOW)) | x) & !LOW;
     // gather the eight bit-7 indicators into one byte, byte 0 → bit 0
     ((m >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
-}
-
-/// Flag bytes of `src` that differ from their predecessor (predecessor
-/// initialized to 0) and append those bytes to `data`.
-///
-/// Works on 8-byte groups: `y = x ^ ((x << 8) | prev)` has a zero byte
-/// exactly where a byte repeats its predecessor, so `y == 0` (all repeat)
-/// and the classic SWAR zero-byte probe `(y - 0x0101…) & !y & 0x8080…`
-/// (zero ⇒ no repeats at all) route the two common cases on bitmap data —
-/// long constant runs and dense change regions — past the per-byte loop.
-/// The probe can report spurious zero bytes (a 0x01 directly above a zero
-/// byte), so per-byte extraction uses the exact [`nonzero_byte_mask`].
-fn build_nonrepeat_into(src: &[u8], bitmap: &mut Vec<u8>, data: &mut Vec<u8>) {
-    bitmap.clear();
-    bitmap.resize(bitmap_len(src.len()), 0);
-    let mut prev = 0u8;
-    let mut chunks = src.chunks_exact(8);
-    let mut bi = 0usize;
-    for chunk in &mut chunks {
-        let x = u64::from_le_bytes(chunk.try_into().unwrap());
-        // byte i of y = src byte i XOR its predecessor
-        let y = x ^ ((x << 8) | prev as u64);
-        prev = (x >> 56) as u8;
-        if y == 0 {
-            bi += 1; // all eight bytes repeat; bitmap byte stays 0
-            continue;
-        }
-        const ONES: u64 = 0x0101_0101_0101_0101;
-        const HIGH: u64 = 0x8080_8080_8080_8080;
-        if y.wrapping_sub(ONES) & !y & HIGH == 0 {
-            // no zero byte in y: every byte differs from its predecessor
-            bitmap[bi] = 0xFF;
-            data.extend_from_slice(chunk);
-        } else {
-            let mask = nonzero_byte_mask(y);
-            bitmap[bi] = mask;
-            // Set-bit iteration, ascending: same order as a byte scan.
-            let mut m = mask;
-            while m != 0 {
-                data.push(chunk[m.trailing_zeros() as usize]);
-                m &= m - 1;
-            }
-        }
-        bi += 1;
-    }
-    for (b, &v) in chunks.remainder().iter().enumerate() {
-        if v != prev {
-            bitmap[bi] |= 1 << b;
-            data.push(v);
-        }
-        prev = v;
-    }
 }
 
 /// Zero-elimination encoder and decoder over bit planes, with reusable
@@ -356,7 +352,9 @@ impl Scratch {
     }
 
     /// Stream the next 64-byte line of `plane`: its eight level-0 bitmap
-    /// bytes and its survivors. This is the only compaction code.
+    /// bytes and its survivors. This is the only compaction of data
+    /// bytes; the repeat levels go through the same line kernel in
+    /// [`Self::finish_encode`].
     #[inline]
     pub fn push_line64(&mut self, plane: usize, line: &[u8; 64]) {
         debug_assert!(plane < self.planes);
@@ -375,8 +373,9 @@ impl Scratch {
 
     /// Finish the chunk: every plane must have received all of its lines.
     /// Builds the repeat levels over the serialized part of the level-0
-    /// bitmap and returns the total serialized length (the raw-fallback
-    /// input); nothing is emitted yet.
+    /// bitmap, one 64-byte line at a time through the same line kernel as
+    /// [`Self::push_line64`], and returns the total serialized length (the
+    /// raw-fallback input); nothing is emitted yet.
     pub fn finish_encode(&mut self) -> usize {
         debug_assert!(self.filled.iter().all(|&f| f == self.stride));
         let len0 = bitmap_len(self.planes * self.plane_bytes);
@@ -384,11 +383,9 @@ impl Scratch {
         // buffer keeps its full size across chunks.
         let mut lo = std::mem::take(&mut self.bitmap_b);
         let mut hi = std::mem::take(&mut self.bitmap_c);
-        self.nonreps[0].clear();
-        build_nonrepeat_into(&self.bitmap[..len0], &mut lo, &mut self.nonreps[0]);
+        compact_into(&self.bitmap[..len0], &mut lo, &mut self.nonreps[0]);
         for k in 1..LEVELS {
-            self.nonreps[k].clear();
-            build_nonrepeat_into(&lo, &mut hi, &mut self.nonreps[k]);
+            compact_into(&lo, &mut hi, &mut self.nonreps[k]);
             std::mem::swap(&mut lo, &mut hi);
         }
         self.bitmap_b = lo;
@@ -531,6 +528,40 @@ fn level_len(n: usize, k: usize) -> usize {
         len = bitmap_len(len);
     }
     len
+}
+
+/// Flag the bytes of the level `src` that differ from their predecessor
+/// (zero before the first byte) in `bitmap` and pack them into `data`: the
+/// encode mirror of [`expand_into`]. Works a 64-byte line at a time,
+/// [`line::flags64`] flagging and [`line::compact64`] packing; the last
+/// partial line is zero-padded and its flags past the level's end are
+/// cleared.
+fn compact_into(src: &[u8], bitmap: &mut Vec<u8>, data: &mut Vec<u8>) {
+    // Every flag byte and every kept byte is overwritten below, so the
+    // resizes need no clear. A line packs at a count no larger than the
+    // bytes before it, so whole lines leave each 64-byte store its
+    // headroom; `data` is cut to the packed count at the end.
+    bitmap.resize(bitmap_len(src.len()), 0);
+    data.resize(src.len().next_multiple_of(LINE), 0);
+    let (lines, tail) = src.as_chunks::<LINE>();
+    let (mut n, mut prev) = (0usize, 0u8);
+    let mut compact = |l: usize, line: &[u8; LINE], len: usize| {
+        let mask = line::flags64(line, Some(prev)) & (!0u64 >> (LINE - len));
+        prev = line[LINE - 1];
+        let flags = &mut bitmap[8 * l..];
+        let k = flags.len().min(8);
+        flags[..k].copy_from_slice(&mask.to_le_bytes()[..k]);
+        n += line::compact64(mask, line, &mut data[n..]);
+    };
+    for (l, line) in lines.iter().enumerate() {
+        compact(l, line, LINE);
+    }
+    if !tail.is_empty() {
+        let mut pad = [0u8; LINE];
+        pad[..tail.len()].copy_from_slice(tail);
+        compact(lines.len(), &pad, tail.len());
+    }
+    data.truncate(n);
 }
 
 /// The flag masks of an `n`-byte level, one per 64-byte output line: the
@@ -995,43 +1026,87 @@ mod tests {
         lines
     }
 
+    /// The masks test line `k` of [`kernel_lines`] is compacted with: its
+    /// data-line flags, its repeat-level flags (`prev` is the line before
+    /// it), flag byte `k % 256` at byte position `k / 256 % 8` among random
+    /// flag bytes, and a random mask. Repeat-level and random masks flag
+    /// zero bytes and skip nonzero ones, which no data-line mask does.
+    fn kernel_masks(k: usize, l: &[u8; 64], prev: &[u8; 64]) -> [u64; 4] {
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+        let mix = |x: u64| {
+            let x = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let x = (x ^ x >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^ x >> 31
+        };
+        let w = 8 * (k / 256 % 8);
+        [
+            word(&ref_flags(l, false).0),
+            word(&ref_flags(&[&prev[..], &l[..]].concat(), true).0[8..]),
+            mix(2 * k as u64) & !(0xFF << w) | (k as u64 % 256) << w,
+            mix(2 * k as u64 + 1),
+        ]
+    }
+
+    /// The bytes of `l` that `mask` flags, one byte at a time.
+    fn ref_compact(mask: u64, l: &[u8; 64]) -> Vec<u8> {
+        (0..64)
+            .filter(|i| mask >> i & 1 == 1)
+            .map(|i| l[i])
+            .collect()
+    }
+
     /// The scalar line kernels, called directly (on VBMI2 hosts the codec
-    /// never reaches them), against a byte-at-a-time reference; expansion
-    /// also zeroes the bytes the mask does not flag.
+    /// never reaches them), against a byte-at-a-time reference: both flag
+    /// kinds, compaction under every mask of [`kernel_masks`], and
+    /// expansion of the compacted bytes, which restores the flagged bytes
+    /// and zeroes the others.
     #[test]
     fn scalar_line_kernels_match_reference() {
-        for (k, l) in kernel_lines().iter().enumerate() {
-            let (flags, kept) = ref_flags(l, false);
-            let mask = u64::from_le_bytes(flags.try_into().unwrap());
-            let mut got = [0u8; 64];
-            assert_eq!(
-                line::compress64_scalar(l, &mut got),
-                (mask, kept.len()),
-                "line {k}"
-            );
-            assert_eq!(&got[..kept.len()], &kept[..], "line {k}");
-            let mut ex = [0xAAu8; 64];
-            line::expand64_scalar(mask, &kept, &mut ex);
-            assert_eq!(ex, *l, "line {k}");
+        let lines = kernel_lines();
+        for (k, l) in lines.iter().enumerate() {
+            let prev = if k == 0 { [0u8; 64] } else { lines[k - 1] };
+            let masks = kernel_masks(k, l, &prev);
+            assert_eq!(line::flags64(l, None), masks[0], "line {k}");
+            assert_eq!(line::flags64(l, Some(prev[63])), masks[1], "line {k}");
+            for mask in masks {
+                let case = format!("line {k} mask {mask:#018x}");
+                let mut got = [0u8; 64];
+                let n = line::compact64_scalar(mask, l, &mut got);
+                assert_eq!(got[..n], ref_compact(mask, l), "{case}");
+                let mut ex = [0xAAu8; 64];
+                line::expand64_scalar(mask, &got[..n], &mut ex);
+                let want: [u8; 64] =
+                    std::array::from_fn(|i| if mask >> i & 1 == 1 { l[i] } else { 0 });
+                assert_eq!(ex, want, "{case}");
+            }
         }
     }
 
     /// The VBMI2 line kernels (which the dispatchers run on a VBMI2 CPU)
-    /// agree with the scalar ones on the same lines.
+    /// agree with the scalar ones on the same lines and masks.
     #[test]
     fn vbmi2_line_kernels_match_scalar() {
         if !have_vbmi2("vbmi2_line_kernels_match_scalar") {
             return;
         }
-        for (k, l) in kernel_lines().iter().enumerate() {
+        let lines = kernel_lines();
+        for (k, l) in lines.iter().enumerate() {
             let (mut got, mut want) = ([0u8; 64], [0u8; 64]);
             let (mask, n) = line::compress64(l, &mut got);
-            assert_eq!(line::compress64_scalar(l, &mut want), (mask, n));
-            assert_eq!(&got[..n], &want[..n], "line {k}");
-            let (mut ex, mut ex_ref) = ([0xAAu8; 64], [0x55u8; 64]);
-            line::expand64(mask, &got[..n], &mut ex);
-            line::expand64_scalar(mask, &got[..n], &mut ex_ref);
-            assert_eq!(ex, ex_ref, "line {k}");
+            assert_eq!(mask, line::flags64(l, None), "line {k}");
+            assert_eq!(line::compact64_scalar(mask, l, &mut want), n, "line {k}");
+            assert_eq!(got[..n], want[..n], "line {k}");
+            let prev = if k == 0 { [0u8; 64] } else { lines[k - 1] };
+            for mask in kernel_masks(k, l, &prev) {
+                let case = format!("line {k} mask {mask:#018x}");
+                let n = line::compact64(mask, l, &mut got);
+                assert_eq!(line::compact64_scalar(mask, l, &mut want), n, "{case}");
+                assert_eq!(got[..n], want[..n], "{case}");
+                let (mut ex, mut ex_ref) = ([0xAAu8; 64], [0x55u8; 64]);
+                line::expand64(mask, &got[..n], &mut ex);
+                line::expand64_scalar(mask, &got[..n], &mut ex_ref);
+                assert_eq!(ex, ex_ref, "{case}");
+            }
         }
     }
 
@@ -1230,11 +1305,21 @@ mod tests {
             prop_assert!(s.begin_decode(&long, planes, plane_bytes).is_err());
         }
 
+        /// Any level, and the fixed level lengths just short of, at and
+        /// just past one and 32 whole lines, compacts to the reference
+        /// flags and bytes; stale bytes in the reused buffers do not leak
+        /// into them.
         #[test]
-        fn swar_nonrepeat_matches_naive(src: Vec<u8>) {
-            let mut bitmap = Vec::new();
-            let mut data = Vec::new();
-            build_nonrepeat_into(&src, &mut bitmap, &mut data);
+        fn compact_into_matches_naive(src: Vec<u8>, seed: u64, zero_every in 1u64..5) {
+            let (mut bitmap, mut data) = (vec![0xAA; 4096], vec![0x55; 4096]);
+            for n in [63, 64, 65, 2047, 2048, 2049] {
+                let fixed = sparse_bytes(n, seed, zero_every);
+                compact_into(&fixed, &mut bitmap, &mut data);
+                let (want_bitmap, want_data) = ref_flags(&fixed, true);
+                prop_assert_eq!(&bitmap, &want_bitmap, "n = {}", n);
+                prop_assert_eq!(&data, &want_data, "n = {}", n);
+            }
+            compact_into(&src, &mut bitmap, &mut data);
             prop_assert_eq!((bitmap, data), ref_flags(&src, true));
         }
     }

@@ -20,6 +20,16 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
+    /// The bound of type `kind` with value `value`; the inverse of
+    /// [`Self::kind`] and [`Self::value`].
+    pub fn new(kind: BoundKind, value: f64) -> Self {
+        match kind {
+            BoundKind::Abs => ErrorBound::Abs(value),
+            BoundKind::Rel => ErrorBound::Rel(value),
+            BoundKind::Noa => ErrorBound::Noa(value),
+        }
+    }
+
     /// The bound type without its value.
     pub fn kind(&self) -> BoundKind {
         match self {
@@ -139,6 +149,26 @@ impl Mode {
         match self {
             Mode::Serial => 1,
             Mode::Parallel => rayon::current_num_threads(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn error_bound_new_inverts_kind_and_value() {
+        for bound in [
+            ErrorBound::Abs(1e-3),
+            ErrorBound::Rel(0.25),
+            ErrorBound::Noa(1e-6),
+        ] {
+            assert_eq!(ErrorBound::new(bound.kind(), bound.value()), bound);
+        }
+        for kind in [BoundKind::Abs, BoundKind::Rel, BoundKind::Noa] {
+            let bound = ErrorBound::new(kind, 0.5);
+            assert_eq!((bound.kind(), bound.value()), (kind, 0.5));
         }
     }
 }

@@ -8,8 +8,8 @@
 //! so this crate provides the closest synthetic equivalent: a simulated
 //! device that executes the **same algorithm structure** —
 //!
-//! * [`warp`] — 32-lane warps with `shfl_up/down/xor`, ballot, scans, and
-//!   the butterfly bit-matrix transpose the paper's bit shuffle uses;
+//! * [`warp`] — 32-lane warps with `shfl_up`/`shfl_xor`, scans, and the
+//!   butterfly bit-matrix transpose the paper's bit shuffle uses;
 //! * [`block`] — block-wide inclusive/exclusive scans built from warp
 //!   scans (with per-thread local pre-reduction, as the paper optimizes);
 //! * [`grid`] — a persistent-worker grid launcher whose workers acquire

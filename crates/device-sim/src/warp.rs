@@ -2,8 +2,7 @@
 //!
 //! A warp is modeled as a `[T; 32]` array — lane `l`'s register is element
 //! `l`. The collectives mirror the CUDA intrinsics the paper's kernels use
-//! (`__shfl_up_sync`, `__shfl_down_sync`, `__shfl_xor_sync`, `__ballot_sync`)
-//! plus the warp-granularity bit-matrix transpose that implements the bit
+//! (`__shfl_up_sync`, `__shfl_xor_sync`) plus the warp-granularity bit-matrix transpose that implements the bit
 //! shuffle stage "using warp shuffle instructions that exchange data
 //! without accessing memory" (§III-E).
 
@@ -18,14 +17,6 @@ pub fn shfl_up<T: Copy>(vals: &[T; WARP_SIZE], delta: usize) -> [T; WARP_SIZE] {
     out
 }
 
-/// `__shfl_down_sync`: lane `l` receives the value of lane `l + delta`;
-/// the top `delta` lanes keep their own value.
-pub fn shfl_down<T: Copy>(vals: &[T; WARP_SIZE], delta: usize) -> [T; WARP_SIZE] {
-    let mut out = *vals;
-    out[..WARP_SIZE - delta].copy_from_slice(&vals[delta..]);
-    out
-}
-
 /// `__shfl_xor_sync`: lane `l` receives the value of lane `l ^ mask`.
 pub fn shfl_xor<T: Copy>(vals: &[T; WARP_SIZE], mask: usize) -> [T; WARP_SIZE] {
     let mut out = *vals;
@@ -33,14 +24,6 @@ pub fn shfl_xor<T: Copy>(vals: &[T; WARP_SIZE], mask: usize) -> [T; WARP_SIZE] {
         out[l] = vals[l ^ mask];
     }
     out
-}
-
-/// `__ballot_sync`: bit `l` of the result is lane `l`'s predicate.
-pub fn ballot(preds: &[bool; WARP_SIZE]) -> u32 {
-    preds
-        .iter()
-        .enumerate()
-        .fold(0u32, |acc, (l, &p)| acc | ((p as u32) << l))
 }
 
 /// Warp-wide inclusive scan with a wrapping-add combiner, implemented with
@@ -132,21 +115,9 @@ mod tests {
         let up = shfl_up(&vals, 1);
         assert_eq!(up[0], 0);
         assert_eq!(up[5], 40);
-        let down = shfl_down(&vals, 2);
-        assert_eq!(down[0], 20);
-        assert_eq!(down[31], 310, "top lanes keep their value");
         let x = shfl_xor(&vals, 1);
         assert_eq!(x[0], 10);
         assert_eq!(x[1], 0);
-    }
-
-    #[test]
-    fn ballot_packs_predicates() {
-        let preds: [bool; 32] = std::array::from_fn(|l| l % 3 == 0);
-        let b = ballot(&preds);
-        for l in 0..32 {
-            assert_eq!(b >> l & 1 == 1, l % 3 == 0);
-        }
     }
 
     #[test]

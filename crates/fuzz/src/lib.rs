@@ -3,10 +3,10 @@
 //! The decode contract under test (see `docs/FORMAT.md` and the tentpole of
 //! this subsystem): for **arbitrary** input bytes, every decoder —
 //! [`pfpl::decompress`] serial and parallel, [`pfpl::decompress_chunks`],
-//! the device-sim decoder, and the fused/staged chunk kernels — either
-//! returns `Ok` or a structured [`pfpl::Error`]; it never panics, never
-//! reads out of bounds, and never allocates unboundedly from forged length
-//! fields. On `Ok` for a clean archive, every value must satisfy the error
+//! the device-sim decoder, and the codec's chunk kernel called directly —
+//! either returns `Ok` or a structured [`pfpl::Error`]; it never panics,
+//! never reads out of bounds, and never allocates unboundedly from forged
+//! length fields. On `Ok` for a clean archive, every value must satisfy the error
 //! bound it was compressed under.
 //!
 //! Everything is driven by one xorshift64* stream seeded from the CLI

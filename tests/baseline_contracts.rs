@@ -77,11 +77,7 @@ fn all_baselines_roundtrip_on_3d_suite() {
             if caps.support(kind) == Support::No {
                 continue;
             }
-            let bound = match kind {
-                BoundKind::Abs => ErrorBound::Abs(eb),
-                BoundKind::Noa => ErrorBound::Noa(eb),
-                BoundKind::Rel => unreachable!(),
-            };
+            let bound = ErrorBound::new(kind, eb);
             let arch = match c.compress_f32(data, &field.dims, bound) {
                 Ok(a) => a,
                 Err(BaselineError::Unsupported(_)) => continue,
