@@ -12,18 +12,24 @@
 //! anyway, and oversubscribed runs only produce misleading scheduler
 //! noise) — their JSON value is the string `"skipped_oversubscribed"`.
 //!
-//! Per-layer figures (quantize, delta, shuffle, zero-elimination,
-//! checksum, archive assembly, pool dispatch) come from the repository
-//! benchmark on real workload data: `benchmark/run.py --trace 1`.
+//! `quantizer_lanes_gbs` times the batched quantizer kernels alone —
+//! `encode_slice` and `decode_slice` called once per
+//! `shuffle::TILE_WORDS` values, as the fused chunk kernel calls them —
+//! for REL f64 (the input widened to `f64`), REL f32 and ABS f32.
+//!
+//! Per-layer figures of whole workloads (quantize, delta, shuffle,
+//! zero-elimination, checksum, archive assembly, pool dispatch) come from
+//! the repository benchmark on real workload data:
+//! `benchmark/run.py --trace 1`.
 //!
 //! Flags: `--values N` (input size, default 4 Mi values = 16 MiB),
 //! `--runs R` (median-of-R, default 5).
 
 use pfpl::chunk;
 use pfpl::container::Toc;
-use pfpl::float::Word;
+use pfpl::float::{PfplFloat, Word};
 use pfpl::lossless::{delta, shuffle, zeroelim};
-use pfpl::quantize::{AbsQuantizer, Quantizer};
+use pfpl::quantize::{AbsQuantizer, Quantizer, RelQuantizer};
 use pfpl::types::{ErrorBound, Mode};
 use pfpl_data::timing::{median_seconds, throughput_gbs};
 use std::hint::black_box;
@@ -107,6 +113,32 @@ fn staged_decompress(
     for (v, &w) in vals.iter_mut().zip(&st.words) {
         *v = q.decode(w);
     }
+}
+
+/// GB/s of `q.encode_slice` and of `q.decode_slice` over `vals`, one
+/// call per [`shuffle::TILE_WORDS`] values, each the median of `runs`
+/// after one untimed pass.
+fn lanes_gbs<F: PfplFloat>(q: &impl Quantizer<F>, vals: &[F], runs: usize) -> (f64, f64) {
+    let tile = shuffle::TILE_WORDS;
+    let bytes = vals.len() * F::Bits::BITS as usize / 8;
+    let mut words = vec![F::Bits::ZERO; vals.len()];
+    let mut out = vec![F::ZERO; vals.len()];
+    let encode = |words: &mut [F::Bits]| {
+        for (v, w) in vals.chunks(tile).zip(words.chunks_mut(tile)) {
+            black_box(q.encode_slice(v, w));
+        }
+    };
+    encode(&mut words);
+    let t_enc = median_seconds(runs, || encode(&mut words));
+    let decode = |out: &mut [F]| {
+        for (w, v) in words.chunks(tile).zip(out.chunks_mut(tile)) {
+            q.decode_slice(w, v);
+        }
+        black_box(&*out);
+    };
+    decode(&mut out);
+    let t_dec = median_seconds(runs, || decode(&mut out));
+    (throughput_gbs(bytes, t_enc), throughput_gbs(bytes, t_dec))
 }
 
 fn main() {
@@ -198,6 +230,17 @@ fn main() {
         },
     );
 
+    // ---- quantizer lanes -------------------------------------------------
+    let vals64: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
+    let (rel64_enc, rel64_dec) =
+        lanes_gbs(&RelQuantizer::<f64>::new(BOUND).unwrap(), &vals64, runs);
+    let (rel32_enc, rel32_dec) = lanes_gbs(
+        &RelQuantizer::<f32>::new(BOUND as f32).unwrap(),
+        &vals,
+        runs,
+    );
+    let (abs32_enc, abs32_dec) = lanes_gbs(&q, &vals, runs);
+
     // ---- end to end ------------------------------------------------------
     let bound = ErrorBound::Abs(BOUND);
     let archive = pfpl::compress(&vals, bound, Mode::Serial).unwrap();
@@ -278,6 +321,11 @@ fn main() {
     "compress": {{ "serial": {cs:.4}, "parallel_by_threads": {{ {comp_by_threads} }} }},
     "decompress": {{ "serial": {ds:.4}, "parallel_by_threads": {{ {dec_by_threads} }} }}
   }},
+  "quantizer_lanes_gbs": {{
+    "rel_f64": {{ "encode_slice": {r64e:.4}, "decode_slice": {r64d:.4} }},
+    "rel_f32": {{ "encode_slice": {r32e:.4}, "decode_slice": {r32d:.4} }},
+    "abs_f32": {{ "encode_slice": {a32e:.4}, "decode_slice": {a32d:.4} }}
+  }},
   "integrity_gbs": {{
     "decompress_verified": {dv:.4},
     "decompress_unverified": {du:.4},
@@ -288,6 +336,12 @@ fn main() {
   "compression_ratio": {ratio:.4}
 }}
 "#,
+        r64e = rel64_enc,
+        r64d = rel64_dec,
+        r32e = rel32_enc,
+        r32d = rel32_dec,
+        a32e = abs32_enc,
+        a32d = abs32_dec,
         dv = gbs(t_dec_verified),
         du = gbs(t_dec_unverified),
         sal = gbs(t_salvage),

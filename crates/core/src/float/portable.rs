@@ -24,7 +24,13 @@
 //! contracts `a * b + c` into an FMA), so the lane results are bit-identical
 //! to [`log2`] / [`exp2`] by construction. Only `exp2` keeps a scalar tail:
 //! results outside the normal range go through the two-step scaling of
-//! `scale_by_pow2`, which the lane form re-runs per lane.
+//! `scale_by_pow2`, which the lane form re-runs per lane. The REL
+//! quantizer calls the lane forms in a pass of their own over each block
+//! of values, and both are `#[inline(always)]` so that each pass compiles
+//! to one loop: with plain `#[inline]`, a thin-LTO `native` build kept
+//! `exp2_lanes` as an out-of-line call taking and returning its arrays by
+//! value, and REL f64 `decode_slice` ran about 10 % slower (1.11–1.26
+//! against 1.20–1.31 GB/s, 32 Ki smooth values, 2-vCPU AVX-512 Xeon).
 
 const MANT_MASK: u64 = 0x000F_FFFF_FFFF_FFFF;
 const EXP_BIAS: i32 = 1023;
@@ -85,7 +91,7 @@ pub fn log2(x: f64) -> f64 {
 }
 
 /// [`log2`] of each lane, bit-identical to the scalar function.
-#[inline]
+#[inline(always)]
 pub fn log2_lanes(x: [f64; LANES]) -> [f64; LANES] {
     x.map(log2)
 }
@@ -110,18 +116,22 @@ pub fn exp2(y: f64) -> f64 {
 /// lanes whose `k` leaves `-1022..=1023` re-run the scalar [`exp2`]. That
 /// test also catches both cut-offs: an in-range `k` means
 /// `-1022.5 <= y < 1023.5`.
-#[inline]
+#[inline(always)]
 pub fn exp2_lanes(y: [f64; LANES]) -> [f64; LANES] {
     let mut out = [0.0; LANES];
-    let mut normal = [true; LANES];
-    for ((o, n), &y) in out.iter_mut().zip(&mut normal).zip(&y) {
+    let mut ks = [0.0; LANES];
+    // One flag for the group, not one per lane: the common all-normal case
+    // then costs a single vector compare-and-reduce.
+    let mut normal = true;
+    for ((o, ko), &y) in out.iter_mut().zip(&mut ks).zip(&y) {
         let (frac, k) = exp2_split(y);
-        *n = (-1022.0..=1023.0).contains(&k);
+        *ko = k;
+        normal &= (-1022.0..=1023.0).contains(&k);
         *o = frac * pow2(k.clamp(-1022.0, 1023.0));
     }
-    if normal.contains(&false) {
-        for ((o, &n), &y) in out.iter_mut().zip(&normal).zip(&y) {
-            if !n {
+    if !normal {
+        for ((o, k), &y) in out.iter_mut().zip(&ks).zip(&y) {
+            if !(-1022.0..=1023.0).contains(k) {
                 *o = exp2(y);
             }
         }

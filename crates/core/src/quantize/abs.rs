@@ -13,7 +13,7 @@
 //! lossless value. NaNs and infinities (exponent all ones) pass through
 //! untouched.
 
-use super::Quantizer;
+use super::{encode_each, Quantizer};
 use crate::error::{Error, Result};
 use crate::float::{PfplFloat, Word};
 
@@ -203,22 +203,14 @@ impl<F: PfplFloat> Quantizer<F> for AbsQuantizer<F> {
                 *w = if accept { bin } else { v.to_bits() };
                 accepted += accept as u32;
             }
-            if band {
-                accepted = 0;
-                for (w, &v) in ws.iter_mut().zip(vs) {
-                    let e = self.encode(v);
-                    accepted += !self.is_lossless_word(e) as u32;
-                    *w = e;
-                }
-            }
-            lossless += (LANES as u32 - accepted) as u64;
+            lossless += if band {
+                encode_each(self, ws.iter_mut().zip(vs))
+            } else {
+                (LANES as u32 - accepted) as u64
+            };
         }
-        for (w, &v) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
-            let e = self.encode(v);
-            lossless += self.is_lossless_word(e) as u64;
-            *w = e;
-        }
-        lossless
+        let tail = outs.into_remainder().iter_mut().zip(groups.remainder());
+        lossless + encode_each(self, tail)
     }
 }
 

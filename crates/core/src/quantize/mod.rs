@@ -45,13 +45,7 @@ pub trait Quantizer<F: PfplFloat>: Send + Sync {
     /// serial/parallel byte-identity guarantee, depend on it).
     fn encode_slice(&self, vals: &[F], out: &mut [F::Bits]) -> u64 {
         debug_assert_eq!(vals.len(), out.len());
-        let mut lossless = 0u64;
-        for (w, &v) in out.iter_mut().zip(vals) {
-            let e = self.encode(v);
-            lossless += self.is_lossless_word(e) as u64;
-            *w = e;
-        }
-        lossless
+        encode_each(self, out.iter_mut().zip(vals))
     }
 
     /// Decode a whole slice into pre-sized `out` (`out.len() ==
@@ -62,9 +56,36 @@ pub trait Quantizer<F: PfplFloat>: Send + Sync {
     /// implementations must stay bit-identical to the scalar path.
     fn decode_slice(&self, words: &[F::Bits], out: &mut [F]) {
         debug_assert_eq!(words.len(), out.len());
-        for (v, &w) in out.iter_mut().zip(words) {
-            *v = self.decode(w);
-        }
+        decode_each(self, out.iter_mut().zip(words));
+    }
+}
+
+/// `*w = q.encode(v)` for every `(w, v)` pair, returning how many of the
+/// words are lossless: the scalar loop behind the default
+/// [`Quantizer::encode_slice`] and the batched kernels' tails and re-runs.
+#[inline]
+pub(crate) fn encode_each<'a, F: PfplFloat, Q: Quantizer<F> + ?Sized>(
+    q: &Q,
+    pairs: impl Iterator<Item = (&'a mut F::Bits, &'a F)>,
+) -> u64 {
+    let mut lossless = 0u64;
+    for (w, &v) in pairs {
+        let e = q.encode(v);
+        lossless += q.is_lossless_word(e) as u64;
+        *w = e;
+    }
+    lossless
+}
+
+/// `*v = q.decode(w)` for every `(v, w)` pair: the decode mirror of
+/// [`encode_each`].
+#[inline]
+pub(crate) fn decode_each<'a, F: PfplFloat, Q: Quantizer<F> + ?Sized>(
+    q: &Q,
+    pairs: impl Iterator<Item = (&'a mut F, &'a F::Bits)>,
+) {
+    for (v, &w) in pairs {
+        *v = q.decode(w);
     }
 }
 

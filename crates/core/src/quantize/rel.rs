@@ -10,13 +10,19 @@
 //! [`crate::float::portable`]; their tiny inaccuracies are absorbed by the
 //! exact verification + lossless fallback (§III-C).
 //!
-//! **Lanes.** `encode_slice` and `decode_slice` run the quantizer
-//! [`LANES`] values at a time through `log2_lanes` / `exp2_lanes`, which
-//! map the one branch-free body of the scalar functions over the lanes.
-//! Each lane repeats the scalar IEEE operations in order, and every lane
-//! that the in-lane fast test cannot decide re-runs the scalar
-//! `encode` / `decode`, so the batched words and values are bit-identical
-//! to the scalar ones by construction.
+//! **Lanes.** `encode_slice` and `decode_slice` work on blocks of up to
+//! [`TILE_WORDS`] values, one pass per stage over stack buffers:
+//! magnitudes, `log2_lanes` over every group of [`LANES`], the bin, then
+//! `exp2_lanes`, and one accept pass (decode: unpack, `exp2_lanes`, sign).
+//! The bin is float-only: `m = |q| + 0.5`, `in_range = m < max_mag + 1`
+//! and `mag = trunc(m)` by a magic-number round stand in for the
+//! saturating float→int cast, and the magnitude's code is the mantissa
+//! field of `mag + 2^52`. Each pass repeats the scalar IEEE operations in
+//! order, and every lane the fast test cannot decide — specials, bins out
+//! of range, reconstructions that need the exact check — re-runs the
+//! scalar `encode` / `decode`, so the batched words and values are
+//! bit-identical to the scalar ones by construction. A tail of fewer than
+//! [`LANES`] values runs scalar.
 //!
 //! **Bin storage (§III-B).** The denormal-range trick used by ABS does not
 //! work for REL (denormals need high relative precision), so bins live in
@@ -38,11 +44,11 @@
 //! with `magnitude == MAX_MAG+1` (all ones) and bin sign 0 reserved for the
 //! exact-zero code, so ±0.0 round-trips with its sign.
 
-use super::Quantizer;
+use super::{decode_each, encode_each, Quantizer};
 use crate::error::{Error, Result};
 use crate::float::portable::{self, LANES};
 use crate::float::{PfplFloat, Word};
-use std::array;
+use crate::lossless::shuffle::TILE_WORDS;
 
 /// REL quantizer: guarantees `|v - v'| <= eb * |v|` and `sign(v') == sign(v)`.
 #[derive(Debug, Clone)]
@@ -133,16 +139,17 @@ impl<F: PfplFloat> RelQuantizer<F> {
         (raw & Self::xor_mask() == Self::xor_mask()) & (raw & F::MANT_MASK != F::Bits::ZERO)
     }
 
-    /// Split the payload of a bin pattern into (value sign, zero code, bin).
-    /// Total over any word: a zero mantissa wraps instead of panicking.
+    /// Split the payload of a bin pattern into (value sign, zero code, bin
+    /// sign, bin magnitude). Total over any word: a zero mantissa wraps
+    /// instead of panicking.
     #[inline(always)]
-    fn unpack(raw: F::Bits) -> (bool, bool, i64) {
+    fn unpack(raw: F::Bits) -> (bool, bool, bool, u64) {
         let payload = (raw & F::MANT_MASK).to_u64().wrapping_sub(1);
         let vsign = payload >> (F::MANT_BITS - 1) & 1 == 1;
         let bsign = payload >> Self::mag_bits() & 1 == 1;
         let mag = payload & ((1u64 << Self::mag_bits()) - 1);
         let zero = (mag == Self::zero_mag()) & !bsign;
-        (vsign, zero, if bsign { -(mag as i64) } else { mag as i64 })
+        (vsign, zero, bsign, mag)
     }
 
     /// `a` with its sign bit set when `negative`.
@@ -160,6 +167,138 @@ impl<F: PfplFloat> RelQuantizer<F> {
     #[inline]
     fn recon_mag(&self, bin: i64) -> F {
         F::from_f64(portable::exp2(bin as f64 * self.binw))
+    }
+}
+
+/// `2^52` as an `f64`: adding it to an integral `0 <= x < 2^52` places
+/// `x` in the mantissa field exactly, and subtracting it back from such a
+/// pattern converts the field to `f64` exactly, with no int↔float cast.
+const MAGIC: f64 = (1u64 << 52) as f64;
+/// Mantissa field of an `f64`.
+const MAGIC_FIELD: u64 = (1u64 << 52) - 1;
+/// Code of an encode lane whose bin magnitude overflows `max_mag`.
+const OUT_OF_RANGE: u64 = 1 << 63;
+
+impl<F: PfplFloat> RelQuantizer<F> {
+    /// True for a finite nonzero value: the values the lanes can bin.
+    #[inline(always)]
+    fn plain(v: F) -> bool {
+        v.is_finite() & (v.to_bits() & !F::SIGN_MASK != F::Bits::ZERO)
+    }
+
+    /// Encode one block (`vs.len()` a multiple of [`LANES`], at most
+    /// [`TILE_WORDS`]) as one pass per stage over stack buffers, and
+    /// return its lossless count. Every pass repeats the scalar
+    /// [`Quantizer::encode`]'s IEEE operations in order, so a word the
+    /// passes accept is the scalar word:
+    ///
+    /// 1. Magnitudes `|v|` as `f64`; NaN, ±∞ and ±0 enter as the neutral 1.0.
+    /// 2. [`portable::log2_lanes`] over every group of [`LANES`].
+    /// 3. The bin, float-only. `m = |q| + 0.5` with `q = log2·inv_binw`,
+    ///    and `in_range = m < max_mag + 1` is the scalar `|bin| <= max_mag`
+    ///    test (false for a NaN or ±∞ `q`). `mag = trunc(m)` is the
+    ///    magic-number round `r = (m + 2^52) − 2^52`, minus 1 where `r > m`;
+    ///    the mantissa field of `mag + 2^52` is its code, with the bin sign
+    ///    set for a negative `q` of nonzero magnitude.
+    /// 4. [`portable::exp2_lanes`] over `±mag·binw`.
+    /// 5. One accept pass with the scalar fast decision: plain, in range,
+    ///    `t = eb·|v|` normal and finite, `|v − recon| < t·fast_lo`. An
+    ///    accepted lane writes `(payload | vsign) + 1`, the emitted word
+    ///    after the XOR; every other lane is flagged.
+    /// 6. The scalar [`Quantizer::encode`] of the flagged lanes only — the
+    ///    one place the exact `rel_within_mag` check runs.
+    fn encode_block(&self, vs: &[F], ws: &mut [F::Bits]) -> u64 {
+        debug_assert!(vs.len().is_multiple_of(LANES) && vs.len() <= TILE_WORDS);
+        let mut x = [0.0f64; TILE_WORDS];
+        let mut code = [0u64; TILE_WORDS];
+        let x = &mut x[..vs.len()];
+        let code = &mut code[..vs.len()];
+        for (x, &v) in x.iter_mut().zip(vs) {
+            *x = if Self::plain(v) {
+                v.abs().to_f64()
+            } else {
+                1.0
+            };
+        }
+        for g in x.chunks_exact_mut(LANES) {
+            let g: &mut [f64; LANES] = g.try_into().expect("LANES-sized chunk");
+            *g = portable::log2_lanes(*g);
+        }
+        let top = (Self::max_mag() + 1) as f64;
+        for (x, c) in x.iter_mut().zip(code.iter_mut()) {
+            let q = *x * self.inv_binw;
+            let m = q.abs() + 0.5;
+            let in_range = m < top;
+            let m = if in_range { m } else { 0.0 };
+            let r = m + MAGIC - MAGIC;
+            let mag = if r > m { r - 1.0 } else { r };
+            let negative = (q < 0.0) & (mag != 0.0);
+            let field = (mag + MAGIC).to_bits() & MAGIC_FIELD;
+            *c = if in_range {
+                (negative as u64) << Self::mag_bits() | field
+            } else {
+                OUT_OF_RANGE
+            };
+            *x = if negative { -mag } else { mag } * self.binw;
+        }
+        for g in x.chunks_exact_mut(LANES) {
+            let g: &mut [f64; LANES] = g.try_into().expect("LANES-sized chunk");
+            *g = portable::exp2_lanes(*g);
+        }
+        let vsign_shift = F::Bits::BITS - F::MANT_BITS;
+        for ((w, &v), (c, &y)) in ws.iter_mut().zip(vs).zip(code.iter_mut().zip(&*x)) {
+            let a = v.abs();
+            let recon = F::from_f64(y);
+            let t = self.eb.mul(a);
+            let ad = a.add(F::from_bits(recon.to_bits() ^ F::SIGN_MASK)).abs();
+            let accept = Self::plain(v)
+                & (*c & OUT_OF_RANGE == 0)
+                & (t >= F::MIN_NORMAL)
+                & t.is_finite()
+                & (ad < t.mul(self.fast_lo));
+            let vsign = (v.to_bits() & F::SIGN_MASK) >> vsign_shift;
+            *w = F::Bits::from_u64(*c).wrapping_add(F::Bits::ONE) | vsign;
+            *c = !accept as u64;
+        }
+        let flagged = ws.iter_mut().zip(vs).zip(&*code).filter(|(_, &c)| c != 0);
+        encode_each(self, flagged.map(|(pair, _)| pair))
+    }
+
+    /// Decode one block (`ws.len()` a multiple of [`LANES`], at most
+    /// [`TILE_WORDS`]), mirroring [`RelQuantizer::encode_block`]: one pass
+    /// unpacks each word into `±mag·binw` (the magnitude converted with
+    /// the same magic number, not a cast), then
+    /// [`portable::exp2_lanes`], a sign pass, and the scalar
+    /// [`Quantizer::decode`] of the lossless words and the zero code.
+    fn decode_block(&self, ws: &[F::Bits], vs: &mut [F]) {
+        debug_assert!(ws.len().is_multiple_of(LANES) && ws.len() <= TILE_WORDS);
+        let mut x = [0.0f64; TILE_WORDS];
+        let mut code = [0u64; TILE_WORDS];
+        let x = &mut x[..ws.len()];
+        let code = &mut code[..ws.len()];
+        for ((x, c), &w) in x.iter_mut().zip(code.iter_mut()).zip(ws) {
+            let raw = w ^ Self::xor_mask();
+            let (vsign, zero, bsign, mag) = Self::unpack(raw);
+            let fast = Self::is_bin(raw) & !zero;
+            let magf = f64::from_bits(mag | MAGIC.to_bits()) - MAGIC;
+            let y = if bsign { -magf } else { magf } * self.binw;
+            *x = if fast { y } else { 0.0 };
+            *c = (vsign as u64) << (F::Bits::BITS - 1) | !fast as u64;
+        }
+        for g in x.chunks_exact_mut(LANES) {
+            let g: &mut [f64; LANES] = g.try_into().expect("LANES-sized chunk");
+            *g = portable::exp2_lanes(*g);
+        }
+        for ((v, &y), &c) in vs.iter_mut().zip(&*x).zip(&*code) {
+            let sign = F::Bits::from_u64(c) & F::SIGN_MASK;
+            *v = F::from_bits(F::from_f64(y).to_bits() | sign);
+        }
+        let flagged = vs
+            .iter_mut()
+            .zip(ws)
+            .zip(&*code)
+            .filter(|(_, &c)| c & 1 != 0);
+        decode_each(self, flagged.map(|(pair, _)| pair));
     }
 }
 
@@ -208,76 +347,19 @@ impl<F: PfplFloat> Quantizer<F> for RelQuantizer<F> {
         Self::pack(v.is_sign_negative(), bin < 0, bin.unsigned_abs()) ^ xm
     }
 
-    /// Batched encode, [`LANES`] values at a time. Every lane computes
-    /// `log2`, the bin, `exp2` and the fast-accept test (`t = eb·|v|`
-    /// normal and finite, `|v − recon| < t·fast_lo`, `|bin| <= max_mag`)
-    /// with the lane forms of the portable functions, which repeat the
-    /// scalar IEEE operations in order. Lanes that pass emit their bin
-    /// word; the lanes that fail, and the specials (NaN, ±∞, ±0, which
-    /// enter the lanes as the neutral 1.0), re-run the scalar
-    /// [`Quantizer::encode`], so every undecided value still reaches the
-    /// exact `rel_within_mag` check and the output is bit-identical to the
-    /// scalar path by construction.
+    /// Batched encode: blocks of up to [`TILE_WORDS`] values, each run as
+    /// the stage passes of `encode_block`; a tail of fewer than [`LANES`]
+    /// values runs the scalar [`Quantizer::encode`].
     fn encode_slice(&self, vals: &[F], out: &mut [F::Bits]) -> u64 {
         debug_assert_eq!(vals.len(), out.len());
-        let xm = Self::xor_mask();
-        let max_mag = Self::max_mag();
+        let lanes = vals.len() - vals.len() % LANES;
+        let (vals, tail) = vals.split_at(lanes);
+        let (out, out_tail) = out.split_at_mut(lanes);
         let mut lossless = 0u64;
-        let mut groups = vals.chunks_exact(LANES);
-        let mut outs = out.chunks_exact_mut(LANES);
-        for (vs, ws) in (&mut groups).zip(&mut outs) {
-            let plain: [bool; LANES] = array::from_fn(|i| {
-                vs[i].is_finite() & (vs[i].to_bits() & !F::SIGN_MASK != F::Bits::ZERO)
-            });
-            let lb = portable::log2_lanes(array::from_fn(|i| {
-                if plain[i] {
-                    vs[i].abs().to_f64()
-                } else {
-                    1.0
-                }
-            }));
-            let bin = lb.map(|lb| (lb * self.inv_binw).round_away_i64());
-            let in_range = bin.map(|b| b.unsigned_abs() <= max_mag);
-            let recon = portable::exp2_lanes(array::from_fn(|i| {
-                if in_range[i] {
-                    bin[i] as f64 * self.binw
-                } else {
-                    0.0
-                }
-            }));
-            let mut fast = [false; LANES];
-            for i in 0..LANES {
-                let a = vs[i].abs();
-                let recon = F::from_f64(recon[i]);
-                let t = self.eb.mul(a);
-                let ad = a.add(F::from_bits(recon.to_bits() ^ F::SIGN_MASK)).abs();
-                fast[i] = plain[i]
-                    & in_range[i]
-                    & (t >= F::MIN_NORMAL)
-                    & t.is_finite()
-                    & (ad < t.mul(self.fast_lo));
-                // Out-of-range bins pack as 0: the word is overwritten below.
-                let mag = if in_range[i] {
-                    bin[i].unsigned_abs()
-                } else {
-                    0
-                };
-                ws[i] = Self::pack(vs[i].is_sign_negative(), bin[i] < 0, mag) ^ xm;
-            }
-            if fast.contains(&false) {
-                for ((w, &v), _) in ws.iter_mut().zip(vs).zip(&fast).filter(|(_, &f)| !f) {
-                    let e = self.encode(v);
-                    lossless += self.is_lossless_word(e) as u64;
-                    *w = e;
-                }
-            }
+        for (vs, ws) in vals.chunks(TILE_WORDS).zip(out.chunks_mut(TILE_WORDS)) {
+            lossless += self.encode_block(vs, ws);
         }
-        for (w, &v) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
-            let e = self.encode(v);
-            lossless += self.is_lossless_word(e) as u64;
-            *w = e;
-        }
-        lossless
+        lossless + encode_each(self, out_tail.iter_mut().zip(tail))
     }
 
     #[inline]
@@ -286,44 +368,24 @@ impl<F: PfplFloat> Quantizer<F> for RelQuantizer<F> {
         if !Self::is_bin(raw) {
             return F::from_bits(raw);
         }
-        let (vsign, zero, bin) = Self::unpack(raw);
+        let (vsign, zero, bsign, mag) = Self::unpack(raw);
+        let bin = if bsign { -(mag as i64) } else { mag as i64 };
         let a = if zero { F::ZERO } else { self.recon_mag(bin) };
         Self::with_sign(a, vsign)
     }
 
-    /// Batched decode, [`LANES`] words at a time: every bin word other
-    /// than the zero code reconstructs in-lane through
-    /// [`portable::exp2_lanes`]; lossless words and the zero code re-run
-    /// the scalar [`Quantizer::decode`]. Bit-identical to the scalar path.
+    /// Batched decode, the mirror of [`Quantizer::encode_slice`]: blocks
+    /// of up to [`TILE_WORDS`] words through `decode_block`, then a scalar
+    /// tail of fewer than [`LANES`] words.
     fn decode_slice(&self, words: &[F::Bits], out: &mut [F]) {
         debug_assert_eq!(words.len(), out.len());
-        let xm = Self::xor_mask();
-        let mut groups = words.chunks_exact(LANES);
-        let mut outs = out.chunks_exact_mut(LANES);
-        for (ws, vs) in (&mut groups).zip(&mut outs) {
-            let mut fast = [false; LANES];
-            let mut vsign = [false; LANES];
-            let mut y = [0.0; LANES];
-            for i in 0..LANES {
-                let raw = ws[i] ^ xm;
-                let (s, zero, bin) = Self::unpack(raw);
-                fast[i] = Self::is_bin(raw) & !zero;
-                vsign[i] = s;
-                y[i] = if fast[i] { bin as f64 * self.binw } else { 0.0 };
-            }
-            let a = portable::exp2_lanes(y);
-            for i in 0..LANES {
-                vs[i] = Self::with_sign(F::from_f64(a[i]), vsign[i]);
-            }
-            if fast.contains(&false) {
-                for ((v, &w), _) in vs.iter_mut().zip(ws).zip(&fast).filter(|(_, &f)| !f) {
-                    *v = self.decode(w);
-                }
-            }
+        let lanes = words.len() - words.len() % LANES;
+        let (words, tail) = words.split_at(lanes);
+        let (out, out_tail) = out.split_at_mut(lanes);
+        for (ws, vs) in words.chunks(TILE_WORDS).zip(out.chunks_mut(TILE_WORDS)) {
+            self.decode_block(ws, vs);
         }
-        for (v, &w) in outs.into_remainder().iter_mut().zip(groups.remainder()) {
-            *v = self.decode(w);
-        }
+        decode_each(self, out_tail.iter_mut().zip(tail));
     }
 
     #[inline(always)]

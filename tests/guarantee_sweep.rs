@@ -94,7 +94,10 @@ fn sweep<Q: Quantizer<f32>>(
 }
 
 fn sweep_all_codecs(stride: u64) {
-    for eb in [1e-1f32, 1e-3] {
+    // 1e-5 and 1e-7: f32 bins overflow `max_mag` above and below some
+    // exponent, so the sweep crosses the lanes' float-only range test at
+    // every exponent.
+    for eb in [1e-1f32, 1e-3, 1e-5, 1e-7] {
         let q = RelQuantizer::<f32>::new(eb).unwrap();
         sweep(&q, stride, Lossless::NanSignCleared, |v, r| {
             v.is_sign_negative() == r.is_sign_negative() && rel_within_mag_f32(v.abs(), r.abs(), eb)

@@ -19,8 +19,9 @@ use pfpl::quantize::RelQuantizer;
 use pfpl::types::Mode;
 
 /// Sub-lengths checked besides the full slice: 8k+r tails for every r,
-/// plus the empty slice.
-const CUTS: [usize; 8] = [0, 1, 7, 8, 9, 15, 16, 17];
+/// the empty slice, and either side of the 512-value blocks of the REL
+/// stage passes.
+const CUTS: [usize; 14] = [0, 1, 7, 8, 9, 15, 16, 17, 511, 512, 513, 1023, 1024, 1025];
 
 /// Assert `encode_slice` ≡ scalar `encode` (words and lossless count) on
 /// `vals`, at the full length and at a few unaligned sub-lengths that land
@@ -220,15 +221,22 @@ fn rel_bin_mag<F: PfplFloat>(q: &RelQuantizer<F>, w: F::Bits) -> Option<u64> {
 }
 
 /// REL inputs for the lane kernels' edges: `√2·2^e` one ulp either side
-/// (the `log2` range reduction), denormals (the `log2` prescale for f64),
-/// ±0 and negative NaN, plus `extra`.
+/// (the `log2` range reduction), denormals of both signs (the `log2`
+/// prescale for f64), ±0, ±∞, NaNs of both signs with payloads, and the
+/// values just below ±1.0, whose bin is 0 from a negative `q` (no bin sign
+/// on a zero magnitude), plus `extra`.
 fn rel_edge_values<F: PfplFloat>(extra: &[f64]) -> Vec<F> {
     let mut out = vec![
         F::ZERO,
         F::from_bits(F::SIGN_MASK),
+        F::from_bits(F::EXP_MASK),
+        F::from_bits(F::SIGN_MASK | F::EXP_MASK),
+        F::from_bits(F::EXP_MASK | F::Bits::ONE),
+        F::from_bits(F::EXP_MASK | F::MANT_MASK),
         F::from_bits(F::SIGN_MASK | F::EXP_MASK | F::Bits::ONE),
         F::from_bits(!F::Bits::ZERO),
         F::from_bits(F::Bits::ONE),
+        F::from_bits(F::SIGN_MASK | F::Bits::ONE),
         F::from_bits(F::MANT_MASK),
         F::from_bits(F::MANT_MASK | F::SIGN_MASK),
         F::MIN_NORMAL,
@@ -241,13 +249,64 @@ fn rel_edge_values<F: PfplFloat>(extra: &[f64]) -> Vec<F> {
             out.push(F::from_bits(F::Bits::from_u64(b)));
         }
     }
+    for d in 1..=4 {
+        let below_one = ulps(F::from_f64(1.0), -d);
+        out.push(below_one);
+        out.push(F::from_bits(below_one.to_bits() | F::SIGN_MASK));
+    }
     out.extend(extra.iter().map(|&x| F::from_f64(x)));
     out
 }
 
+/// Values whose `t = eb·|v|` is one ulp below `MIN_NORMAL`, at it and one
+/// ulp above it (the lanes' normal-bound test), with both signs.
+fn rel_t_edge_values<F: PfplFloat>(eb: F) -> Vec<F> {
+    let center = F::MIN_NORMAL.div(eb);
+    let walk: Vec<F> = (-16..=16).map(|d| ulps(center, d)).collect();
+    let ts: Vec<F> = walk.iter().map(|&v| eb.mul(v)).collect();
+    for t in [
+        ulps(F::MIN_NORMAL, -1),
+        F::MIN_NORMAL,
+        ulps(F::MIN_NORMAL, 1),
+    ] {
+        assert!(ts.contains(&t), "eb {eb:?}: no value with t = {t:?}");
+    }
+    let negative = walk
+        .iter()
+        .map(|&v| F::from_bits(v.to_bits() | F::SIGN_MASK));
+    walk.iter().copied().chain(negative).collect()
+}
+
+/// The lanes' `m = |q| + 0.5` for `v` under bound `eb`, with
+/// `q = log2|v|·inv_binw` computed as the quantizer computes it.
+fn rel_m<F: PfplFloat>(v: F, eb: F) -> f64 {
+    let binw = 2.0 * portable::log2(1.0 + eb.to_f64());
+    (portable::log2(v.abs().to_f64()) * (1.0 / binw)).abs() + 0.5
+}
+
+/// Assert the slice kernels match the scalar path with each of `edges`
+/// alone in every lane of a group of plain values, and with all of them
+/// spread over more than two 512-value blocks of plain values.
+fn check_rel_lanes<F: PfplFloat>(q: &RelQuantizer<F>, edges: &[F]) {
+    let plain = |i: usize| F::from_f64((i as f64 * 0.37).sin() * 40.0 + 41.0);
+    for &e in edges {
+        for pos in 0..8 {
+            let mut data: Vec<F> = (0..24).map(plain).collect();
+            data[8 + pos] = e;
+            assert_slice_matches_scalar(q, &data);
+        }
+    }
+    let mut data: Vec<F> = (0..(3 * edges.len() + 8).max(1100)).map(plain).collect();
+    for (i, &e) in edges.iter().enumerate() {
+        data[3 * i + i % 3] = e;
+    }
+    assert_slice_matches_scalar(q, &data);
+}
+
 /// REL encode/decode lanes at their edges: bins at `max_mag` and
-/// `max_mag + 1` (the in-lane range test), every edge value alone in every
-/// lane of smooth data, and decode of the reserved words.
+/// `max_mag + 1` (the in-lane range test), the edge values and the
+/// `t` edges alone in every lane of plain data, and decode of the
+/// reserved words.
 fn check_rel_edges<F: PfplFloat>(eb: F, max_mag: u64, extra: &[f64]) {
     let q = RelQuantizer::<F>::new(eb).unwrap();
     let bins = rel_bin_edge_values(eb, max_mag);
@@ -266,17 +325,11 @@ fn check_rel_edges<F: PfplFloat>(eb: F, max_mag: u64, extra: &[f64]) {
     );
     assert_slice_matches_scalar(&q, &bins);
 
-    let edges = rel_edge_values::<F>(extra);
+    let mut edges = rel_edge_values::<F>(extra);
     assert_slice_matches_scalar(&q, &edges);
-    for &e in edges.iter().chain(&bins) {
-        for pos in 0..8 {
-            let mut data: Vec<F> = (0..24)
-                .map(|i| F::from_f64((i as f64 * 0.37).sin() * 40.0 + 41.0))
-                .collect();
-            data[8 + pos] = e;
-            assert_slice_matches_scalar(&q, &data);
-        }
-    }
+    edges.extend(rel_t_edge_values(eb));
+    edges.extend(bins);
+    check_rel_lanes(&q, &edges);
 
     // Reserved words: the zero code with either bin sign, the largest
     // magnitude code, and a zero mantissa under the bin exponent.
@@ -298,14 +351,60 @@ fn check_rel_edges<F: PfplFloat>(eb: F, max_mag: u64, extra: &[f64]) {
     assert_decode_slice_matches_scalar(&q, &words);
 }
 
+/// Inputs whose `m` is exactly `max_mag + 1` plus `ulps` ulps, each given
+/// as `(bound bits, value bits, ulps)`; they were found by walking the
+/// inputs near `exp2(±(max_mag + 0.5)·binw)` over many bounds. Each value
+/// runs with both signs in every lane.
+fn check_rel_m_edges<F: PfplFloat>(max_mag: u64, cases: &[(u64, u64, i64)]) {
+    let top = (max_mag + 1) as f64;
+    for &(eb, v, d) in cases {
+        let eb = F::from_bits(F::Bits::from_u64(eb));
+        let v = F::from_bits(F::Bits::from_u64(v));
+        let want = f64::from_bits((top.to_bits() as i64 + d) as u64);
+        assert_eq!(rel_m(v, eb), want, "eb {eb:?} v {v:?}");
+        let negative = F::from_bits(v.to_bits() | F::SIGN_MASK);
+        check_rel_lanes(&RelQuantizer::new(eb).unwrap(), &[v, negative]);
+    }
+}
+
+/// A bound so small that `1 + eb` rounds to 1: `binw == 0` and
+/// `inv_binw == ∞`, so `q` is ±∞, or NaN for `|v| == 1`, in every lane.
+fn check_rel_zero_binw<F: PfplFloat>(eb: F) {
+    assert_eq!(1.0 + eb.to_f64(), 1.0, "eb {eb:?} leaves binw nonzero");
+    let q = RelQuantizer::<F>::new(eb).unwrap();
+    let mut edges = rel_edge_values::<F>(&[1.0, -1.0, 2.0, 0.5, 1e3, -1e-3]);
+    let ms: Vec<f64> = edges
+        .iter()
+        .filter(|v| v.is_finite() && **v != F::ZERO)
+        .map(|&v| rel_m(v, eb))
+        .collect();
+    assert!(ms.iter().any(|m| m.is_nan()));
+    assert!(ms.contains(&f64::INFINITY));
+    edges.extend(rel_t_edge_values(eb));
+    check_rel_lanes(&q, &edges);
+}
+
 #[test]
 fn rel_lane_edges_f32() {
     // 1e-5: the top bins (|log2| ≈ 60) are reachable from f32 inputs.
     check_rel_edges::<f32>(1e-5, (1 << 21) - 2, &[]);
     for eb in [1e-1, 1e-3] {
         let q = RelQuantizer::<f32>::new(eb).unwrap();
-        assert_slice_matches_scalar(&q, &rel_edge_values::<f32>(&[]));
+        check_rel_lanes(&q, &rel_edge_values::<f32>(&[]));
+        check_rel_lanes(&q, &rel_t_edge_values(eb));
     }
+    check_rel_m_edges::<f32>(
+        (1 << 21) - 2,
+        &[
+            (0x3785_f7ae, 0x0f24_b3d0, -1),
+            (0x36c8_3c19, 0x518a_19cd, -1),
+            (0x3791_1a24, 0x73cb_6286, 0),
+            (0x3764_c44e, 0x1633_d2b3, 0),
+            (0x3799_334e, 0x76b6_3bdc, 1),
+            (0x3760_7ef8, 0x67fa_9800, 1),
+        ],
+    );
+    check_rel_zero_binw::<f32>(1e-17);
 }
 
 #[test]
@@ -326,8 +425,24 @@ fn rel_lane_edges_f64() {
     check_rel_edges::<f64>(1e-13, (1 << 50) - 2, &extremes);
     for eb in [1e-1, 0.5, 1e-3] {
         let q = RelQuantizer::<f64>::new(eb).unwrap();
-        assert_slice_matches_scalar(&q, &rel_edge_values::<f64>(&extremes));
+        check_rel_lanes(&q, &rel_edge_values::<f64>(&extremes));
+        check_rel_lanes(&q, &rel_t_edge_values(eb));
     }
+    // 1e-13, and 100·2^-52 for an `m` exactly at the edge.
+    let eb_13 = 1e-13f64.to_bits();
+    let eb_100 = (100.0 * 2f64.powi(-52)).to_bits();
+    check_rel_m_edges::<f64>(
+        (1 << 50) - 2,
+        &[
+            (eb_13, 0x5438_5be8_bfa0_79be, -1),
+            (eb_13, 0x2ba5_04d7_244e_3c6b, -1),
+            (eb_100, 0x4471_9103_e407_ff18, 0),
+            (eb_100, 0x3b6d_257d_547e_1c23, 0),
+            (eb_13, 0x5438_5be8_bfa0_7acd, 1),
+            (eb_13, 0x2ba5_04d7_244e_3b82, 1),
+        ],
+    );
+    check_rel_zero_binw::<f64>(1e-17);
 }
 
 /// The ABS lane quantities of `v` under bound `eb`, as `encode` computes
