@@ -17,6 +17,13 @@
 //! `shuffle::TILE_WORDS` values, as the fused chunk kernel calls them —
 //! for REL f64 (the input widened to `f64`), REL f32 and ABS f32.
 //!
+//! `checksum_gbs` times the v2 payload digest alone over the end-to-end
+//! archive's chunk payloads (GB/s of payload bytes, each sample hashing
+//! them enough times to cover at least [`DIGEST_BYTES`]): `scalar` is
+//! `container::payload_checksum` per chunk, `batched` is
+//! `container::payload_checksums` over groups of `engine::GROUP` chunks,
+//! as verified decode and compress run it.
+//!
 //! Per-layer figures of whole workloads (quantize, delta, shuffle,
 //! zero-elimination, checksum, archive assembly, pool dispatch) come from
 //! the repository benchmark on real workload data:
@@ -26,7 +33,8 @@
 //! `--runs R` (median-of-R, default 5).
 
 use pfpl::chunk;
-use pfpl::container::Toc;
+use pfpl::container::{chunk_offsets, payload_checksum, payload_checksums, Toc};
+use pfpl::engine::groups;
 use pfpl::float::{PfplFloat, Word};
 use pfpl::lossless::{delta, shuffle, zeroelim};
 use pfpl::quantize::{AbsQuantizer, Quantizer, RelQuantizer};
@@ -36,6 +44,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const BOUND: f64 = 1e-3;
+
+/// Fewest payload bytes one `checksum_gbs` sample hashes, so a sample of
+/// a small archive still runs for milliseconds.
+const DIGEST_BYTES: usize = 16 << 20;
 
 /// Median seconds of `a` and of `b` over `runs` runs each, timed
 /// interleaved (a, b, a, b, ...) so slow clock drift on a shared host hits
@@ -139,6 +151,36 @@ fn lanes_gbs<F: PfplFloat>(q: &impl Quantizer<F>, vals: &[F], runs: usize) -> (f
     decode(&mut out);
     let t_dec = median_seconds(runs, || decode(&mut out));
     (throughput_gbs(bytes, t_enc), throughput_gbs(bytes, t_dec))
+}
+
+/// GB/s of the scalar per-chunk payload digest and of the batched one
+/// over `archive`'s chunk payloads, each the median of `runs` after one
+/// untimed pass.
+fn checksum_gbs(archive: &[u8], runs: usize) -> (f64, f64) {
+    let toc = Toc::read(archive).unwrap();
+    let region = &archive[toc.payload_start..];
+    let offsets = chunk_offsets(&toc.sizes, region.len(), toc.payload_start).unwrap();
+    let payloads: Vec<&[u8]> = offsets.windows(2).map(|w| &region[w[0]..w[1]]).collect();
+    let reps = DIGEST_BYTES.div_ceil(region.len().max(1));
+    let gbs = |mut digest: Box<dyn FnMut() + '_>| {
+        digest();
+        throughput_gbs(reps * region.len(), median_seconds(runs, digest))
+    };
+    let scalar = gbs(Box::new(|| {
+        for _ in 0..reps {
+            for (i, p) in payloads.iter().enumerate() {
+                black_box(payload_checksum(i, p));
+            }
+        }
+    }));
+    let batched = gbs(Box::new(|| {
+        for _ in 0..reps {
+            for g in groups(payloads.len()) {
+                black_box(payload_checksums(g.start, &payloads[g]));
+            }
+        }
+    }));
+    (scalar, batched)
 }
 
 fn main() {
@@ -251,6 +293,7 @@ fn main() {
     let t_dec_serial = median_seconds(runs, || {
         black_box(pfpl::decompress::<f32>(&archive, Mode::Serial).unwrap());
     });
+    let (digest_scalar, digest_batched) = checksum_gbs(&archive, runs);
 
     // ---- integrity: checksum tax and salvage throughput ------------------
     // `decompress` verifies every chunk against the v2 checksum table by
@@ -326,6 +369,7 @@ fn main() {
     "rel_f32": {{ "encode_slice": {r32e:.4}, "decode_slice": {r32d:.4} }},
     "abs_f32": {{ "encode_slice": {a32e:.4}, "decode_slice": {a32d:.4} }}
   }},
+  "checksum_gbs": {{ "scalar": {digest_scalar:.4}, "batched": {digest_batched:.4} }},
   "integrity_gbs": {{
     "decompress_verified": {dv:.4},
     "decompress_unverified": {du:.4},

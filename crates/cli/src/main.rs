@@ -185,13 +185,14 @@ fn decompress(o: &Opts) -> Result<String, CliError> {
     ))
 }
 
-/// The lossless SIMD kernels this CPU runs, e.g. `transpose avx2,
-/// zero-elim avx512-vbmi2`.
+/// The SIMD kernels this CPU runs, e.g. `transpose avx2, zero-elim
+/// avx512-vbmi2, checksum avx512`.
 fn kernels() -> String {
     format!(
-        "transpose {}, zero-elim {}",
+        "transpose {}, zero-elim {}, checksum {}",
         pfpl::lossless::shuffle::tile_kernel(),
-        pfpl::lossless::zeroelim::line_kernel()
+        pfpl::lossless::zeroelim::line_kernel(),
+        pfpl::checksum::batch_kernel()
     )
 }
 

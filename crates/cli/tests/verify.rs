@@ -75,14 +75,15 @@ fn verify_accepts_round_trips_and_names_violations() {
     }
 }
 
-/// The `compress` and `decompress` summary lines end with the lossless
+/// The `compress` and `decompress` summary lines end with the SIMD
 /// kernels that ran.
 #[test]
 fn summaries_name_the_kernels_that_ran() {
     let kernels = format!(
-        ", transpose {}, zero-elim {}",
+        ", transpose {}, zero-elim {}, checksum {}",
         pfpl::lossless::shuffle::tile_kernel(),
-        pfpl::lossless::zeroelim::line_kernel()
+        pfpl::lossless::zeroelim::line_kernel(),
+        pfpl::checksum::batch_kernel()
     );
     let (input, archive, output) = (tmp("kern.raw"), tmp("kern.pfpl"), tmp("kern.out.raw"));
     std::fs::write(&input, raw(false, usize::MAX, 1.0)).unwrap();

@@ -21,13 +21,15 @@
 use crate::chunk::{self, Scratch, CHUNK_BYTES};
 use crate::container::V2_HEADER_LEN;
 use crate::engine::{
-    compress_stats, map_chunks, patch_archive, start_archive, ArchiveReader, ChunkDecoder,
-    ChunkEntry,
+    compress_stats, groups, map_groups, patch_archive, start_archive, ArchiveReader, ChunkDecoder,
+    ChunkEntry, GROUP,
 };
 use crate::error::Result;
 use crate::float::{PfplFloat, Word};
 use crate::stats::CompressStats;
 use crate::types::{ErrorBound, Mode};
+use std::array::from_fn;
+use std::ops::Range;
 
 /// Compress a slice of values under the given error bound.
 ///
@@ -52,37 +54,65 @@ pub fn compress_with_stats<F: PfplFloat>(
 
     let threads = mode.threads();
     let (archive, entries) = if threads == 1 {
-        // Single-pass assembly: reserve header + size table up front
-        // (worst-case payload capacity so the Vec never reallocates),
-        // stream each chunk's payload straight into the archive, then
-        // backpatch the size table. One scratch set is reused for every
-        // chunk, mirroring the paper's L1-resident double buffer — no
-        // per-chunk buffer, no second copy, no per-chunk allocation.
+        // Single-pass assembly: reserve header, tables and the raw size
+        // (no chunk payload exceeds its raw size, so the Vec never
+        // reallocates), stream each chunk's payload straight into the
+        // archive, digest each group's payloads together as soon as the
+        // group is written, then backpatch the tables and trim the
+        // reservation to the archive's length. One scratch set is reused
+        // for every chunk, mirroring the paper's L1-resident double
+        // buffer — no per-chunk buffer, no second copy, no per-chunk
+        // allocation.
         let raw_total = data.len() * (F::Bits::BITS as usize / 8);
         let mut archive = Vec::with_capacity(V2_HEADER_LEN + 8 * nchunks + raw_total);
         header.write_placeholder(&mut archive);
         let mut entries = Vec::with_capacity(nchunks);
         let mut scratch = Scratch::default();
-        for (i, c) in data.chunks(vpc).enumerate() {
+        for (group, values) in groups(nchunks).zip(data.chunks(GROUP * vpc)) {
             let start = archive.len();
-            let info = codec.compress_chunk(c, &mut scratch, &mut archive);
-            entries.push(ChunkEntry::new(i, &archive[start..], info));
+            for c in values.chunks(vpc) {
+                let at = archive.len();
+                let info = codec.compress_chunk(c, &mut scratch, &mut archive);
+                entries.push(ChunkEntry::unsigned(archive.len() - at, info));
+            }
+            let signed = &mut entries[group.clone()];
+            let mut rest = &archive[start..];
+            let payloads: [&[u8]; GROUP] = from_fn(|k| {
+                let (p, tail) = rest.split_at(signed.get(k).map_or(0, ChunkEntry::payload_len));
+                rest = tail;
+                p
+            });
+            ChunkEntry::sign_group(group.start, signed, &payloads[..group.len()]);
         }
         patch_archive(&mut archive, &entries);
+        archive.shrink_to_fit();
         (archive, entries)
     } else {
         // Slab assembly: one CHUNK_BYTES slot per chunk (payloads never
-        // exceed the raw size). Workers compress into disjoint slots and
-        // digest each payload while it is hot in cache; a sequential
-        // pass then compacts the slots into the final archive.
+        // exceed the raw size). Workers compress a group of chunks into
+        // disjoint slots and digest the group's payloads together while
+        // they are hot in cache; a sequential pass then compacts the
+        // slots into the final archive.
         let mut slab = vec![0u8; nchunks * CHUNK_BYTES];
-        let work = |scratch: &mut Scratch<F>, i: usize, slot: &mut [u8]| {
-            let lo = i * vpc;
-            let hi = data.len().min(lo + vpc);
-            let (len, info) = codec.compress_chunk_into(&data[lo..hi], scratch, slot);
-            ChunkEntry::new(i, &slot[..len], info)
+        let work = |scratch: &mut Scratch<F>, group: Range<usize>, slots: &mut [u8]| {
+            let mut entries = [ChunkEntry::default(); GROUP];
+            let mut payloads: [&[u8]; GROUP] = [&[]; GROUP];
+            let chunks = group.clone().zip(slots.chunks_mut(CHUNK_BYTES));
+            for ((e, p), (i, slot)) in entries.iter_mut().zip(&mut payloads).zip(chunks) {
+                let lo = i * vpc;
+                let hi = data.len().min(lo + vpc);
+                let (len, info) = codec.compress_chunk_into(&data[lo..hi], scratch, slot);
+                *e = ChunkEntry::unsigned(len, info);
+                *p = &slot[..len];
+            }
+            let n = group.len();
+            ChunkEntry::sign_group(group.start, &mut entries[..n], &payloads[..n]);
+            entries
         };
-        let entries = map_chunks(&mut slab, threads, work);
+        // Every group but the last is full, so the first `nchunks`
+        // entries of the flattened groups are the archive's.
+        let groups = map_groups(&mut slab, threads, work);
+        let entries: Vec<ChunkEntry> = groups.into_iter().flatten().take(nchunks).collect();
         let mut archive = start_archive(&header, &entries);
         for (slot, e) in slab.chunks_exact(CHUNK_BYTES).zip(&entries) {
             archive.extend_from_slice(&slot[..e.payload_len()]);
@@ -120,13 +150,17 @@ pub fn decompress_unverified<F: PfplFloat>(archive: &[u8], mode: Mode) -> Result
 fn run_decompress<F: PfplFloat>(archive: &[u8], mode: Mode, verify: bool) -> Result<Vec<F>> {
     let reader = ArchiveReader::<F>::open(archive)?;
     let offsets = reader.offsets()?;
+    let vpc = chunk::values_per_chunk::<F>();
     let mut out = vec![F::ZERO; reader.count()];
-    let work = |scratch: &mut Scratch<F>, i: usize, vals: &mut [F]| {
-        reader.decode_chunk(i, offsets[i]..offsets[i + 1], verify, |p, raw| {
+    let work = |scratch: &mut Scratch<F>, group: Range<usize>, vals: &mut [F]| {
+        let first = group.start;
+        reader.decode_group(first, &offsets[first..=group.end], verify, |i, p, raw| {
+            let lo = (i - first) * vpc;
+            let vals = &mut vals[lo..lo + reader.chunk_values(i)];
             reader.codec.decode_chunk(p, raw, vals, scratch)
         })
     };
-    map_chunks(&mut out, mode.threads(), work)
+    map_groups(&mut out, mode.threads(), work)
         .into_iter()
         .collect::<Result<()>>()?;
     Ok(out)
@@ -342,6 +376,22 @@ mod tests {
             ErrorBound::Noa(-0.5),
         ] {
             assert!(compress(&data, b, Mode::Serial).is_err(), "{b:?}");
+        }
+    }
+
+    #[test]
+    fn archives_are_right_sized() {
+        // The serial path reserves the raw size up front; the archive it
+        // returns must not carry that reservation to the caller.
+        let data = smooth_f32(300_000);
+        for mode in [Mode::Serial, Mode::Parallel] {
+            let arch = compress(&data, ErrorBound::Rel(1e-3), mode).unwrap();
+            assert!(
+                arch.capacity() - arch.len() < CHUNK_BYTES,
+                "{mode:?}: capacity {} for {} bytes",
+                arch.capacity(),
+                arch.len()
+            );
         }
     }
 }

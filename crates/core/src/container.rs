@@ -42,7 +42,7 @@
 //! field (see the section "Validation (the decode trust boundary)" of
 //! `docs/FORMAT.md`).
 
-use crate::checksum::{checksum32, chunk_seed, HEADER_SEED};
+use crate::checksum::{checksum32, checksum32_batch, chunk_seed, BATCH, HEADER_SEED};
 use crate::error::{Error, Result};
 use crate::types::{BoundKind, ErrorBound, Precision};
 
@@ -371,6 +371,14 @@ pub fn patch_tables(archive: &mut [u8], sizes: &[u32], checksums: &[u32]) {
 /// [`checksum32`] seeded by the chunk index.
 pub fn payload_checksum(i: usize, payload: &[u8]) -> u32 {
     checksum32(chunk_seed(i), payload)
+}
+
+/// [`payload_checksum`] of chunks `first..first + payloads.len()`, at most
+/// [`BATCH`] of them, digested together ([`checksum32_batch`]): lane `k`
+/// holds chunk `first + k`'s checksum.
+pub fn payload_checksums(first: usize, payloads: &[&[u8]]) -> [u32; BATCH] {
+    let seeds: [u32; BATCH] = std::array::from_fn(|k| chunk_seed(first + k));
+    checksum32_batch(&seeds[..payloads.len().min(BATCH)], payloads)
 }
 
 /// Compute per-chunk payload offsets (exclusive prefix sum of sizes with

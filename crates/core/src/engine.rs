@@ -7,14 +7,17 @@
 //!
 //! * the quantizer a bound or header selects: [`ChunkDecoder`];
 //! * opening an archive as `F`: [`ArchiveReader::open`];
-//! * verifying and decoding a chunk: [`ArchiveReader::decode_chunk`] and
-//!   its salvage wrapper [`ArchiveReader::salvage_chunk`];
+//! * verifying and decoding a group of chunks, their payloads digested
+//!   together: [`ArchiveReader::decode_group`] and its salvage twin
+//!   [`ArchiveReader::salvage_group`];
 //! * the header and tables: [`ChunkDecoder::header`] and [`start_archive`]
 //!   / [`patch_archive`] over per-chunk [`ChunkEntry`]s.
 
+use crate::checksum;
 use crate::chunk::{self, ChunkInfo, Scratch, CHUNK_BYTES};
 use crate::container::{
-    chunk_offsets, patch_tables, payload_checksum, Header, Toc, RAW_FLAG, V2_HEADER_LEN,
+    chunk_offsets, patch_tables, payload_checksum, payload_checksums, Header, Toc, RAW_FLAG,
+    V2_HEADER_LEN,
 };
 use crate::error::{Error, Result};
 use crate::float::{bound_toward_zero, PfplFloat};
@@ -202,22 +205,114 @@ impl<'a, F: PfplFloat> ArchiveReader<'a, F> {
         self.toc.sizes.iter().map(extent).collect()
     }
 
-    /// The verify-and-decode step for chunk `i` at `range` of the payload:
-    /// check its v2 checksum (when `verify`) *before* running the backend's
-    /// `decode(payload, raw)` kernel, so damage is reported as
-    /// [`Error::ChecksumMismatch`] naming the chunk, then rebase kernel
-    /// errors to archive offsets ([`Error::in_chunk`]).
-    pub fn decode_chunk(
+    /// The verify-and-decode step for the consecutive chunks `first..`,
+    /// at most [`GROUP`] of them, where chunk `first + k` spans
+    /// `offsets[k]..offsets[k + 1]` of the payload. On v2 archives (when
+    /// `verify`) the group's payloads are digested together
+    /// ([`payload_checksums`]); then each chunk in order is checked
+    /// against its stored checksum *before* the backend's
+    /// `decode(i, payload, raw)` kernel runs on it, so damage is reported
+    /// as [`Error::ChecksumMismatch`] naming the chunk, and kernel errors
+    /// are rebased to archive offsets ([`Error::in_chunk`]). Stops at the
+    /// group's first failing chunk.
+    pub fn decode_group(
+        &self,
+        first: usize,
+        offsets: &[usize],
+        verify: bool,
+        mut decode: impl FnMut(usize, &[u8], bool) -> Result<()>,
+    ) -> Result<()> {
+        let spans = offsets.windows(2).map(|w| w[0]..w[1]);
+        let digests = self.digests(first, spans.clone(), verify);
+        for (k, span) in spans.enumerate() {
+            let i = first + k;
+            self.check_and_decode(i, span, digests.map(|d| d[k]), |p, raw| decode(i, p, raw))?;
+        }
+        Ok(())
+    }
+
+    /// Salvage the consecutive chunks `first..`, at most [`GROUP`] of
+    /// them, at `extents` ([`Self::extents`]): a chunk whose claimed
+    /// payload is not all present is truncated; the others are digested
+    /// together and run through [`Self::decode_group`]'s per-chunk step,
+    /// its outcome mapped to a [`ChunkStatus`]. A damaged chunk does not
+    /// stop the rest of the group. Only an `Ok` status vouches for what
+    /// `decode` wrote.
+    pub fn salvage_group(
+        &self,
+        first: usize,
+        extents: &[(usize, usize)],
+        mut decode: impl FnMut(usize, &[u8], bool) -> Result<()>,
+    ) -> Vec<ChunkReport> {
+        let have =
+            |start: usize, claimed: usize| self.payload.len().saturating_sub(start).min(claimed);
+        let spans = extents.iter().map(|&(start, claimed)| {
+            (have(start, claimed) == claimed).then_some(start..start + claimed)
+        });
+        let digests = self.digests(first, spans.clone().map(Option::unwrap_or_default), true);
+        let mut reports = Vec::with_capacity(extents.len());
+        for (k, (span, &(start, claimed))) in spans.zip(extents).enumerate() {
+            let i = first + k;
+            let status = match span {
+                None => ChunkStatus::Truncated {
+                    claimed,
+                    have: have(start, claimed),
+                },
+                Some(span) => {
+                    let computed = digests.map(|d| d[k]);
+                    match self.check_and_decode(i, span, computed, |p, raw| decode(i, p, raw)) {
+                        Ok(()) => ChunkStatus::Ok,
+                        Err(Error::ChecksumMismatch {
+                            stored, computed, ..
+                        }) => ChunkStatus::ChecksumMismatch { stored, computed },
+                        Err(e) => ChunkStatus::PayloadError {
+                            detail: e.to_string(),
+                        },
+                    }
+                }
+            };
+            reports.push(ChunkReport {
+                chunk: i,
+                offset: self.toc.payload_start + start,
+                len: claimed,
+                values: self.chunk_values(i),
+                status,
+            });
+        }
+        reports
+    }
+
+    /// The checksums of chunks `first..` over the payload `spans`,
+    /// digested together; `None` unless `verify` and the archive carries
+    /// checksums (v2).
+    fn digests(
+        &self,
+        first: usize,
+        spans: impl Iterator<Item = Range<usize>>,
+        verify: bool,
+    ) -> Option<[u32; GROUP]> {
+        self.toc.chunk_checksum(first).filter(|_| verify)?;
+        let mut payloads: [&[u8]; GROUP] = [&[]; GROUP];
+        let mut n = 0;
+        for (p, span) in payloads.iter_mut().zip(spans) {
+            *p = &self.payload[span];
+            n += 1;
+        }
+        Some(payload_checksums(first, &payloads[..n]))
+    }
+
+    /// Chunk `i` at `range`: compare its `computed` checksum (if any) with
+    /// the stored one, then run `decode(payload, raw)` and rebase its
+    /// errors.
+    fn check_and_decode(
         &self,
         i: usize,
         range: Range<usize>,
-        verify: bool,
+        computed: Option<u32>,
         decode: impl FnOnce(&[u8], bool) -> Result<()>,
     ) -> Result<()> {
         let offset = self.toc.payload_start + range.start;
-        let p = &self.payload[range];
-        if let Some(stored) = self.toc.chunk_checksum(i).filter(|_| verify) {
-            let computed = payload_checksum(i, p);
+        if let (Some(stored), Some(computed)) = (self.toc.chunk_checksum(i), computed) {
             if computed != stored {
                 return Err(Error::ChecksumMismatch {
                     chunk: i,
@@ -228,56 +323,38 @@ impl<'a, F: PfplFloat> ArchiveReader<'a, F> {
             }
         }
         let raw = self.toc.sizes[i] & RAW_FLAG != 0;
-        decode(p, raw).map_err(|e| e.in_chunk(i, offset))
-    }
-
-    /// Salvage chunk `i` of `values` values at `extent` ([`Self::extents`]):
-    /// truncated if its claimed payload is not all present, otherwise
-    /// [`Self::decode_chunk`] with its outcome mapped to a [`ChunkStatus`].
-    /// Only an `Ok` status vouches for what `decode` wrote.
-    pub fn salvage_chunk(
-        &self,
-        i: usize,
-        (start, claimed): (usize, usize),
-        values: usize,
-        decode: impl FnOnce(&[u8], bool) -> Result<()>,
-    ) -> ChunkReport {
-        let have = self.payload.len().saturating_sub(start).min(claimed);
-        let status = if have < claimed {
-            ChunkStatus::Truncated { claimed, have }
-        } else {
-            match self.decode_chunk(i, start..start + claimed, true, decode) {
-                Ok(()) => ChunkStatus::Ok,
-                Err(Error::ChecksumMismatch {
-                    stored, computed, ..
-                }) => ChunkStatus::ChecksumMismatch { stored, computed },
-                Err(e) => ChunkStatus::PayloadError {
-                    detail: e.to_string(),
-                },
-            }
-        };
-        let offset = self.toc.payload_start + start;
-        ChunkReport {
-            chunk: i,
-            offset,
-            len: claimed,
-            values,
-            status,
-        }
+        decode(&self.payload[range], raw).map_err(|e| e.in_chunk(i, offset))
     }
 }
 
-/// Run `work` on each chunk's slot of `out` — [`CHUNK_BYTES`] of `T`, so
-/// one chunk of values or one chunk's slab slot — on `threads` threads
-/// (inline on this one at 1), with one scratch set per thread, and return
-/// the results in chunk order.
-pub(crate) fn map_chunks<F: PfplFloat, T: Send, R: Send>(
+/// Chunks verified and decoded, or compressed and digested, together: one
+/// batch of the payload digest ([`checksum::BATCH`]).
+pub const GROUP: usize = checksum::BATCH;
+
+/// The chunk groups of `chunks` chunks: `0..GROUP`, `GROUP..2 * GROUP`,
+/// ..., the last one possibly shorter.
+pub fn groups(chunks: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..chunks)
+        .step_by(GROUP)
+        .map(move |first| first..chunks.min(first + GROUP))
+}
+
+/// Run `work` on each group of [`GROUP`] consecutive chunks' slots of
+/// `out` — [`CHUNK_BYTES`] of `T` per chunk, so one chunk of values or one
+/// chunk's slab slot — on `threads` threads (inline on this one at 1),
+/// with one scratch set per thread, and return the results in group
+/// order. `work` gets the group's chunk range and slots.
+pub(crate) fn map_groups<F: PfplFloat, T: Send, R: Send>(
     out: &mut [T],
     threads: usize,
-    work: impl Fn(&mut Scratch<F>, usize, &mut [T]) -> R + Sync,
+    work: impl Fn(&mut Scratch<F>, Range<usize>, &mut [T]) -> R + Sync,
 ) -> Vec<R> {
     let slot = CHUNK_BYTES / std::mem::size_of::<T>();
-    rayon::map_chunks_mut(out, slot, threads, Scratch::default, work)
+    let work = |s: &mut Scratch<F>, g: usize, slots: &mut [T]| {
+        let first = g * GROUP;
+        work(s, first..first + slots.len().div_ceil(slot), slots)
+    };
+    rayon::map_chunks_mut(out, GROUP * slot, threads, Scratch::default, work)
 }
 
 /// One chunk's table entries — size word (bit 31 = raw), payload
@@ -296,9 +373,27 @@ impl ChunkEntry {
     /// The entries for chunk `i`, whose compressed form is `payload`.
     pub fn new(i: usize, payload: &[u8], info: ChunkInfo) -> Self {
         Self {
-            size: payload.len() as u32 | if info.raw { RAW_FLAG } else { 0 },
             checksum: payload_checksum(i, payload),
+            ..Self::unsigned(payload.len(), info)
+        }
+    }
+
+    /// The entries for a `len`-byte payload, checksum still to come
+    /// ([`Self::sign_group`]).
+    pub(crate) fn unsigned(len: usize, info: ChunkInfo) -> Self {
+        Self {
+            size: len as u32 | if info.raw { RAW_FLAG } else { 0 },
+            checksum: 0,
             lossless: info.lossless_values,
+        }
+    }
+
+    /// Fill in the checksums of `entries`, chunks `first..`, at most
+    /// [`GROUP`] of them, from their payloads digested together.
+    pub(crate) fn sign_group(first: usize, entries: &mut [ChunkEntry], payloads: &[&[u8]]) {
+        let digests = payload_checksums(first, payloads);
+        for (e, d) in entries.iter_mut().zip(digests) {
+            e.checksum = d;
         }
     }
 
@@ -418,9 +513,9 @@ mod tests {
         let reader = ArchiveReader::<f32>::open(&bad).unwrap();
         let offsets = reader.offsets().unwrap();
         let last_chunk = reader.toc.sizes.len() - 1;
-        let range = offsets[last_chunk]..offsets[last_chunk + 1];
+        let only_last = &offsets[last_chunk..last_chunk + 2];
         let mut ran = false;
-        let res = reader.decode_chunk(last_chunk, range.clone(), true, |_, _| {
+        let res = reader.decode_group(last_chunk, only_last, true, |_, _, _| {
             ran = true;
             Ok(())
         });
@@ -431,10 +526,10 @@ mod tests {
         );
         // Unverified, the kernel runs and its payload-relative error is
         // rebased to the chunk's archive offset.
-        let res = reader.decode_chunk(last_chunk, range.clone(), false, |_, _| {
+        let res = reader.decode_group(last_chunk, only_last, false, |_, _, _| {
             Err(Error::Corrupt("boom".into()))
         });
-        let offset = reader.toc.payload_start + range.start;
+        let offset = reader.toc.payload_start + only_last[0];
         assert_eq!(
             res,
             Err(Error::ChunkPayloadMismatch {
@@ -445,17 +540,111 @@ mod tests {
         );
         // Salvage: checksum → status; a short extent → truncated, kernel
         // never runs.
-        let extent = reader.extents()[last_chunk];
-        let r = reader.salvage_chunk(last_chunk, extent, 10, |_, _| Ok(()));
-        assert!(matches!(r.status, ChunkStatus::ChecksumMismatch { .. }));
-        assert_eq!((r.offset, r.values), (offset, 10));
+        let only_last = last_chunk..last_chunk + 1;
+        let r = reader.salvage_group(
+            last_chunk,
+            &reader.extents()[only_last.clone()],
+            |_, _, _| Ok(()),
+        );
+        assert!(matches!(r[0].status, ChunkStatus::ChecksumMismatch { .. }));
+        assert_eq!((r[0].offset, r[0].values), (offset, 9000 - 8192));
         let cut = ArchiveReader::<f32>::open(&bad[..bad.len() - 2]).unwrap();
-        let extent = cut.extents()[last_chunk];
-        let r = cut.salvage_chunk(last_chunk, extent, 10, |_, _| unreachable!());
-        assert!(matches!(r.status, ChunkStatus::Truncated { .. }));
+        let r = cut.salvage_group(
+            last_chunk,
+            &cut.extents()[only_last],
+            |_, _, _| unreachable!(),
+        );
+        assert!(matches!(r[0].status, ChunkStatus::Truncated { .. }));
         assert!(matches!(
             ArchiveReader::<f64>::open(&archive),
             Err(Error::PrecisionMismatch { .. })
         ));
+    }
+
+    /// A 20-chunk archive with the middle payload byte of each of
+    /// `chunks` flipped, and the archive's clean decode.
+    fn damaged_20_chunks(chunks: &[usize]) -> (Vec<u8>, Vec<f32>) {
+        let vpc = chunk::values_per_chunk::<f32>();
+        let data: Vec<f32> = (0..20 * vpc - 100)
+            .map(|i| (i as f32 * 0.002).sin() * 9.0 + (i % 7) as f32 * 1e-3)
+            .collect();
+        let mut archive = crate::compress(&data, ErrorBound::Abs(1e-4), Mode::Serial).unwrap();
+        let clean: Vec<f32> = crate::decompress(&archive, Mode::Serial).unwrap();
+        let toc = Toc::read(&archive).unwrap();
+        assert_eq!(toc.sizes.len(), 20);
+        let offsets = chunk_offsets(
+            &toc.sizes,
+            archive.len() - toc.payload_start,
+            toc.payload_start,
+        )
+        .unwrap();
+        for &c in chunks {
+            archive[toc.payload_start + (offsets[c] + offsets[c + 1]) / 2] ^= 0x10;
+        }
+        (archive, clean)
+    }
+
+    #[test]
+    fn group_verify_names_the_damaged_chunk_and_salvages_the_rest() {
+        let vpc = chunk::values_per_chunk::<f32>();
+        for damaged in [&[9][..], &[9, 12]] {
+            let (archive, clean) = damaged_20_chunks(damaged);
+            for mode in [Mode::Serial, Mode::Parallel] {
+                let err = crate::decompress::<f32>(&archive, mode).unwrap_err();
+                assert!(
+                    matches!(err, Error::ChecksumMismatch { chunk: 9, .. }),
+                    "{mode:?}: {err:?}"
+                );
+                let (vals, report) = crate::decompress_salvage(&archive, mode, f32::NAN).unwrap();
+                let flagged: Vec<usize> = report
+                    .chunks
+                    .iter()
+                    .filter(|c| !c.status.is_ok())
+                    .map(|c| c.chunk)
+                    .collect();
+                assert_eq!(flagged, damaged, "{mode:?}");
+                assert!(report
+                    .chunks
+                    .iter()
+                    .filter(|c| !c.status.is_ok())
+                    .all(|c| matches!(c.status, ChunkStatus::ChecksumMismatch { .. })));
+                for (c, (got, want)) in vals.chunks(vpc).zip(clean.chunks(vpc)).enumerate() {
+                    if damaged.contains(&c) {
+                        assert!(got.iter().all(|v| v.is_nan()), "chunk {c} not filled");
+                    } else {
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got), bits(want), "{mode:?} chunk {c}");
+                    }
+                }
+            }
+            let report = crate::verify_archive::<f32>(&archive).unwrap();
+            assert_eq!(report.damaged(), damaged.len());
+        }
+    }
+
+    #[test]
+    fn v1_archives_skip_group_verification() {
+        // A v1 archive has no checksum table: a group is decoded without
+        // digesting, so the damaged chunk 9 reaches the kernel.
+        let (archive, _) = damaged_20_chunks(&[9]);
+        let reader = ArchiveReader::<f32>::open(&archive).unwrap();
+        let mut v1 = Toc::read(&archive).unwrap();
+        v1.version = 1;
+        v1.checksums.clear();
+        assert!(v1.chunk_checksum(0).is_none());
+        let v1_reader = ArchiveReader {
+            toc: v1,
+            codec: ChunkDecoder::<f32>::from_header(&reader.toc.header).unwrap(),
+            payload: reader.payload,
+        };
+        let offsets = reader.offsets().unwrap();
+        let mut seen = Vec::new();
+        v1_reader
+            .decode_group(8, &offsets[8..=16], true, |i, _, _| {
+                seen.push(i);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(seen, (8..16).collect::<Vec<_>>());
     }
 }

@@ -29,11 +29,12 @@
 //! close that gap — any byte damage is detected before decoding.
 
 use crate::chunk::{self, Scratch};
-use crate::engine::{map_chunks, ArchiveReader};
+use crate::engine::{groups, map_groups, ArchiveReader};
 use crate::error::Result;
 use crate::float::PfplFloat;
 use crate::types::Mode;
 use std::fmt;
+use std::ops::Range;
 
 /// Outcome of salvaging one chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,17 +180,25 @@ pub fn decompress_salvage<F: PfplFloat>(
 ) -> Result<(Vec<F>, SalvageReport)> {
     let reader = ArchiveReader::<F>::open(archive)?;
     let extents = reader.extents();
+    let vpc = chunk::values_per_chunk::<F>();
     let mut out = vec![fill; reader.count()];
-    let work = |scratch: &mut Scratch<F>, i: usize, vals: &mut [F]| {
-        let report = reader.salvage_chunk(i, extents[i], vals.len(), |p, raw| {
+    let work = |scratch: &mut Scratch<F>, group: Range<usize>, vals: &mut [F]| {
+        let first = group.start;
+        let reports = reader.salvage_group(first, &extents[group], |i, p, raw| {
+            let lo = (i - first) * vpc;
+            let vals = &mut vals[lo..lo + reader.chunk_values(i)];
             reader.codec.decode_chunk(p, raw, vals, scratch)
         });
-        if !report.status.is_ok() {
-            vals.fill(fill);
+        for r in reports.iter().filter(|r| !r.status.is_ok()) {
+            let lo = (r.chunk - first) * vpc;
+            vals[lo..lo + r.values].fill(fill);
         }
-        report
+        reports
     };
-    let chunks = map_chunks(&mut out, mode.threads(), work);
+    let chunks = map_groups(&mut out, mode.threads(), work)
+        .into_iter()
+        .flatten()
+        .collect();
     let version = reader.toc.version;
     Ok((out, SalvageReport { version, chunks }))
 }
@@ -203,19 +212,17 @@ pub fn decompress_salvage<F: PfplFloat>(
 /// (unparseable header); otherwise the report lists per-chunk damage.
 pub fn verify_archive<F: PfplFloat>(archive: &[u8]) -> Result<SalvageReport> {
     let reader = ArchiveReader::<F>::open(archive)?;
+    let extents = reader.extents();
     let mut scratch = Scratch::default();
     let mut vals = vec![F::ZERO; chunk::values_per_chunk::<F>()];
-    let chunks = reader
-        .extents()
-        .into_iter()
-        .enumerate()
-        .map(|(i, extent)| {
+    let mut chunks = Vec::with_capacity(extents.len());
+    for group in groups(extents.len()) {
+        let first = group.start;
+        chunks.extend(reader.salvage_group(first, &extents[group], |i, p, raw| {
             let vals = &mut vals[..reader.chunk_values(i)];
-            reader.salvage_chunk(i, extent, vals.len(), |p, raw| {
-                reader.codec.decode_chunk(p, raw, vals, &mut scratch)
-            })
-        })
-        .collect();
+            reader.codec.decode_chunk(p, raw, vals, &mut scratch)
+        }));
+    }
     let version = reader.toc.version;
     Ok(SalvageReport { version, chunks })
 }

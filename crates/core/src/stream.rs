@@ -166,7 +166,7 @@ pub fn decompress_chunks<F: PfplFloat>(
     let mut scratch = Scratch::default();
     Ok((0..reader.toc.sizes.len()).map(move |i| {
         let mut vals = vec![F::ZERO; reader.chunk_values(i)];
-        reader.decode_chunk(i, offsets[i]..offsets[i + 1], true, |p, raw| {
+        reader.decode_group(i, &offsets[i..i + 2], true, |_, p, raw| {
             reader.codec.decode_chunk(p, raw, &mut vals, &mut scratch)
         })?;
         Ok(vals)

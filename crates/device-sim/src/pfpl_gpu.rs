@@ -3,8 +3,10 @@
 //!
 //! Structure mirrors §III-E:
 //!
-//! * one thread block per 16 KiB chunk, blocks claimed dynamically by
-//!   persistent workers;
+//! * one thread block per 16 KiB chunk on compression, and per group of
+//!   [`engine::GROUP`] chunks on decompression (the group's checksums
+//!   are digested together), blocks claimed dynamically by persistent
+//!   workers;
 //! * quantization is embarrassingly parallel; delta encoding reads only
 //!   inputs; the bit shuffle runs at warp granularity with
 //!   `log2(wordsize)` butterfly shuffle steps;
@@ -32,13 +34,14 @@ use crate::lookback::Lookback;
 use crate::shared::{DeviceBuffer, DeviceSlice};
 use crate::warp::{self, WARP_SIZE};
 use pfpl::chunk::ChunkInfo;
-use pfpl::engine::{start_archive, ArchiveReader, ChunkDecoder, ChunkEntry};
+use pfpl::engine::{self, start_archive, ArchiveReader, ChunkDecoder, ChunkEntry};
 use pfpl::error::{Error, Result};
 use pfpl::float::{negabinary, PfplFloat, Word};
 use pfpl::lossless::shuffle;
 use pfpl::quantize::Quantizer;
 use pfpl::salvage::SalvageReport;
 use pfpl::types::{ErrorBound, Mode};
+use std::ops::Range;
 
 /// A simulated GPU that compresses and decompresses PFPL archives.
 #[derive(Debug, Clone, Copy)]
@@ -106,11 +109,12 @@ impl GpuDevice {
     /// Decompress an archive; bit-identical to [`pfpl::decompress`].
     ///
     /// Blocks run the shared verify-and-decode step
-    /// ([`ArchiveReader::decode_chunk`]), so v2 chunk checksums are
-    /// verified per block *before* the block decodes and corruption is
-    /// reported as [`Error::ChecksumMismatch`] naming the damaged chunk.
-    /// The lowest failing chunk's error is returned, whatever order the
-    /// blocks ran in.
+    /// ([`ArchiveReader::decode_group`]) on their group of chunks, so v2
+    /// chunk checksums are verified, the group's digested together,
+    /// *before* each chunk decodes and corruption is reported as
+    /// [`Error::ChecksumMismatch`] naming the damaged chunk. The lowest
+    /// failing chunk's error is returned, whatever order the blocks ran
+    /// in.
     pub fn decompress<F: PfplFloat>(&self, archive: &[u8]) -> Result<Vec<F>>
     where
         F::Bits: WarpTranspose,
@@ -118,8 +122,8 @@ impl GpuDevice {
         let reader = ArchiveReader::<F>::open(archive)?;
         // The paper's decoder computes a prefix sum over the stored sizes.
         let offsets = reader.offsets()?;
-        let (vals, results) = self.launch_decode(&reader, F::ZERO, |b, decode| {
-            reader.decode_chunk(b, offsets[b]..offsets[b + 1], true, decode)
+        let (vals, results) = self.launch_decode(&reader, F::ZERO, |group, decode| {
+            reader.decode_group(group.start, &offsets[group.start..=group.end], true, decode)
         });
         results.into_iter().collect::<Result<Vec<()>>>()?;
         Ok(vals)
@@ -127,8 +131,8 @@ impl GpuDevice {
 
     /// Salvage-decode a possibly damaged archive on the device: every
     /// block runs the shared salvage step
-    /// ([`ArchiveReader::salvage_chunk`]) on its chunk, damaged chunks
-    /// come back as `fill`, and the per-chunk report matches
+    /// ([`ArchiveReader::salvage_group`]) on its group of chunks, damaged
+    /// chunks come back as `fill`, and the per-chunk report matches
     /// [`pfpl::decompress_salvage`]'s (intact chunks bit-identical to the
     /// strict decode, same statuses, same offsets). Errors only when the
     /// header itself cannot be trusted — see [`pfpl::salvage`].
@@ -144,22 +148,25 @@ impl GpuDevice {
         // Lenient extents (shared with the CPU salvage path): a truncated
         // payload shortens per-chunk extents instead of failing globally.
         let extents = reader.extents();
-        let (vals, chunks) = self.launch_decode(&reader, fill, |b, decode| {
-            reader.salvage_chunk(b, extents[b], reader.chunk_values(b), decode)
+        let (vals, groups) = self.launch_decode(&reader, fill, |group, decode| {
+            reader.salvage_group(group.start, &extents[group], decode)
         });
+        let chunks = groups.into_iter().flatten().collect();
         let version = reader.toc.version;
         Ok((vals, SalvageReport { version, chunks }))
     }
 
-    /// Launch one decode block per chunk of `reader`. Block `b` runs
-    /// `step(b, kernel)`, where `kernel(payload, raw)` is the block decode
-    /// kernel writing chunk `b` into the output, which starts out as
-    /// `init`. Returns the output and every block's result in chunk order.
+    /// Launch one decode block per group of [`engine::GROUP`] consecutive
+    /// chunks of `reader` (their payloads are digested together). Block
+    /// `g` runs `step(chunks, kernel)`, where `kernel(i, payload, raw)` is
+    /// the block decode kernel writing chunk `i` into the output, which
+    /// starts out as `init`. Returns the output and every block's result
+    /// in group order.
     fn launch_decode<F: PfplFloat, R: Send>(
         &self,
         reader: &ArchiveReader<'_, F>,
         init: F,
-        step: impl Fn(usize, &mut dyn FnMut(&[u8], bool) -> Result<()>) -> R + Sync,
+        step: impl Fn(Range<usize>, &mut dyn FnMut(usize, &[u8], bool) -> Result<()>) -> R + Sync,
     ) -> (Vec<F>, Vec<R>)
     where
         F::Bits: WarpTranspose,
@@ -167,18 +174,19 @@ impl GpuDevice {
         let q = reader.codec.quantizer();
         let vpc = pfpl::chunk::values_per_chunk::<F>();
         let nchunks = reader.toc.sizes.len();
+        let groups: Vec<Range<usize>> = engine::groups(nchunks).collect();
         let out = DeviceSlice::new_with(reader.count(), init.to_bits());
         let results = grid::launch_init(
-            nchunks,
+            groups.len(),
             self.config.resident_blocks(),
             DecodeScratch::<F>::default,
-            |scratch, b| {
-                step(b, &mut |p, raw| {
-                    decode_chunk_block(q, p, raw, reader.chunk_values(b), scratch)?;
-                    // SAFETY: the kernel leaves exactly chunk_values(b)
-                    // words, and chunk b owns that range of `out` from
-                    // b * vpc exclusively.
-                    unsafe { out.write_at(b * vpc, &scratch.words) };
+            |scratch, g| {
+                step(groups[g].clone(), &mut |i, p, raw| {
+                    decode_chunk_block(q, p, raw, reader.chunk_values(i), scratch)?;
+                    // SAFETY: the kernel leaves exactly chunk_values(i)
+                    // words, and chunk i owns that range of `out` from
+                    // i * vpc exclusively.
+                    unsafe { out.write_at(i * vpc, &scratch.words) };
                     Ok(())
                 })
             },

@@ -123,7 +123,7 @@ fn chunk_level_decode<F: PfplFloat>(archive: &[u8]) -> pfpl::Result<Vec<F>> {
     let mut out = vec![F::ZERO; reader.count()];
     let mut scratch = pfpl::chunk::Scratch::default();
     for (i, vals) in out.chunks_mut(vpc).enumerate() {
-        reader.decode_chunk(i, offsets[i]..offsets[i + 1], true, |p, raw| {
+        reader.decode_group(i, &offsets[i..i + 2], true, |_, p, raw| {
             reader.codec.decode_chunk(p, raw, vals, &mut scratch)
         })?;
     }
