@@ -24,6 +24,10 @@
 //! `container::payload_checksums` over groups of `engine::GROUP` chunks,
 //! as verified decode and compress run it.
 //!
+//! `kernels` names the SIMD kernel each lossless layer ran on this CPU:
+//! the bit-plane transpose, zero-elimination, the batched checksum and
+//! the delta decode.
+//!
 //! Per-layer figures of whole workloads (quantize, delta, shuffle,
 //! zero-elimination, checksum, archive assembly, pool dispatch) come from
 //! the repository benchmark on real workload data:
@@ -370,6 +374,12 @@ fn main() {
     "abs_f32": {{ "encode_slice": {a32e:.4}, "decode_slice": {a32d:.4} }}
   }},
   "checksum_gbs": {{ "scalar": {digest_scalar:.4}, "batched": {digest_batched:.4} }},
+  "kernels": {{
+    "transpose": "{transpose}",
+    "zero_elim": "{zero_elim}",
+    "checksum": "{checksum}",
+    "delta": "{delta}"
+  }},
   "integrity_gbs": {{
     "decompress_verified": {dv:.4},
     "decompress_unverified": {du:.4},
@@ -397,6 +407,10 @@ fn main() {
         ckds = gbs(t_ck_dec_staged),
         cs = gbs(t_comp_serial),
         ds = gbs(t_dec_serial),
+        transpose = shuffle::tile_kernel(),
+        zero_elim = zeroelim::line_kernel(),
+        checksum = pfpl::checksum::batch_kernel(),
+        delta = delta::decode_kernel(),
     );
     print!("{json}");
 

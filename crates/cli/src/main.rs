@@ -185,14 +185,15 @@ fn decompress(o: &Opts) -> Result<String, CliError> {
     ))
 }
 
-/// The SIMD kernels this CPU runs, e.g. `transpose avx2, zero-elim
-/// avx512-vbmi2, checksum avx512`.
+/// The SIMD kernels this CPU runs, e.g. `transpose avx512-gfni,
+/// zero-elim avx512-vbmi2, checksum avx512, delta avx512`.
 fn kernels() -> String {
     format!(
-        "transpose {}, zero-elim {}, checksum {}",
+        "transpose {}, zero-elim {}, checksum {}, delta {}",
         pfpl::lossless::shuffle::tile_kernel(),
         pfpl::lossless::zeroelim::line_kernel(),
-        pfpl::checksum::batch_kernel()
+        pfpl::checksum::batch_kernel(),
+        pfpl::lossless::delta::decode_kernel()
     )
 }
 

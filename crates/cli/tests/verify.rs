@@ -80,10 +80,11 @@ fn verify_accepts_round_trips_and_names_violations() {
 #[test]
 fn summaries_name_the_kernels_that_ran() {
     let kernels = format!(
-        ", transpose {}, zero-elim {}, checksum {}",
+        ", transpose {}, zero-elim {}, checksum {}, delta {}",
         pfpl::lossless::shuffle::tile_kernel(),
         pfpl::lossless::zeroelim::line_kernel(),
-        pfpl::checksum::batch_kernel()
+        pfpl::checksum::batch_kernel(),
+        pfpl::lossless::delta::decode_kernel()
     );
     let (input, archive, output) = (tmp("kern.raw"), tmp("kern.pfpl"), tmp("kern.out.raw"));
     std::fs::write(&input, raw(false, usize::MAX, 1.0)).unwrap();

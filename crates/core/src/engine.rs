@@ -128,7 +128,7 @@ impl<F: PfplFloat> ChunkDecoder<F> {
     }
 
     /// [`chunk::decompress_chunk`]: decode one chunk payload into `vals`.
-    /// Errors are payload-relative; [`ArchiveReader::decode_chunk`]
+    /// Errors are payload-relative; [`ArchiveReader::decode_group`]
     /// rebases them.
     pub fn decode_chunk(
         &self,

@@ -5,35 +5,39 @@
 //! bits in the same positions (which stage 1 manufactures) become long runs
 //! of zero bits — and, after 8+ words, zero *bytes* for stage 3 to delete.
 //!
-//! The fast path transposes a [`TILE_WORDS`]-word tile as 32×32 bit-matrix
-//! blocks, and each bit plane leaves the tile as one 64-byte line. Every
-//! plane is emitted independently of the others, so a u64 word's planes
-//! 0–31 are those of its high dword and planes 32–63 those of its low
-//! dword: a u64 tile runs the 32-bit kernel on each half. Two block kernels
-//! produce identical rows:
+//! The fast path transposes a [`TILE_WORDS`]-word tile, and each bit plane
+//! leaves the tile as one 64-byte line. Every plane is emitted
+//! independently of the others, so a u64 word's planes 0–31 are those of
+//! its high dword and planes 32–63 those of its low dword: a u64 tile runs
+//! the 32-bit kernel on each half. Three tile kernels write identical
+//! lines, fastest first:
 //!
-//! * AVX2 (x86-64): 32 rows in 4 ymm registers are regrouped by
-//!   `pshufb` + `vpermd` + a 4×4 qword transpose into 4 vectors whose byte
-//!   `k` is byte `c` of row `k`; 8 rounds of `movemask_epi8` +
-//!   `add_epi8(v, v)` per vector then peel off output rows `8c+7 … 8c`.
+//! * AVX-512 + GFNI (x86-64 with AVX-512 F/BW/VBMI and GFNI): per
+//!   16-word vector, one `vpermb` gathers byte `c` of 8 consecutive words
+//!   into one qword and one `vgf2p8affineqb` transposes every 8×8 bit
+//!   block; `vshufi64x2` lane transposes, a second `vpermb` and an 8×8
+//!   qword transpose (`vpermt2q`) then gather whole plane lines. Decoding
+//!   runs the steps backwards. See the `gfni` module for the layout.
+//! * AVX2 (x86-64 with AVX2): each 32×32 bit-matrix block's 32 rows in 4
+//!   ymm registers are regrouped by `pshufb` + `vpermd` + a 4×4 qword
+//!   transpose into 4 vectors whose byte `k` is byte `c` of row `k`; 8
+//!   rounds of `movemask_epi8` + `add_epi8(v, v)` per vector then peel off
+//!   output rows `8c+7 … 8c`. Decoding regroups the lanes of every plane
+//!   line into rows (8×8 dword transposes) and transposes them back: the
+//!   transpose is an involution.
 //! * The masked-swap transpose ([`Transpose::transpose_block`], log2(word
 //!   size) steps — the step count of the paper's warp-shuffle GPU
-//!   implementation): the portable kernel, run where the CPU lacks AVX2,
-//!   and the reference the AVX2 kernel is tested against. Its 64×64 form
-//!   is the reference the device simulator's warp transpose is tested
-//!   against.
-//!
-//! The transpose is an involution, so decoding runs the same block kernel:
-//! lane `b` of every plane line is a row of block `b`'s transpose, and
-//! [`decode_tile`] regroups the lanes into rows (8×8 dword transposes on
-//! AVX2) before transposing them back.
+//!   implementation), the same way round: the portable kernel, run where
+//!   the CPU has neither, and the reference both SIMD kernels are tested
+//!   against. Its 64×64 form is the reference the device simulator's warp
+//!   transpose is tested against.
 //!
 //! The kernel is chosen at run time, per tile, by
-//! `is_x86_feature_detected!("avx2")` ([`tile_kernel`] names the choice),
-//! so builds for the x86-64 baseline keep the AVX2 kernel. Both are
+//! `is_x86_feature_detected!` ([`tile_kernel`] names the choice), so
+//! builds for the x86-64 baseline keep both SIMD kernels. All three are
 //! exact bit permutations: archives are byte-identical whichever runs.
-//! The unit tests call the masked swap directly, so it stays covered on
-//! AVX2 hosts.
+//! The unit tests call every kernel the CPU has by name, so the AVX2
+//! kernel and the masked swap stay covered on hosts that run the GFNI one.
 //!
 //! The fused chunk kernel streams the tile's plane lines into
 //! zero-elimination; [`encode`] / [`decode`] run the same tile kernel over
@@ -116,26 +120,35 @@ impl_transpose!(
 );
 
 /// The 32 plane lines of a u32 tile: row `j` of block `b` is lane `b` of
-/// plane `31 - j`'s line.
+/// plane `31 - j`'s line. Runs the tile kernel [`kernel`] picks.
 impl sealed::Tile for u32 {
     #[inline]
     fn tile_to_lines(tile: &[u32; TILE_WORDS], lines: &mut [[u8; 64]]) {
-        assert_eq!(lines.len(), 32, "one line per bit plane");
-        // Captured by value: by reference, every store reloads them.
-        transpose_tile(tile, move |b, j, row| {
-            lines[31 - j][4 * b..][..4].copy_from_slice(&row.to_le_bytes());
-        });
+        let lines = lines.try_into().expect("one line per bit plane");
+        match kernel() {
+            // SAFETY: `kernel` picks a SIMD kernel only where
+            // `is_x86_feature_detected!` found every feature it enables.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Gfni => unsafe { gfni::encode(tile, lines) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { avx2::encode(tile, lines) },
+            Kernel::MaskedSwap => portable_encode(tile, lines),
+        }
     }
 
     #[inline]
     fn lines_to_tile(lines: &[[u8; 64]], tile: &mut [u32; TILE_WORDS]) {
-        assert_eq!(lines.len(), 32, "one line per bit plane");
-        // Lane b of plane p is row `31 - p` of block b's transpose; the
-        // transpose is an involution, so transposing the rows again gives
-        // the original words.
-        let mut rows = [0u32; TILE_WORDS];
-        lanes_to_rows(lines, &mut rows);
-        transpose_tile(&rows, move |b, j, row| tile[32 * b + j] = row);
+        let lines = lines.try_into().expect("one line per bit plane");
+        match kernel() {
+            // SAFETY: as in `tile_to_lines`.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Gfni => unsafe { gfni::decode(lines, tile) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { avx2::decode(lines, tile) },
+            Kernel::MaskedSwap => portable_decode(lines, tile),
+        }
     }
 }
 
@@ -144,22 +157,231 @@ impl sealed::Tile for u32 {
 impl sealed::Tile for u64 {
     #[inline]
     fn tile_to_lines(tile: &[u64; TILE_WORDS], lines: &mut [[u8; 64]]) {
-        assert_eq!(lines.len(), 64, "one line per bit plane");
-        let (hi, lo) = lines.split_at_mut(32);
-        u32::tile_to_lines(&from_fn(|i| (tile[i] >> 32) as u32), hi);
-        u32::tile_to_lines(&from_fn(|i| tile[i] as u32), lo);
+        split_to_lines(tile, lines, |half, lines| u32::tile_to_lines(half, lines));
     }
 
     #[inline]
     fn lines_to_tile(lines: &[[u8; 64]], tile: &mut [u64; TILE_WORDS]) {
-        assert_eq!(lines.len(), 64, "one line per bit plane");
-        // Decoding the halves apart and interleaving them once is faster
-        // than a read-modify-write second pass over the tile.
-        let (mut hi, mut lo) = ([0u32; TILE_WORDS], [0u32; TILE_WORDS]);
-        u32::lines_to_tile(&lines[..32], &mut hi);
-        u32::lines_to_tile(&lines[32..], &mut lo);
-        for (t, (&h, &l)) in tile.iter_mut().zip(hi.iter().zip(&lo)) {
-            *t = (h as u64) << 32 | l as u64;
+        join_from_lines(lines, tile, |lines, half| u32::lines_to_tile(lines, half));
+    }
+}
+
+/// A u64 tile's 64 plane lines, from a u32 tile kernel run on its high
+/// dwords (planes 0–31) and on its low dwords (planes 32–63).
+#[inline]
+fn split_to_lines(
+    tile: &[u64; TILE_WORDS],
+    lines: &mut [[u8; 64]],
+    mut half: impl FnMut(&[u32; TILE_WORDS], &mut [[u8; 64]; 32]),
+) {
+    let ([hi, lo], []) = lines.as_chunks_mut::<32>() else {
+        panic!("one line per bit plane");
+    };
+    half(&from_fn(|i| (tile[i] >> 32) as u32), hi);
+    half(&from_fn(|i| tile[i] as u32), lo);
+}
+
+/// Inverse of [`split_to_lines`], through the matching u32 decode kernel.
+#[inline]
+fn join_from_lines(
+    lines: &[[u8; 64]],
+    tile: &mut [u64; TILE_WORDS],
+    mut half: impl FnMut(&[[u8; 64]; 32], &mut [u32; TILE_WORDS]),
+) {
+    let ([hi_lines, lo_lines], []) = lines.as_chunks::<32>() else {
+        panic!("one line per bit plane");
+    };
+    // Decoding the halves apart and interleaving them once is faster
+    // than a read-modify-write second pass over the tile.
+    let (mut hi, mut lo) = ([0u32; TILE_WORDS], [0u32; TILE_WORDS]);
+    half(hi_lines, &mut hi);
+    half(lo_lines, &mut lo);
+    for (t, (&h, &l)) in tile.iter_mut().zip(hi.iter().zip(&lo)) {
+        *t = (h as u64) << 32 | l as u64;
+    }
+}
+
+/// The row sink that stores row `j` of block `b` as lane `b` of plane
+/// `31 - j`'s line.
+#[inline]
+fn row_sink(lines: &mut [[u8; 64]; 32]) -> impl FnMut(usize, usize, u32) + '_ {
+    // Captured by value: by reference, every store reloads it.
+    move |b, j, row| lines[31 - j][4 * b..][..4].copy_from_slice(&row.to_le_bytes())
+}
+
+/// The AVX-512 + GFNI tile kernels. Every function here is compiled for
+/// AVX-512 F/BW/VBMI and GFNI whatever the build's target CPU; callers
+/// check for them at run time.
+///
+/// A 16-word vector covers two 8-word groups `g`, and byte `g` of plane
+/// `p`'s line holds bit `31 - p` of words `8g … 8g+7` (bit `i` from word
+/// `8g + i`). Encoding runs three steps:
+///
+/// 1. `vpermb` puts byte `c` of a group's 8 words into one qword, rows
+///    reversed, and one `vgf2p8affineqb` (the identity matrix as the data
+///    operand, the vector as the matrix operand) transposes every 8×8 bit
+///    block: byte `i` of qword `2c + h` is then byte `2v + h` of line
+///    `31 - 8c - i`, where `v` is the vector's index.
+/// 2. A 4×4 transpose of 128-bit lanes (`vshufi64x2`) over four vectors
+///    and a `vpermb` give, per byte column `c`, one vector whose qword
+///    `i` holds 8 consecutive bytes of line `31 - 8c - i`.
+/// 3. An 8×8 qword transpose (`vpermt2q`) of eight such vectors gives
+///    eight whole lines.
+///
+/// Decoding runs the steps backwards. The affine step is its own inverse
+/// once the qword's byte order is reversed, which the `vpermb` before it
+/// does.
+#[cfg(target_arch = "x86_64")]
+mod gfni {
+    use super::TILE_WORDS;
+    use crate::lossless::avx512::{load, store};
+    use std::arch::x86_64::*;
+    use std::array::from_fn;
+
+    /// Byte `i` of every qword is `1 << i`: the identity bit matrix as
+    /// the affine step's data operand.
+    const IDENTITY: u64 = 0x8040_2010_0804_0201;
+
+    /// A `vpermb` table, `dst[d] = src[TABLE[d]]`, from an expression in
+    /// `d`.
+    macro_rules! table {
+        (|$d:ident| $src:expr) => {{
+            let mut t = [0u8; 64];
+            let mut $d = 0;
+            while $d < 64 {
+                t[$d] = $src as u8;
+                $d += 1;
+            }
+            t
+        }};
+    }
+
+    /// Step 1 of encoding: byte `8(2c + h) + 7 - i` ← byte `c` of word
+    /// `8h + i`.
+    const GATHER: [u8; 64] = table!(|d| {
+        let (c, h, i) = (d / 16, d / 8 % 2, 7 - d % 8);
+        4 * (8 * h + i) + c
+    });
+    /// Step 2 of encoding: byte `8i + 2z + h` ← byte `16z + 8h + i`, where
+    /// `z` is the vector's place among the four.
+    const INTERLEAVE: [u8; 64] = table!(|d| {
+        let (i, z, h) = (d / 8, d % 8 / 2, d % 2);
+        16 * z + 8 * h + i
+    });
+    /// [`INTERLEAVE`] inverted, with each qword's bytes reversed.
+    const DEINTERLEAVE: [u8; 64] = table!(|d| {
+        let (z, h, i) = (d / 16, d / 8 % 2, d % 8);
+        8 * (7 - i) + 2 * z + h
+    });
+    /// [`GATHER`] inverted, rows in order: byte `c` of word `w` ← byte
+    /// `w % 8` of qword `2c + w / 8`.
+    const SCATTER: [u8; 64] = table!(|d| {
+        let (w, c) = (d / 4, d % 4);
+        8 * (2 * c + w / 8) + w % 8
+    });
+
+    /// Transpose of the 4×4 matrix of 128-bit lanes: lane `z` of vector
+    /// `c` ← lane `c` of vector `z`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose_lanes([a, b, c, d]: [__m512i; 4]) -> [__m512i; 4] {
+        let ab_lo = _mm512_shuffle_i64x2::<0x44>(a, b);
+        let ab_hi = _mm512_shuffle_i64x2::<0xEE>(a, b);
+        let cd_lo = _mm512_shuffle_i64x2::<0x44>(c, d);
+        let cd_hi = _mm512_shuffle_i64x2::<0xEE>(c, d);
+        [
+            _mm512_shuffle_i64x2::<0x88>(ab_lo, cd_lo),
+            _mm512_shuffle_i64x2::<0xDD>(ab_lo, cd_lo),
+            _mm512_shuffle_i64x2::<0x88>(ab_hi, cd_hi),
+            _mm512_shuffle_i64x2::<0xDD>(ab_hi, cd_hi),
+        ]
+    }
+
+    /// `vpermt2q` indices of one 8×8 qword-transpose step at distance
+    /// `s`: row `r` (`r & s == 0`) takes its own qwords where `q & s ==
+    /// 0` and row `r + s`'s qword `q - s` elsewhere; row `r + s` (`upper`)
+    /// takes row `r`'s qword `q + s` and keeps its own.
+    const fn swap_index(s: usize, upper: bool) -> [i64; 8] {
+        let mut t = [0i64; 8];
+        let mut q = 0;
+        while q < 8 {
+            t[q] = match (q & s == 0, upper) {
+                (true, false) => q,
+                (false, false) => 8 + q - s,
+                (true, true) => q + s,
+                (false, true) => 8 + q,
+            } as i64;
+            q += 1;
+        }
+        t
+    }
+
+    /// One step of [`transpose_qwords`]: swap bit `S` of the row and
+    /// column index.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn swap_step<const S: usize>(mut r: [__m512i; 8]) -> [__m512i; 8] {
+        let lo = load(&const { swap_index(S, false) });
+        let hi = load(&const { swap_index(S, true) });
+        for k in (0..8).filter(|k| k & S == 0) {
+            let (a, b) = (r[k], r[k + S]);
+            r[k] = _mm512_permutex2var_epi64(a, lo, b);
+            r[k + S] = _mm512_permutex2var_epi64(a, hi, b);
+        }
+        r
+    }
+
+    /// 8×8 qword transpose: qword `k` of vector `j` ← qword `j` of vector
+    /// `k`.
+    macro_rules! transpose_qwords {
+        ($r:expr) => {
+            swap_step::<4>(swap_step::<2>(swap_step::<1>($r)))
+        };
+    }
+
+    /// [`super::encode_tile_into`] for a u32 tile.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,gfni")]
+    pub fn encode(tile: &[u32; TILE_WORDS], lines: &mut [[u8; 64]; 32]) {
+        let (gather, interleave) = (load(&GATHER), load(&INTERLEAVE));
+        let identity = _mm512_set1_epi64(IDENTITY as i64);
+        let vecs = tile.as_chunks::<16>().0;
+        // cols[k][c]: qword i holds bytes 8k … 8k+7 of line 31 - 8c - i.
+        // Every vector is written once, so nothing is zero-filled.
+        let cols: [[__m512i; 4]; 8] = from_fn(|k| {
+            let bits = from_fn(|z| {
+                let rows = _mm512_permutexvar_epi8(gather, load(&vecs[4 * k + z]));
+                _mm512_gf2p8affine_epi64_epi8::<0>(identity, rows)
+            });
+            transpose_lanes(bits).map(|v| _mm512_permutexvar_epi8(interleave, v))
+        });
+        for c in 0..4 {
+            let planes = transpose_qwords!(from_fn(|k| cols[k][c]));
+            for (i, v) in planes.into_iter().enumerate() {
+                store(&mut lines[31 - 8 * c - i], v);
+            }
+        }
+    }
+
+    /// [`super::decode_tile`] for a u32 tile: [`encode`] backwards.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,gfni")]
+    pub fn decode(lines: &[[u8; 64]; 32], tile: &mut [u32; TILE_WORDS]) {
+        let (deinterleave, scatter) = (load(&DEINTERLEAVE), load(&SCATTER));
+        let identity = _mm512_set1_epi64(IDENTITY as i64);
+        // cols[c][k]: lane z is lane c of the affine input of vector
+        // 4k + z.
+        let cols: [[__m512i; 8]; 4] = from_fn(|c| {
+            transpose_qwords!(from_fn(|i| load(&lines[31 - 8 * c - i])))
+                .map(|v| _mm512_permutexvar_epi8(deinterleave, v))
+        });
+        let vecs = tile.as_chunks_mut::<16>().0;
+        for k in 0..8 {
+            let bits = transpose_lanes(from_fn(|c| cols[c][k]));
+            for (z, v) in bits.into_iter().enumerate() {
+                let rows = _mm512_gf2p8affine_epi64_epi8::<0>(identity, v);
+                store(&mut vecs[4 * k + z], _mm512_permutexvar_epi8(scatter, rows));
+            }
         }
     }
 }
@@ -215,7 +437,7 @@ mod avx2 {
         std::array::from_fn(|i| unsafe { _mm256_loadu_si256(p.add(i)) })
     }
 
-    /// [`super::transpose_tile`] on AVX2.
+    /// [`super::masked_swap_tile`] on AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub fn tile32(tile: &[u32; TILE_WORDS], mut emit: impl FnMut(usize, usize, u32)) {
@@ -240,12 +462,11 @@ mod avx2 {
         unsafe { _mm256_storeu_si256(rows.as_mut_ptr().add(at).cast(), v) }
     }
 
-    /// [`super::lanes_to_rows`] on AVX2: 8×8 dword transposes of 8 lines ×
-    /// 8 lanes; column `m` holds rows `8q … 8q+7` of block `m`.
+    /// [`super::lanes_to_rows_portable`] on AVX2: 8×8 dword transposes of
+    /// 8 lines × 8 lanes; column `m` holds rows `8q … 8q+7` of block `m`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub fn rows32(lines: &[[u8; 64]], rows: &mut [u32; TILE_WORDS]) {
-        assert_eq!(lines.len(), 32);
+    pub fn rows32(lines: &[[u8; 64]; 32], rows: &mut [u32; TILE_WORDS]) {
         for h in 0..2 {
             for q in 0..4 {
                 // x[i] = lanes 8h … 8h+7 of plane 31 - 8q - i.
@@ -279,6 +500,22 @@ mod avx2 {
             }
         }
     }
+
+    /// [`super::encode_tile_into`] for a u32 tile.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn encode(tile: &[u32; TILE_WORDS], lines: &mut [[u8; 64]; 32]) {
+        tile32(tile, super::row_sink(lines));
+    }
+
+    /// [`super::decode_tile`] for a u32 tile.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn decode(lines: &[[u8; 64]; 32], tile: &mut [u32; TILE_WORDS]) {
+        let mut rows = [0u32; TILE_WORDS];
+        rows32(lines, &mut rows);
+        tile32(&rows, move |b, j, row| tile[32 * b + j] = row);
+    }
 }
 
 /// Words per tile: `batch` cache-line groups of `BITS` words each — always
@@ -287,46 +524,60 @@ mod avx2 {
 /// line to every bit plane.
 pub const TILE_WORDS: usize = 512;
 
-/// Whether this CPU runs the AVX2 block kernel.
+/// A u32 tile kernel pair (encode and decode), fastest first.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kernel {
+    /// [`gfni`]: AVX-512 F/BW/VBMI and GFNI.
+    #[cfg(target_arch = "x86_64")]
+    Gfni,
+    /// [`avx2`].
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// [`masked_swap_tile`] and [`lanes_to_rows_portable`].
+    MaskedSwap,
+}
+
+/// Whether this CPU has every feature the [`gfni`] kernels enable.
+#[cfg(target_arch = "x86_64")]
 #[inline]
-fn avx2() -> bool {
+fn gfni_detected() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vbmi")
+        && is_x86_feature_detected!("gfni")
+}
+
+/// The tile kernel this CPU runs: the first one whose features it has.
+#[inline]
+fn kernel() -> Kernel {
     #[cfg(target_arch = "x86_64")]
     {
-        is_x86_feature_detected!("avx2")
+        if gfni_detected() {
+            return Kernel::Gfni;
+        }
+        if is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    Kernel::MaskedSwap
 }
 
-/// The block kernel [`encode_tile_into`] and [`decode_tile`] (and so
+/// The tile kernel [`encode_tile_into`] and [`decode_tile`] (and so
 /// [`encode`] / [`decode`] and the fused chunk kernels) run on this CPU:
-/// `"avx2"` or the portable `"masked-swap"`.
+/// `"avx512-gfni"`, `"avx2"` or the portable `"masked-swap"`.
 pub fn tile_kernel() -> &'static str {
-    if avx2() {
-        "avx2"
-    } else {
-        "masked-swap"
-    }
-}
-
-/// Transpose every 32-word block of `tile`, handing row `j` of block `b`
-/// to `emit(b, j, row)`: the AVX2 kernel where the CPU has it, else
-/// [`masked_swap_tile`].
-#[inline]
-fn transpose_tile(tile: &[u32; TILE_WORDS], emit: impl FnMut(usize, usize, u32)) {
-    if avx2() {
-        // SAFETY: AVX2 support was detected just above (`avx2()` is
-        // false off x86-64).
+    match kernel() {
         #[cfg(target_arch = "x86_64")]
-        return unsafe { avx2::tile32(tile, emit) };
+        Kernel::Gfni => "avx512-gfni",
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => "avx2",
+        Kernel::MaskedSwap => "masked-swap",
     }
-    masked_swap_tile(tile, emit);
 }
 
-/// [`transpose_tile`] on the masked swap, over a copy of the tile: the
-/// portable block kernel and the AVX2 kernel's reference.
+/// Transpose every 32-word block of a copy of `tile` by the masked swap,
+/// handing row `j` of block `b` to `emit(b, j, row)`: the portable block
+/// kernel and the reference of the SIMD ones.
 #[inline]
 fn masked_swap_tile(tile: &[u32; TILE_WORDS], mut emit: impl FnMut(usize, usize, u32)) {
     let mut tile = *tile;
@@ -338,23 +589,26 @@ fn masked_swap_tile(tile: &[u32; TILE_WORDS], mut emit: impl FnMut(usize, usize,
     }
 }
 
-/// `rows[32 * b + 31 - p] = ` lane `b` of `lines[p]`: the AVX2 kernel
-/// where the CPU has it, else [`lanes_to_rows_portable`].
+/// [`encode_tile_into`] for a u32 tile on the masked swap.
 #[inline]
-fn lanes_to_rows(lines: &[[u8; 64]], rows: &mut [u32; TILE_WORDS]) {
-    if avx2() {
-        // SAFETY: AVX2 support was detected just above (`avx2()` is
-        // false off x86-64).
-        #[cfg(target_arch = "x86_64")]
-        return unsafe { avx2::rows32(lines, rows) };
-    }
-    lanes_to_rows_portable(lines, rows);
+fn portable_encode(tile: &[u32; TILE_WORDS], lines: &mut [[u8; 64]; 32]) {
+    masked_swap_tile(tile, row_sink(lines));
 }
 
-/// [`lanes_to_rows`] one lane at a time: the portable kernel and the AVX2
-/// kernel's reference.
+/// [`decode_tile`] for a u32 tile on the masked swap. Lane `b` of plane
+/// `p` is row `31 - p` of block `b`'s transpose; the transpose is an
+/// involution, so transposing the rows again gives the original words.
 #[inline]
-fn lanes_to_rows_portable(lines: &[[u8; 64]], rows: &mut [u32; TILE_WORDS]) {
+fn portable_decode(lines: &[[u8; 64]; 32], tile: &mut [u32; TILE_WORDS]) {
+    let mut rows = [0u32; TILE_WORDS];
+    lanes_to_rows_portable(lines, &mut rows);
+    masked_swap_tile(&rows, move |b, j, row| tile[32 * b + j] = row);
+}
+
+/// `rows[32 * b + 31 - p] = ` lane `b` of `lines[p]`, one lane at a
+/// time: the portable regrouping and the AVX2 kernel's reference.
+#[inline]
+fn lanes_to_rows_portable(lines: &[[u8; 64]; 32], rows: &mut [u32; TILE_WORDS]) {
     for (p, line) in lines.iter().enumerate() {
         for (b, lane) in line.as_chunks::<4>().0.iter().enumerate() {
             rows[32 * b + 31 - p] = u32::from_le_bytes(*lane);
@@ -569,13 +823,53 @@ mod tests {
             .collect()
     }
 
-    /// Whether this CPU runs the AVX2 kernel. Without it the AVX2 cases
-    /// say so and return early rather than pass having tested nothing.
-    fn have_avx2(case: &str) -> bool {
-        if !avx2() {
-            eprintln!("{case}: this CPU has no AVX2; the AVX2 kernel was not tested");
+    /// Whether this CPU has the features of `kernel`. Without them the
+    /// case says so and returns early rather than pass having tested
+    /// nothing.
+    fn have(kernel: &str, case: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let found = match kernel {
+            "avx2" => is_x86_feature_detected!("avx2"),
+            "avx512-gfni" => gfni_detected(),
+            _ => unreachable!("{kernel}"),
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let found = false;
+        if !found {
+            eprintln!("{case}: this CPU lacks the {kernel} kernel's features; it was not tested");
         }
-        avx2()
+        found
+    }
+
+    type Encode = fn(&[u32; TILE_WORDS], &mut [[u8; 64]; 32]);
+    type Decode = fn(&[[u8; 64]; 32], &mut [u32; TILE_WORDS]);
+
+    /// Every u32 tile kernel pair this CPU runs, by name, the portable
+    /// one first.
+    fn tiers(case: &str) -> Vec<(&'static str, Encode, Decode)> {
+        let mut tiers: Vec<(&str, Encode, Decode)> =
+            vec![("masked-swap", portable_encode, portable_decode)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if have("avx2", case) {
+                tiers.push((
+                    "avx2",
+                    // SAFETY (both): `have` detected AVX2.
+                    |tile, lines| unsafe { avx2::encode(tile, lines) },
+                    |lines, tile| unsafe { avx2::decode(lines, tile) },
+                ));
+            }
+            if have("avx512-gfni", case) {
+                tiers.push((
+                    "avx512-gfni",
+                    // SAFETY (both): `have` detected every feature the
+                    // GFNI kernel enables.
+                    |tile, lines| unsafe { gfni::encode(tile, lines) },
+                    |lines, tile| unsafe { gfni::decode(lines, tile) },
+                ));
+            }
+        }
+        tiers
     }
 
     /// Every block of `tile` transposed by the masked swap, block-major.
@@ -587,8 +881,8 @@ mod tests {
 
     /// The plane lines whose lanes are the block-major transposed `rows`
     /// of a u32 tile: row `j` of block `b` is lane `b` of plane `31 - j`.
-    fn lines_of(rows: &[u32]) -> Vec<[u8; 64]> {
-        let mut lines = vec![[0u8; 64]; 32];
+    fn lines_of(rows: &[u32]) -> [[u8; 64]; 32] {
+        let mut lines = [[0u8; 64]; 32];
         for (i, row) in rows.iter().enumerate() {
             let (b, j) = (i / 32, i % 32);
             lines[31 - j][4 * b..][..4].copy_from_slice(&row.to_le_bytes());
@@ -627,7 +921,7 @@ mod tests {
         tiles
     }
 
-    /// The masked swap, called directly (on AVX2 hosts the codec never
+    /// The masked swap, called directly (on SIMD hosts the codec never
     /// reaches it): its plane lines equal the bit-at-a-time shuffle of the
     /// tile, and regrouping the lanes and swapping again gives the tile
     /// back.
@@ -658,26 +952,65 @@ mod tests {
         }
     }
 
-    /// The AVX2 kernels (which the dispatchers run on an AVX2 CPU) equal
-    /// the masked swap and the portable lane regrouping on all 1 024
-    /// one-hot 32×32 blocks and on all-ones and random tiles.
+    /// The AVX2 kernels, called by name (a GFNI host's codec never
+    /// reaches them), equal the masked swap and the portable lane
+    /// regrouping on all 1 024 one-hot 32×32 blocks and on all-ones and
+    /// random tiles.
     #[test]
     fn avx2_kernels_match_masked_swap() {
-        if !have_avx2("avx2_kernels_match_masked_swap") {
+        if !have("avx2", "avx2_kernels_match_masked_swap") {
             return;
         }
+        #[cfg(target_arch = "x86_64")]
         for (t, tile) in edge_and_dense_tiles().iter().enumerate() {
             let rows = swapped(tile);
             let mut got = vec![0; TILE_WORDS];
-            transpose_tile(tile, |b, j, row| got[32 * b + j] = row);
+            // SAFETY: `have` detected AVX2.
+            unsafe { avx2::tile32(tile, |b, j, row| got[32 * b + j] = row) };
             assert_eq!(got, rows, "tile {t}");
 
             let lines = lines_of(&rows);
             let (mut got, mut want) = ([0u32; TILE_WORDS], [0u32; TILE_WORDS]);
-            lanes_to_rows(&lines, &mut got);
+            // SAFETY: as above.
+            unsafe { avx2::rows32(&lines, &mut got) };
             lanes_to_rows_portable(&lines, &mut want);
             assert_eq!(got, want, "tile {t}");
         }
+    }
+
+    /// The GFNI kernels, called by name, equal the masked swap and the
+    /// portable lane regrouping on all 1 024 one-hot 32×32 blocks and on
+    /// all-ones and random tiles: encoding writes the masked swap's lines,
+    /// and decoding any lines gives what the portable decode gives.
+    #[test]
+    fn gfni_kernels_match_masked_swap() {
+        if !have("avx512-gfni", "gfni_kernels_match_masked_swap") {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        for (t, tile) in edge_and_dense_tiles().iter().enumerate() {
+            let want = lines_of(&swapped(tile));
+            let mut got = [[0u8; 64]; 32];
+            // SAFETY: `have` detected every feature the kernel enables.
+            unsafe { gfni::encode(tile, &mut got) };
+            assert_eq!(got, want, "tile {t}");
+
+            // The tile's words read as lines: any bytes decode.
+            let lines: [[u8; 64]; 32] = words_as_lines(tile);
+            for lines in [want, lines] {
+                let (mut got, mut want) = ([0u32; TILE_WORDS], [0u32; TILE_WORDS]);
+                // SAFETY: as above.
+                unsafe { gfni::decode(&lines, &mut got) };
+                portable_decode(&lines, &mut want);
+                assert_eq!(got, want, "tile {t}");
+            }
+        }
+    }
+
+    /// A u32 tile's bytes as 32 lines.
+    fn words_as_lines(tile: &[u32; TILE_WORDS]) -> [[u8; 64]; 32] {
+        let bytes: Vec<u8> = tile.iter().flat_map(|w| w.to_le_bytes()).collect();
+        std::array::from_fn(|p| bytes[64 * p..][..64].try_into().unwrap())
     }
 
     /// The tile path on this CPU's block kernel against the bit-at-a-time
@@ -721,25 +1054,42 @@ mod tests {
     }
 
     /// u64 all-ones tiles and all 4 096 one-hot 64×64 blocks, packed
-    /// eight to a tile: every bit of both dword halves must land in its own
+    /// eight to a tile, on every u32 kernel this CPU has and on the
+    /// detected one: every bit of both dword halves must land in its own
     /// plane and lane, and come back.
     #[test]
     fn u64_tile_path_matches_scalar_on_edge_tiles() {
-        tile_path_matches_scalar(&[!0u64; TILE_WORDS]);
-        tile_path_matches_scalar(&one_hot_tiles::<u64>().concat());
+        let mut tiles = one_hot_tiles::<u64>();
+        tiles.push([!0u64; TILE_WORDS]);
+        for (name, enc, dec) in tiers("u64_tile_path_matches_scalar_on_edge_tiles") {
+            let mut lines = [[0u8; 64]; 64];
+            let mut want = vec![0u8; TILE_WORDS * 8];
+            for (t, tile) in tiles.iter().enumerate() {
+                split_to_lines(tile, &mut lines, enc);
+                want.fill(0);
+                encode_scalar(tile, &mut want);
+                assert_eq!(lines.as_flattened(), &want[..], "{name}, tile {t}");
+                let mut back = [0u64; TILE_WORDS];
+                join_from_lines(&lines, &mut back, dec);
+                assert_eq!(back, *tile, "{name}, tile {t}");
+            }
+        }
+        tile_path_matches_scalar(&tiles.concat());
     }
 
-    /// The AVX2 kernel is chosen at run time, so a build for any x86-64
-    /// target keeps it and selects it wherever the CPU has AVX2.
+    /// The SIMD kernels are chosen at run time, so a build for any x86-64
+    /// target keeps them and selects the GFNI kernel wherever the CPU has
+    /// its features, else the AVX2 kernel wherever it has AVX2.
     #[test]
-    fn tile_path_selects_avx2_when_detected() {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
+    fn tile_path_selects_gfni_then_avx2_when_detected() {
+        const CASE: &str = "tile_path_selects_gfni_then_avx2_when_detected";
+        if have("avx512-gfni", CASE) {
+            assert_eq!(tile_kernel(), "avx512-gfni");
+        } else if have("avx2", CASE) {
             assert_eq!(tile_kernel(), "avx2");
-            return;
+        } else {
+            assert_eq!(tile_kernel(), "masked-swap");
         }
-        eprintln!("tile_path_selects_avx2_when_detected: no AVX2 on this CPU");
-        assert_eq!(tile_kernel(), "masked-swap");
     }
 
     #[test]

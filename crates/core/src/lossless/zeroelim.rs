@@ -194,6 +194,7 @@ mod line {
     /// target CPU; callers check for it at run time.
     #[cfg(target_arch = "x86_64")]
     mod vbmi2 {
+        use crate::lossless::avx512::{load, store};
         use std::arch::x86_64::*;
 
         /// `vptestmb` computes the data-line mask, [`compact64`] packs the
@@ -201,8 +202,7 @@ mod line {
         #[inline]
         #[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
         pub fn compress64(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
-            // SAFETY: the load covers the 64 bytes of `line`.
-            let v = unsafe { _mm512_loadu_si512(line.as_ptr().cast()) };
+            let v = load(line);
             let mask = _mm512_test_epi8_mask(v, v);
             (mask, compact64(mask, line, dst))
         }
@@ -216,8 +216,7 @@ mod line {
             // archive bytes): kept as a hard assert because it guards the
             // unsafe 64-byte store below.
             assert!(dst.len() >= 64);
-            // SAFETY: the load covers the 64 bytes of `line`.
-            let v = unsafe { _mm512_loadu_si512(line.as_ptr().cast()) };
+            let v = load(line);
             let packed = _mm512_maskz_compress_epi8(mask, v);
             // SAFETY: the assert above keeps the 64-byte store inside
             // `dst`.
@@ -243,8 +242,7 @@ mod line {
             // elements).
             let v = unsafe { _mm512_maskz_loadu_epi8(lm, src.as_ptr().cast()) };
             let ex = _mm512_maskz_expand_epi8(mask, v);
-            // SAFETY: the store covers the 64 bytes of `out`.
-            unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), ex) };
+            store(out, ex);
         }
     }
 }
